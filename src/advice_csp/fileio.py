@@ -18,11 +18,28 @@ endings are accepted.  Writing then reading any value is the identity.
 
 from __future__ import annotations
 
+import gc
+import itertools
+from contextlib import contextmanager
+
 import numpy as np
 
 from .advice import LabelAdvice, SubsetAdvice
 from .errors import InputError, ParseError
 from .instances import GraphInstance, KLinInstance, graph_to_klin, _as_pm1
+
+
+@contextmanager
+def _cycle_collector_paused():
+    """Token lists form no cycles, but with 10^5 of them alive each cyclic
+    collection rescans them all; pausing it halves a large parse."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _content_lines(path):
@@ -32,6 +49,27 @@ def _content_lines(path):
             if not line or line.startswith("#"):
                 continue
             yield lineno, line.split()
+
+
+def _first_line(path, what):
+    """The content-line iterator and its first line number and tokens."""
+    lines = _content_lines(path)
+    try:
+        return (lines, *next(lines))
+    except StopIteration:
+        raise ParseError(path, 1, f"missing {what} header") from None
+
+
+def _pm1_lines(lines, path, lineno, n: int, what: str) -> np.ndarray:
+    """n lines of one +1/-1 each; a count mismatch names the last line read."""
+    values = []
+    for lineno, tokens in lines:
+        if len(tokens) != 1:
+            raise ParseError(path, lineno, "expected one +1/-1 per line")
+        values.append(_parse_pm1(tokens[0], path, lineno))
+    if len(values) != n:
+        raise ParseError(path, lineno, f"header promises {n} {what}, found {len(values)}")
+    return np.array(values, dtype=np.int8)
 
 
 def _parse_pm1(token: str, path, lineno, what="value") -> int:
@@ -47,19 +85,61 @@ def _parse_pm1(token: str, path, lineno, what="value") -> int:
 def write_instance(path, instance: KLinInstance | GraphInstance) -> None:
     if isinstance(instance, GraphInstance):
         instance = graph_to_klin(instance)
+    k = instance.k
+    # tolist() yields Python ints and floats; %d and %r print them as str and repr.
+    fmt = {a: " ".join(["%d"] * a) + " %+d %r\n" for a in range(1, k + 1)}
+    cols = [instance.idx[:, c].tolist() for c in range(k)]
+    lines = [
+        fmt[a] % (*ids[:a], rhs, w)
+        for ids, a, rhs, w in zip(
+            zip(*cols), instance.arity.tolist(), instance.rhs.tolist(), instance.w.tolist()
+        )
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"p klin {instance.k} {instance.n} {instance.m}\n")
-        for idx, rhs, w in instance.constraints:
-            ids = " ".join(str(i) for i in idx)
-            fh.write(f"{ids} {rhs:+d} {w!r}\n")
+        fh.write(f"p klin {k} {instance.n} {instance.m}\n")
+        fh.write("".join(lines))
+
+
+def _parse_constraint(tokens, k, n, path, lineno) -> tuple[tuple[int, ...], int, float]:
+    """One constraint line, checked field by field in reading order."""
+    if len(tokens) < 3 or len(tokens) > k + 2:
+        raise ParseError(path, lineno, f"expected 1..{k} indices, rhs, and weight")
+    try:
+        idx = tuple(int(t) for t in tokens[:-2])
+    except ValueError:
+        raise ParseError(path, lineno, "indices must be integers") from None
+    if any(i < 0 or i >= n for i in idx):
+        raise ParseError(path, lineno, f"index out of range in {tokens[:-2]}")
+    if len(set(idx)) != len(idx):
+        raise ParseError(path, lineno, "indices within a constraint must be distinct")
+    rhs = _parse_pm1(tokens[-2], path, lineno, what="rhs")
+    try:
+        w = float(tokens[-1])
+    except ValueError:
+        raise ParseError(path, lineno, f"weight must be a number, got {tokens[-1]!r}") from None
+    if not np.isfinite(w) or w < 0:
+        raise ParseError(path, lineno, f"weight must be finite and nonnegative, got {w}")
+    return idx, rhs, w
+
+
+def _columns(body, k, n) -> KLinInstance:
+    """Constraint lines to columns in bulk; raises on any malformed line."""
+    ids = [tokens[:-2] for _, tokens in body]
+    arity = np.array([len(t) for t in ids], dtype=np.int64)
+    if np.any((arity < 1) | (arity > k)):
+        raise ValueError("arity")
+    flat = np.array(list(map(int, itertools.chain.from_iterable(ids))), dtype=np.int64)
+    if np.any(flat < 0):
+        raise ValueError("negative index")
+    rhs = np.array(list(map(int, (tokens[-2] for _, tokens in body))), dtype=np.int64)
+    w = np.array(list(map(float, (tokens[-1] for _, tokens in body))), dtype=np.float64)
+    idx = np.full((len(body), k), -1, dtype=np.int64)
+    idx[np.arange(k) < arity[:, None]] = flat  # row-major: each row's leading columns
+    return KLinInstance(k=k, n=n, idx=idx, rhs=rhs, w=w)
 
 
 def read_instance(path) -> KLinInstance:
-    lines = _content_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, "missing instance header") from None
+    lines, lineno, header = _first_line(path, "instance")
     if len(header) != 5 or header[0] != "p" or header[1] != "klin":
         raise ParseError(path, lineno, f"malformed header {' '.join(header)!r}")
     try:
@@ -68,41 +148,30 @@ def read_instance(path) -> KLinInstance:
         raise ParseError(path, lineno, "header fields must be integers") from None
     if k < 1 or n < 1 or m < 0:
         raise ParseError(path, lineno, f"invalid header values k={k} n={n} m={m}")
-    constraints = []
-    for lineno, tokens in lines:
-        if len(tokens) < 3 or len(tokens) > k + 2:
-            raise ParseError(path, lineno, f"expected 1..{k} indices, rhs, and weight")
+    with _cycle_collector_paused():
+        body = list(lines)
         try:
-            idx = tuple(int(t) for t in tokens[:-2])
-        except ValueError:
-            raise ParseError(path, lineno, "indices must be integers") from None
-        if any(i < 0 or i >= n for i in idx):
-            raise ParseError(path, lineno, f"index out of range in {tokens[:-2]}")
-        if len(set(idx)) != len(idx):
-            raise ParseError(path, lineno, "indices within a constraint must be distinct")
-        rhs = _parse_pm1(tokens[-2], path, lineno, what="rhs")
-        try:
-            w = float(tokens[-1])
-        except ValueError:
-            raise ParseError(path, lineno, f"weight must be a number, got {tokens[-1]!r}") from None
-        if not np.isfinite(w) or w < 0:
-            raise ParseError(path, lineno, f"weight must be finite and nonnegative, got {w}")
-        constraints.append((idx, rhs, w))
-    if len(constraints) != m:
-        raise ParseError(path, lineno if constraints else 1,
-                         f"header promises {m} constraints, found {len(constraints)}")
-    return KLinInstance(k=k, n=n, constraints=tuple(constraints))
+            instance = _columns(body, k, n)
+        except (ValueError, OverflowError, InputError):
+            instance = None
+    if instance is None:
+        # Some line is malformed: reparse line by line to name the first one.
+        cons = [_parse_constraint(tokens, k, n, path, ln) for ln, tokens in body]
+        instance = KLinInstance.from_constraints(k, n, cons)
+    if body:
+        lineno = body[-1][0]
+    if instance.m != m:
+        raise ParseError(path, lineno, f"header promises {m} constraints, found {instance.m}")
+    return instance
 
 
 def instance_to_graph(instance: KLinInstance) -> GraphInstance:
     """Interpret a Max-Cut shaped 2-Lin instance as an unweighted graph."""
-    edges = []
-    for idx, rhs, w in instance.constraints:
-        if len(idx) != 2 or rhs != -1 or w != 1.0:
-            raise InputError("graph form requires arity 2, rhs -1, and unit weights")
-        u, v = idx
-        edges.append((min(u, v), max(u, v)))
-    return GraphInstance(n=instance.n, edges=tuple(sorted(edges)))
+    if np.any(instance.arity != 2) or np.any(instance.rhs != -1) or np.any(instance.w != 1.0):
+        raise InputError("graph form requires arity 2, rhs -1, and unit weights")
+    e = np.sort(instance.idx[:, :2], axis=1)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    return GraphInstance(n=instance.n, edges=tuple(map(tuple, e.tolist())))
 
 
 def write_assignment(path, values) -> None:
@@ -114,26 +183,14 @@ def write_assignment(path, values) -> None:
 
 
 def read_assignment(path) -> np.ndarray:
-    lines = _content_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, "missing assignment header") from None
+    lines, lineno, header = _first_line(path, "assignment")
     if len(header) != 3 or header[0] != "s" or header[1] != "assign":
         raise ParseError(path, lineno, f"malformed header {' '.join(header)!r}")
     try:
         n = int(header[2])
     except ValueError:
         raise ParseError(path, lineno, "assignment length must be an integer") from None
-    values = []
-    for lineno, tokens in lines:
-        if len(tokens) != 1:
-            raise ParseError(path, lineno, "expected one +1/-1 per line")
-        values.append(_parse_pm1(tokens[0], path, lineno))
-    if len(values) != n:
-        raise ParseError(path, lineno if values else 1,
-                         f"header promises {n} values, found {len(values)}")
-    return np.array(values, dtype=np.int8)
+    return _pm1_lines(lines, path, lineno, n, "values")
 
 
 def write_advice(path, advice: LabelAdvice | SubsetAdvice) -> None:
@@ -149,11 +206,7 @@ def write_advice(path, advice: LabelAdvice | SubsetAdvice) -> None:
 
 
 def read_advice(path) -> LabelAdvice | SubsetAdvice:
-    lines = _content_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, "missing advice header") from None
+    lines, lineno, header = _first_line(path, "advice")
     if len(header) != 4 or header[0] != "a" or header[1] not in ("label", "subset"):
         raise ParseError(path, lineno, f"malformed header {' '.join(header)!r}")
     kind = header[1]
@@ -163,15 +216,7 @@ def read_advice(path) -> LabelAdvice | SubsetAdvice:
     except ValueError:
         raise ParseError(path, lineno, "header needs an integer length and a float epsilon") from None
     if kind == "label":
-        values = []
-        for lineno, tokens in lines:
-            if len(tokens) != 1:
-                raise ParseError(path, lineno, "expected one +1/-1 per line")
-            values.append(_parse_pm1(tokens[0], path, lineno))
-        if len(values) != n:
-            raise ParseError(path, lineno if values else 1,
-                             f"header promises {n} labels, found {len(values)}")
-        return LabelAdvice(values=np.array(values, dtype=np.int8), epsilon=epsilon)
+        return LabelAdvice(values=_pm1_lines(lines, path, lineno, n, "labels"), epsilon=epsilon)
     indices, values = [], []
     for lineno, tokens in lines:
         if len(tokens) != 2:

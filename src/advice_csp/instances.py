@@ -34,55 +34,110 @@ def _as_pm1(values, n=None, what="assignment"):
     return xi.astype(np.int8)
 
 
+def _readonly(a, dtype) -> np.ndarray:
+    view = np.asarray(a, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class KLinInstance:
     """Max k-Lin instance: parity constraints with +-1 right-hand sides.
 
-    ``k`` is the maximum arity; individual constraints may use fewer
-    indices (mixed unary/binary instances arise from the 3-Lin reduction).
-    Constraints are kept verbatim, duplicates included.
+    Constraints are stored as columns, row r being constraint r: ``idx``
+    holds m x k int64 variable indices, ``rhs`` int8 right-hand sides in
+    {-1, +1} and ``w`` float64 nonnegative weights.  A constraint of arity
+    a < k (mixed unary/binary instances arise from the 3-Lin reduction)
+    fills the first a columns of its row and pads the rest with -1.  The
+    arrays are read-only; duplicates are kept verbatim.  Literal instances
+    are built with ``from_constraints``.
     """
 
     k: int
     n: int
-    constraints: tuple[Constraint, ...]
+    idx: np.ndarray
+    rhs: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise InputError("arity and variable count must be >= 1")
-        for idx, rhs, w in self.constraints:
-            if not 1 <= len(idx) <= self.k:
-                raise InputError(f"constraint arity {len(idx)} outside 1..{self.k}")
-            if len(set(idx)) != len(idx):
-                raise InputError(f"repeated index in constraint {idx}")
-            if any(i < 0 or i >= self.n for i in idx):
-                raise InputError(f"index out of range in constraint {idx}")
-            if rhs not in (-1, 1):
-                raise InputError(f"right-hand side must be -1 or +1, got {rhs}")
-            if not (math.isfinite(w) and w >= 0):
-                raise InputError(f"weight must be finite and nonnegative, got {w}")
+        idx, rhs, w = np.asarray(self.idx), np.asarray(self.rhs), np.asarray(self.w)
+        m = rhs.size
+        if idx.size == 0:
+            idx = idx.reshape(0, self.k)
+        if idx.shape != (m, self.k) or rhs.shape != (m,) or w.shape != (m,):
+            raise InputError(f"constraint columns must have shapes (m, {self.k}), (m,), (m,)")
+        object.__setattr__(self, "idx", _readonly(idx, np.int64))
+        object.__setattr__(self, "w", _readonly(w, np.float64))
+        idx, arity, w = self.idx, self.arity, self.w
+        pad = idx == -1
+        dup = np.zeros(m, dtype=bool)
+        for a in range(self.k):
+            for b in range(a + 1, self.k):
+                dup |= (idx[:, a] == idx[:, b]) & ~pad[:, a]
+
+        def row(r):
+            return tuple(idx[r, : arity[r]].tolist())
+
+        checks = (
+            (arity < 1, lambda r: f"constraint arity {arity[r]} outside 1..{self.k}"),
+            (dup, lambda r: f"repeated index in constraint {row(r)}"),
+            ((idx < -1) | (idx >= self.n), lambda r: f"index out of range in constraint {row(r)}"),
+            # padding must trail
+            (pad[:, :-1] & ~pad[:, 1:], lambda r: f"index out of range in constraint {row(r)}"),
+            ((rhs != 1) & (rhs != -1), lambda r: f"right-hand side must be -1 or +1, got {rhs[r].item()}"),
+            (~(np.isfinite(w) & (w >= 0)), lambda r: f"weight must be finite and nonnegative, got {w[r]}"),
+        )
+        for bad, message in checks:  # masks over rows, or over (row, column) cells
+            if bad.any():
+                raise InputError(message(int(np.unravel_index(np.argmax(bad), bad.shape)[0])))
+        object.__setattr__(self, "rhs", _readonly(rhs, np.int8))
+
+    @classmethod
+    def from_constraints(cls, k: int, n: int, constraints) -> KLinInstance:
+        """Build from ``(indices, rhs, weight)`` triples, in order."""
+        cons = list(constraints)
+        idx = np.full((len(cons), max(k, 0)), -1, dtype=np.int64)
+        for r, (ids, _, _) in enumerate(cons):
+            if not 1 <= len(ids) <= k:
+                raise InputError(f"constraint arity {len(ids)} outside 1..{k}")
+            if -1 in ids:  # would read as padding
+                raise InputError(f"index out of range in constraint {tuple(ids)}")
+            idx[r, : len(ids)] = ids
+        return cls(k, n, idx, [c[1] for c in cons], [c[2] for c in cons])
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        return self.idx.shape[0]
+
+    @cached_property
+    def arity(self) -> np.ndarray:
+        """Per-row arity: the number of non-padding indices."""
+        pad = self.idx == -1
+        return _readonly(self.k - sum(pad[:, c] for c in range(self.k)), np.int64)
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The ``(indices, rhs, weight)`` tuples, built on first use."""
+        rows = [r[:a] for r, a in zip(self.idx.tolist(), self.arity.tolist())]
+        return tuple(zip(map(tuple, rows), self.rhs.tolist(), self.w.tolist()))
 
     @cached_property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.constraints))
+        """Weights summed left to right, as Python's sum() does."""
+        if np.array_equal(self.w, np.rint(self.w)) and self.w.sum() < 2.0**53:
+            return float(self.w.sum())  # integral: every order is exact
+        return float(sum(self.w.tolist()))
 
     @cached_property
-    def _arity_groups(self):
-        """Constraints grouped by arity as index/rhs/weight arrays."""
-        groups = {}
-        by_arity: dict[int, list[int]] = {}
-        for pos, (idx, _, _) in enumerate(self.constraints):
-            by_arity.setdefault(len(idx), []).append(pos)
-        for arity, positions in by_arity.items():
-            idx = np.array([self.constraints[p][0] for p in positions], dtype=np.int64)
-            rhs = np.array([self.constraints[p][1] for p in positions], dtype=np.int8)
-            w = np.array([self.constraints[p][2] for p in positions], dtype=np.float64)
-            groups[arity] = (np.array(positions, dtype=np.int64), idx, rhs, w)
-        return groups
+    def _arity_rows(self) -> list:
+        """Row selectors per arity in order of first appearance, the order in
+        which satisfied weight is summed."""
+        values, first = np.unique(self.arity, return_index=True)
+        if len(values) <= 1:
+            return [slice(None)]
+        return [np.flatnonzero(self.arity == a) for a in values[np.argsort(first)]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +163,14 @@ class GraphInstance:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
+        return self.neighbour_sums(np.ones(self.n, dtype=np.int64))
+
+    def neighbour_sums(self, values) -> np.ndarray:
+        """sum of values[j] over the neighbours j of each vertex, with multiplicity."""
         u, v = self.edge_arrays
-        np.add.at(deg, u, 1)
-        np.add.at(deg, v, 1)
-        return deg
+        values = np.asarray(values, dtype=np.int64)
+        return np.bincount(u, values[v], self.n).astype(np.int64) + np.bincount(
+            v, values[u], self.n).astype(np.int64)
 
     @property
     def regular_degree(self) -> int | None:
@@ -121,14 +179,6 @@ class GraphInstance:
         if self.n == 0 or np.all(deg == deg[0]):
             return int(deg[0]) if self.n else 0
         return None
-
-    @cached_property
-    def adjacency(self) -> list[np.ndarray]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +234,16 @@ class QpMatrix:
         return float(x @ self.a @ x)
 
 
+def _products(instance: KLinInstance, xv: np.ndarray) -> np.ndarray:
+    """Per-constraint product of the assigned +-1 values."""
+    xe = np.ones(instance.n + 1, dtype=np.int8)  # padding index -1 reads the last +1
+    xe[:-1] = xv
+    prods = xe[instance.idx[:, 0]]
+    for c in range(1, instance.k):
+        prods = prods * xe[instance.idx[:, c]]
+    return prods
+
+
 def evaluate(instance: KLinInstance, x) -> tuple[float, float]:
     """Satisfied weight and satisfied fraction of an assignment.
 
@@ -193,10 +253,10 @@ def evaluate(instance: KLinInstance, x) -> tuple[float, float]:
     xv = _as_pm1(x, instance.n)
     if instance.m == 0:
         return 0.0, 1.0
+    sat_mask = _products(instance, xv) == instance.rhs
     sat = 0.0
-    for _, idx, rhs, w in instance._arity_groups.values():
-        prods = xv[idx].prod(axis=1, dtype=np.int64)
-        sat += float(w[prods == rhs].sum())
+    for rows in instance._arity_rows:
+        sat += float(instance.w[rows][sat_mask[rows]].sum())
     total = instance.total_weight
     if total <= 0:
         raise InputError("total weight must be positive for a nonempty instance")
@@ -205,12 +265,7 @@ def evaluate(instance: KLinInstance, x) -> tuple[float, float]:
 
 def satisfied_mask(instance: KLinInstance, x) -> np.ndarray:
     """Boolean mask over constraints, in instance order."""
-    xv = _as_pm1(x, instance.n)
-    mask = np.zeros(instance.m, dtype=bool)
-    for positions, idx, rhs, _ in instance._arity_groups.values():
-        prods = xv[idx].prod(axis=1, dtype=np.int64)
-        mask[positions] = prods == rhs
-    return mask
+    return _products(instance, _as_pm1(x, instance.n)) == instance.rhs
 
 
 def cut_value(graph: GraphInstance, x) -> int:
@@ -222,8 +277,29 @@ def cut_value(graph: GraphInstance, x) -> int:
 
 def graph_to_klin(graph: GraphInstance) -> KLinInstance:
     """View a graph as a Max-Cut 2-Lin instance (all rhs -1, unit weights)."""
-    cons = tuple(((u, v), -1, 1.0) for u, v in graph.edges)
-    return KLinInstance(k=2, n=graph.n, constraints=cons)
+    u, v = graph.edge_arrays
+    m = u.shape[0]
+    return KLinInstance(k=2, n=graph.n, idx=np.stack([u, v], axis=1),
+                        rhs=np.full(m, -1, dtype=np.int8), w=np.ones(m))
+
+
+def pair_coefficients(instance: KLinInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Dense symmetric pair matrix A and unary vector L of an arity<=2 instance.
+
+    a_ij = a_ji sums rhs * weight over the arity-2 constraints on {i, j},
+    and L_i over the unary constraints on i, each in constraint order.
+    The caller checks arities; rows of arity above 2 are ignored.
+    """
+    n = instance.n
+    val = instance.rhs * instance.w
+    two = instance.arity == 2
+    i, j = instance.idx[two, 0], instance.idx[two, 1]
+    flat = np.stack([i * n + j, j * n + i], axis=1).ravel()
+    a = np.bincount(flat, weights=np.repeat(val[two], 2), minlength=n * n)
+    one = instance.arity == 1
+    lin = np.bincount(instance.idx[one, 0], weights=val[one], minlength=n)
+    # bincount returns integers when there is nothing to count
+    return a.astype(np.float64, copy=False).reshape(n, n), lin.astype(np.float64, copy=False)
 
 
 def to_quadratic_matrix(instance: KLinInstance | GraphInstance) -> QpMatrix:
@@ -235,14 +311,9 @@ def to_quadratic_matrix(instance: KLinInstance | GraphInstance) -> QpMatrix:
     """
     if isinstance(instance, GraphInstance):
         instance = graph_to_klin(instance)
-    a = np.zeros((instance.n, instance.n), dtype=np.float64)
-    for idx, rhs, w in instance.constraints:
-        if len(idx) != 2:
-            raise InputError("quadratic matrix requires every constraint to have arity 2")
-        i, j = idx
-        a[i, j] += rhs * w
-        a[j, i] += rhs * w
-    return QpMatrix(a)
+    if (instance.arity != 2).any():
+        raise InputError("quadratic matrix requires every constraint to have arity 2")
+    return QpMatrix(pair_coefficients(instance)[0])
 
 
 def quadratic_identity_value(instance: KLinInstance, qp: QpMatrix, x) -> float:
@@ -386,10 +457,7 @@ def plant_klin(n: int, k: int, m: int, delta: float, seed: int) -> PlantedInstan
     rhs = x_star[idx].prod(axis=1, dtype=np.int64)
     flips = rng.random(m) < delta
     rhs[flips] *= -1
-    cons = tuple(
-        (tuple(int(j) for j in idx[c]), int(rhs[c]), 1.0) for c in range(m)
-    )
-    instance = KLinInstance(k=k, n=n, constraints=cons)
+    instance = KLinInstance(k=k, n=n, idx=idx, rhs=rhs, w=np.ones(m))
     return PlantedInstance(
         instance=instance,
         x_star=x_star,

@@ -27,24 +27,93 @@ Pair = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
+class Groups:
+    """Constraint positions grouped by an integer key, in CSR layout.
+
+    Group g has key ``keys[g]`` (ascending, distinct) and holds the
+    positions ``members[offsets[g]:offsets[g + 1]]``, ascending.
+    """
+
+    keys: np.ndarray
+    offsets: np.ndarray
+    members: np.ndarray
+
+    @classmethod
+    def of(cls, keys: np.ndarray, positions: np.ndarray) -> Groups:
+        """Group ``positions`` by nonnegative ``keys``, keeping their order
+        within each group (a stable sort)."""
+        size = keys.size
+        if size and (int(keys.max()) + 1) * size < 2**63:
+            # key * size + rank is distinct, so a plain sort of it is stable.
+            order = np.sort(keys * size + np.arange(size)) % size
+        else:
+            order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        starts = np.flatnonzero(np.diff(sk, prepend=-1))
+        return cls(sk[starts], np.append(starts, sk.size), positions[order])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def group_of(self) -> np.ndarray:
+        """Group index of every entry of ``members``."""
+        return np.repeat(np.arange(self.keys.size), self.sizes)
+
+    def members_of(self, key: int) -> np.ndarray:
+        g = int(np.searchsorted(self.keys, key))
+        if g == self.keys.size or self.keys[g] != key:
+            return self.members[:0]
+        return self.members[self.offsets[g]:self.offsets[g + 1]]
+
+
+@dataclass(frozen=True, eq=False)
 class PairIncidence:
-    """Constraint indices per unordered variable pair, with heavy flags."""
+    """Constraint positions per unordered variable pair, with heavy flags.
+
+    Pair (i, j), i < j, has key i * n + j, so key order is pair order.
+    """
 
     threshold: int
-    by_pair: dict[Pair, list[int]]
-    heavy_pairs: tuple[Pair, ...]
+    n: int
+    by_pair: Groups
+    heavy: np.ndarray  # per group: covered by at least ``threshold`` constraints
+
+    def members(self, pair: Pair) -> np.ndarray:
+        return self.by_pair.members_of(min(pair) * self.n + max(pair))
 
     def is_heavy(self, pair: Pair) -> bool:
-        key = (min(pair), max(pair))
-        return len(self.by_pair.get(key, ())) >= self.threshold
+        return self.members(pair).size >= self.threshold
+
+    @property
+    def heavy_pairs(self) -> np.ndarray:
+        """(h, 2) array of the heavy pairs, ascending."""
+        keys = self.by_pair.keys[self.heavy]
+        return np.stack([keys // self.n, keys % self.n], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class LightSets:
-    """Light-constraint indices per variable (constraints containing it)."""
+    """Light-constraint positions per variable (constraints containing it)."""
 
-    by_var: dict[int, list[int]]
+    by_var: Groups
     light_mask: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Representatives:
+    """Reduced constraints of one vote family, in emission order.
+
+    Rows carry ``idx`` (-1 padded, two columns), ``rhs``, the original
+    constraint ``source`` and ``flagged`` (their vote summed to zero);
+    ``sigma`` holds one vote per group, 0 where it summed to zero.
+    """
+
+    idx: np.ndarray
+    rhs: np.ndarray
+    source: np.ndarray
+    flagged: np.ndarray
+    sigma: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +122,20 @@ class ReducedInstance:
 
     ``source[r]`` is the index of the original constraint represented by
     reduced constraint r; ``flagged[r]`` marks zero-vote constraints that
-    count as violated no matter the assignment.
+    count as violated no matter the assignment.  ``sigma_pair`` holds the
+    vote of each heavy pair (aligned with ``heavy_pairs``) and
+    ``sigma_var`` the light vote of each variable; a vote that summed to
+    zero, or a variable without light constraints, reads 0.
     """
 
     psi: KLinInstance
     source: np.ndarray
     flagged: np.ndarray
     threshold: int
-    heavy_pairs: tuple[Pair, ...]
+    heavy_pairs: np.ndarray
     heavy_mask: np.ndarray
-    sigma_by_pair: dict[Pair, int]
-    sigma_by_var: dict[int, int]
+    sigma_pair: np.ndarray
+    sigma_var: np.ndarray
 
     @property
     def m(self) -> int:
@@ -80,9 +152,8 @@ def compute_threshold(delta: float, epsilon: float) -> int:
 
 
 def _require_arity3(phi: KLinInstance):
-    for idx, _, _ in phi.constraints:
-        if len(idx) != 3:
-            raise InputError("this pipeline requires arity-3 constraints")
+    if (phi.arity != 3).any():
+        raise InputError("this pipeline requires arity-3 constraints")
 
 
 def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, LightSets]:
@@ -94,80 +165,88 @@ def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Ligh
     _require_arity3(phi)
     if t < 1:
         raise InputError("threshold must be >= 1")
-    by_pair: dict[Pair, list[int]] = {}
-    for pos, (idx, _, _) in enumerate(phi.constraints):
-        i, j, k = idx
-        for a, b in ((i, j), (i, k), (j, k)):
-            key = (a, b) if a < b else (b, a)
-            by_pair.setdefault(key, []).append(pos)
-    heavy_pairs = tuple(sorted(p for p, lst in by_pair.items() if len(lst) >= t))
+    n, idx = phi.n, phi.idx[:, :3]
+    lo = np.minimum(idx[:, [0, 0, 1]], idx[:, [1, 2, 2]])
+    hi = np.maximum(idx[:, [0, 0, 1]], idx[:, [1, 2, 2]])
+    positions = np.repeat(np.arange(phi.m), 3)
+    by_pair = Groups.of((lo * n + hi).ravel(), positions)
+    heavy = by_pair.sizes >= t
     heavy_mask = np.zeros(phi.m, dtype=bool)
-    for p in heavy_pairs:
-        heavy_mask[by_pair[p]] = True
-    by_var: dict[int, list[int]] = {}
-    for pos, (idx, _, _) in enumerate(phi.constraints):
-        if heavy_mask[pos]:
-            continue
-        for i in idx:
-            by_var.setdefault(i, []).append(pos)
-    incidence = PairIncidence(threshold=t, by_pair=by_pair, heavy_pairs=heavy_pairs)
+    heavy_mask[by_pair.members[np.repeat(heavy, by_pair.sizes)]] = True
+    light = np.flatnonzero(~heavy_mask)
+    by_var = Groups.of(idx[light].ravel(), np.repeat(light, 3))
+    incidence = PairIncidence(threshold=t, n=n, by_pair=by_pair, heavy=heavy)
     return incidence, LightSets(by_var=by_var, light_mask=~heavy_mask)
 
 
-def _third_variable(idx: tuple[int, ...], pair: Pair) -> int:
-    for i in idx:
-        if i not in pair:
-            return i
-    raise InputError(f"constraint {idx} does not extend pair {pair}")
+def _signs(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, zero): sgn of each vote with 0 counted as +1, and vote == 0."""
+    return np.where(votes >= 0, 1, -1).astype(np.int8), votes == 0
 
 
 def create_h_constraints(
-    pair: Pair, members: list[int], advice: LabelAdvice, phi: KLinInstance
-):
-    """Representatives for one heavy pair.
+    incidence: PairIncidence, advice: LabelAdvice, phi: KLinInstance
+) -> Representatives:
+    """Representatives of every heavy pair, pairs ascending.
 
-    The advice votes sigma = sgn(sum over members of rhs * label of the
-    third variable); each member contributes the pair constraint
-    x_i x_j = sigma and the unary pinning x_k = sigma * rhs.
+    Pair (i, j) votes sigma = sgn(sum over members of rhs * label of the
+    third variable); each member, ascending, contributes the pair
+    constraint x_i x_j = sigma followed by the unary pinning
+    x_k = sigma * rhs.
     """
-    labels = advice.values
-    i, j = pair
-    vote = 0
-    thirds = []
-    for pos in members:
-        idx, rhs, _ = phi.constraints[pos]
-        k = _third_variable(idx, pair)
-        thirds.append((pos, k, rhs))
-        vote += rhs * int(labels[k])
-    flagged = vote == 0
-    sigma = 1 if vote >= 0 else -1
-    constraints, sources = [], []
-    for pos, k, rhs in thirds:
-        constraints.append(((i, j), sigma, 1.0))
-        sources.append(pos)
-        constraints.append(((k,), sigma * rhs, 1.0))
-        sources.append(pos)
-    return constraints, sources, flagged, sigma
+    labels = advice.values.astype(np.int64)
+    groups = incidence.by_pair
+    pick = np.repeat(incidence.heavy, groups.sizes)
+    pos = groups.members[pick]
+    group = np.cumsum(incidence.heavy)[groups.group_of()[pick]] - 1
+    pairs = incidence.heavy_pairs
+    i, j = pairs[group, 0], pairs[group, 1]
+    third = phi.idx[pos, :3].sum(axis=1) - i - j
+    rhs = phi.rhs[pos].astype(np.int64)
+    votes = np.bincount(group, weights=rhs * labels[third], minlength=len(pairs))
+    sigma, zero = _signs(votes)
+    rows = np.empty((2 * pos.size, 2), dtype=np.int64)
+    rows[0::2, 0], rows[0::2, 1] = i, j
+    rows[1::2, 0], rows[1::2, 1] = third, -1
+    rep_rhs = np.repeat(sigma[group], 2)
+    rep_rhs[1::2] *= rhs.astype(np.int8)
+    return Representatives(
+        idx=rows,
+        rhs=rep_rhs,
+        source=np.repeat(pos, 2),
+        flagged=np.repeat(zero[group], 2),
+        sigma=np.where(zero, 0, sigma).astype(np.int8),
+    )
 
 
 def create_l_constraints(
-    var: int, members: list[int], advice: LabelAdvice, phi: KLinInstance
-):
-    """Representatives for one variable's light constraints.
+    lights: LightSets, advice: LabelAdvice, phi: KLinInstance
+) -> Representatives:
+    """Representatives of every variable's light constraints, variables ascending.
 
-    The advice votes sigma = sgn(sum over members of rhs * product of the
-    other two labels); each member contributes one copy of x_var = sigma.
+    Variable v votes sigma = sgn(sum over members of rhs * product of the
+    other two labels); each member, ascending, contributes one copy of
+    x_v = sigma.  ``sigma`` is indexed by variable.
     """
-    labels = advice.values
-    vote = 0
-    for pos in members:
-        idx, rhs, _ = phi.constraints[pos]
-        others = [i for i in idx if i != var]
-        vote += rhs * int(labels[others[0]]) * int(labels[others[1]])
-    flagged = vote == 0
-    sigma = 1 if vote >= 0 else -1
-    constraints = [((var,), sigma, 1.0) for _ in members]
-    return constraints, list(members), flagged, sigma
+    labels = advice.values.astype(np.int64)
+    groups = lights.by_var
+    pos = groups.members
+    group = groups.group_of()
+    var = groups.keys[group]
+    # The other two labels' product is the constraint's product times label[var].
+    prod = labels[phi.idx[pos, 0]] * labels[phi.idx[pos, 1]] * labels[phi.idx[pos, 2]]
+    contrib = phi.rhs[pos].astype(np.int64) * prod * labels[var]
+    votes = np.bincount(group, weights=contrib, minlength=groups.keys.size)
+    sigma, zero = _signs(votes)
+    sigma_var = np.zeros(phi.n, dtype=np.int8)
+    sigma_var[groups.keys] = np.where(zero, 0, sigma)
+    return Representatives(
+        idx=np.stack([var, np.full(pos.size, -1, dtype=np.int64)], axis=1),
+        rhs=sigma[group],
+        source=pos,
+        flagged=zero[group],
+        sigma=sigma_var,
+    )
 
 
 def build_psi(
@@ -184,37 +263,25 @@ def build_psi(
         raise InputError(f"advice length {advice.n} does not match n={phi.n}")
     t = compute_threshold(delta, epsilon)
     incidence, lights = classify_constraints(phi, t)
-    constraints: list = []
-    sources: list[int] = []
-    flags: list[bool] = []
-    sigma_by_pair: dict[Pair, int] = {}
-    sigma_by_var: dict[int, int] = {}
-    for pair in incidence.heavy_pairs:
-        cons, src, flagged, sigma = create_h_constraints(
-            pair, incidence.by_pair[pair], advice, phi
-        )
-        sigma_by_pair[pair] = sigma if not flagged else 0
-        constraints.extend(cons)
-        sources.extend(src)
-        flags.extend([flagged] * len(cons))
-    for var in sorted(lights.by_var):
-        cons, src, flagged, sigma = create_l_constraints(
-            var, lights.by_var[var], advice, phi
-        )
-        sigma_by_var[var] = sigma if not flagged else 0
-        constraints.extend(cons)
-        sources.extend(src)
-        flags.extend([flagged] * len(cons))
-    psi = KLinInstance(k=2, n=phi.n, constraints=tuple(constraints))
+    heavy = create_h_constraints(incidence, advice, phi)
+    light = create_l_constraints(lights, advice, phi)
+    m = heavy.source.size + light.source.size
+    psi = KLinInstance(
+        k=2,
+        n=phi.n,
+        idx=np.concatenate([heavy.idx, light.idx]),
+        rhs=np.concatenate([heavy.rhs, light.rhs]),
+        w=np.ones(m),
+    )
     return ReducedInstance(
         psi=psi,
-        source=np.array(sources, dtype=np.int64),
-        flagged=np.array(flags, dtype=bool),
+        source=np.concatenate([heavy.source, light.source]),
+        flagged=np.concatenate([heavy.flagged, light.flagged]),
         threshold=t,
         heavy_pairs=incidence.heavy_pairs,
         heavy_mask=~lights.light_mask,
-        sigma_by_pair=sigma_by_pair,
-        sigma_by_var=sigma_by_var,
+        sigma_pair=heavy.sigma,
+        sigma_var=light.sigma,
     )
 
 
@@ -223,8 +290,7 @@ def conservative_psi_value(reduced: ReducedInstance, x) -> float:
     if reduced.m == 0:
         return 0.0
     sat = satisfied_mask(reduced.psi, x) & ~reduced.flagged
-    weights = np.array([w for _, _, w in reduced.psi.constraints])
-    return float(weights[sat].sum())
+    return float(reduced.psi.w[sat].sum())
 
 
 @dataclass(eq=False)
@@ -258,27 +324,15 @@ def _heavy_implication_violations(
     imply the source; algebraically this must always be zero.
 
     Heavy representatives are emitted in adjacent (pair, unary) couples
-    sharing a source, so the scan walks them two at a time.
+    sharing a heavy source; a couple starts at each such pair row.
     """
     sat_psi = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged
     sat_phi = satisfied_mask(phi, x_hat)
-    violations = 0
-    r = 0
-    while r < reduced.m:
-        src = int(reduced.source[r])
-        is_couple = (
-            reduced.heavy_mask[src]
-            and len(reduced.psi.constraints[r][0]) == 2
-            and r + 1 < reduced.m
-            and int(reduced.source[r + 1]) == src
-        )
-        if is_couple:
-            if sat_psi[r] and sat_psi[r + 1] and not sat_phi[src]:
-                violations += 1
-            r += 2
-        else:
-            r += 1
-    return violations
+    src = reduced.source
+    start = np.flatnonzero(
+        (reduced.psi.arity[:-1] == 2) & (src[1:] == src[:-1]) & reduced.heavy_mask[src[:-1]]
+    )
+    return int(np.count_nonzero(sat_psi[start] & sat_psi[start + 1] & ~sat_phi[src[start]]))
 
 
 def solve_max3lin_with_advice(

@@ -21,7 +21,8 @@ import numpy as np
 
 from .advice import LabelAdvice
 from .errors import InputError
-from .instances import GraphInstance, evaluate, graph_to_klin
+# evaluate is unused here but stays bound: perfbench's span tests rebind it in this module.
+from .instances import GraphInstance, cut_value, evaluate  # noqa: F401
 from .lp import LinearProgram, RangedRow, solve_lp
 
 
@@ -103,12 +104,7 @@ def compute_deltas(graph: GraphInstance, advice: LabelAdvice) -> np.ndarray:
     """Advice sum over each neighborhood: Delta_i = sum of labels of N(i)."""
     if advice.n != graph.n:
         raise InputError(f"advice length {advice.n} does not match graph size {graph.n}")
-    u, v = graph.edge_arrays
-    labels = advice.values.astype(np.int64)
-    deltas = np.zeros(graph.n, dtype=np.int64)
-    np.add.at(deltas, u, labels[v])
-    np.add.at(deltas, v, labels[u])
-    return deltas
+    return graph.neighbour_sums(advice.values)
 
 
 def split_at_threshold(deltas: np.ndarray, threshold: float) -> LandscapeSplit:
@@ -133,20 +129,12 @@ def split_vertices(deltas: np.ndarray, d: int, n: int, params: MaxCutParams) -> 
 
 
 def _side_degrees(graph: GraphInstance, split: LandscapeSplit):
-    """d_S(i), d_T(i) for all vertices plus the Q-restricted adjacency."""
-    n = graph.n
-    u, v = graph.edge_arrays
-    in_s = np.zeros(n, dtype=bool)
+    """d_S(i), d_T(i): each vertex's neighbours committed to S and to T."""
+    in_s = np.zeros(graph.n, dtype=bool)
     in_s[split.side_s] = True
-    in_t = np.zeros(n, dtype=bool)
+    in_t = np.zeros(graph.n, dtype=bool)
     in_t[split.side_t] = True
-    d_s = np.zeros(n, dtype=np.int64)
-    d_t = np.zeros(n, dtype=np.int64)
-    np.add.at(d_s, u, in_s[v])
-    np.add.at(d_s, v, in_s[u])
-    np.add.at(d_t, u, in_t[v])
-    np.add.at(d_t, v, in_t[u])
-    return d_s, d_t
+    return graph.neighbour_sums(in_s), graph.neighbour_sums(in_t)
 
 
 def build_lp(
@@ -257,7 +245,7 @@ def solve_maxcut_with_advice(
     assignment[split.side_s] = 1
     assignment[q[y == 1]] = 1
     # theta = 1 places a vertex in S, mirroring the committed S side rule.
-    cut_weight, _ = evaluate(graph_to_klin(graph), assignment)
+    cut_weight = float(cut_value(graph, assignment))
     diag = _diagnostics(graph, split, assignment, y, d_s, d_t,
                         lp_status, lp_value, fallback, d, slack)
     return MaxCutResult(assignment=assignment, cut_weight=cut_weight,
@@ -272,14 +260,12 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
     in_q = np.zeros(graph.n, dtype=bool)
     in_q[q] = True
     cut_edge = assignment[u] != assignment[v]
-    d_out = np.zeros(graph.n, dtype=np.int64)
-    np.add.at(d_out, u[cut_edge], 1)
-    np.add.at(d_out, v[cut_edge], 1)
+    s_side = assignment == 1
+    d_out = graph.neighbour_sums(~s_side) * s_side + graph.neighbour_sums(s_side) * ~s_side
     in_s_l = np.zeros(graph.n, dtype=bool)
     in_s_l[split.side_s] = True
     in_t_l = np.zeros(graph.n, dtype=bool)
     in_t_l[split.side_t] = True
-    s_side = assignment == 1
     # F(y) recounted from the partition: |E[Q cap S, T_L]| + |E[Q cap T, S_L]|.
     qs_tl = np.count_nonzero((in_q[u] & s_side[u] & in_t_l[v]) | (in_q[v] & s_side[v] & in_t_l[u]))
     qt_sl = np.count_nonzero((in_q[u] & ~s_side[u] & in_s_l[v]) | (in_q[v] & ~s_side[v] & in_s_l[u]))
@@ -287,9 +273,7 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
     q_cut_direct = qs_tl + qt_sl + qq_cut
     q_cut_identity_twice = int(f_y) + int(d_out[q].sum())
     half = d / 2 + 2 * slack
-    dsi = np.zeros(graph.n, dtype=np.int64)
-    np.add.at(dsi, u, s_side[v])
-    np.add.at(dsi, v, s_side[u])
+    dsi = graph.neighbour_sums(s_side)
     dti = graph.degrees - dsi
     balance_violations = int(np.count_nonzero(
         np.maximum(dsi[q], dti[q]) > half + 1e-9))

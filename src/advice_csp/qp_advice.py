@@ -113,9 +113,8 @@ def solve_2lin_with_advice(
     runs, and the satisfied weight is reported through the W/2 + <x,Ax>/4
     identity cross-checked against a direct recount.
     """
-    for idx, _, _ in instance.constraints:
-        if len(idx) != 2:
-            raise InputError("advice-guided 2-Lin solver requires arity-2 constraints")
+    if (instance.arity != 2).any():
+        raise InputError("advice-guided 2-Lin solver requires arity-2 constraints")
     if instance.m == 0:
         x = np.ones(instance.n, dtype=np.int8)
         return x, 0.0

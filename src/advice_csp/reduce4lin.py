@@ -36,15 +36,14 @@ def three_to_four_lin(phi: KLinInstance, t: int) -> FourLinLift:
     """Emit the m * t lifted constraints over n + t variables."""
     if t < 1:
         raise InputError("at least one new variable is required")
-    for idx, _, _ in phi.constraints:
-        if len(idx) != 3:
-            raise InputError("the lift requires arity-3 constraints")
+    if (phi.arity != 3).any():
+        raise InputError("the lift requires arity-3 constraints")
     n = phi.n
-    cons = []
-    for idx, rhs, w in phi.constraints:
-        for r in range(t):
-            cons.append(((idx[0], idx[1], idx[2], n + r), rhs, w))
-    phi4 = KLinInstance(k=4, n=n + t, constraints=tuple(cons))
+    # Constraint c's copy for y_r is row c * t + r.
+    idx = np.empty((phi.m * t, 4), dtype=np.int64)
+    idx[:, :3] = np.repeat(phi.idx[:, :3], t, axis=0)
+    idx[:, 3] = np.tile(n + np.arange(t), phi.m)
+    phi4 = KLinInstance(k=4, n=n + t, idx=idx, rhs=np.repeat(phi.rhs, t), w=np.repeat(phi.w, t))
     return FourLinLift(phi4=phi4, t=t, n_orig=n)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError
-from .instances import KLinInstance, evaluate, _as_pm1
+from .instances import KLinInstance, evaluate, pair_coefficients, _as_pm1
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +51,11 @@ class TwoLinConfig:
     hint: np.ndarray | None = None
 
 
+def _check_arity(instance: KLinInstance, message: str) -> None:
+    if (instance.arity > 2).any():
+        raise InputError(message)
+
+
 def homogenize(instance: KLinInstance) -> tuple[KLinInstance, int]:
     """Rewrite unary constraints x_k = s as x_k * x_ref = s.
 
@@ -58,16 +63,13 @@ def homogenize(instance: KLinInstance) -> tuple[KLinInstance, int]:
     invariant: if a solution sets the reference to -1, negating every
     variable restores it to +1 without changing any parity.
     """
+    _check_arity(instance, "homogenization accepts arity 1 or 2 only")
     ref = instance.n
-    cons = []
-    for idx, rhs, w in instance.constraints:
-        if len(idx) == 1:
-            cons.append(((idx[0], ref), rhs, w))
-        elif len(idx) == 2:
-            cons.append((idx, rhs, w))
-        else:
-            raise InputError("homogenization accepts arity 1 or 2 only")
-    return KLinInstance(k=2, n=instance.n + 1, constraints=tuple(cons)), ref
+    idx = np.full((instance.m, 2), ref, dtype=np.int64)
+    idx[:, : min(instance.k, 2)] = instance.idx[:, :2]
+    idx[instance.arity == 1, 1] = ref
+    hom = KLinInstance(k=2, n=instance.n + 1, idx=idx, rhs=instance.rhs, w=instance.w)
+    return hom, ref
 
 
 def dehomogenize(x_full, ref: int) -> np.ndarray:
@@ -83,18 +85,8 @@ def merged_coefficients(instance: KLinInstance) -> tuple[np.ndarray, np.ndarray]
     Satisfied weight of x equals W/2 + (L.x)/2 + (x.Mx)/4, with parallel
     constraints merged additively.
     """
-    m = np.zeros((instance.n, instance.n), dtype=np.float64)
-    lin = np.zeros(instance.n, dtype=np.float64)
-    for idx, rhs, w in instance.constraints:
-        if len(idx) == 1:
-            lin[idx[0]] += rhs * w
-        elif len(idx) == 2:
-            i, j = idx
-            m[i, j] += rhs * w
-            m[j, i] += rhs * w
-        else:
-            raise InputError("merged coefficients require arity <= 2")
-    return m, lin
+    _check_arity(instance, "merged coefficients require arity <= 2")
+    return pair_coefficients(instance)
 
 
 def relaxation_objective(instance: KLinInstance, embedding: UnitEmbedding) -> float:
@@ -112,18 +104,20 @@ def solve_relaxation(
     sweeps: int,
     seed,
     init: UnitEmbedding | None = None,
+    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> UnitEmbedding:
     """Block-coordinate ascent on the unit-vector relaxation.
 
     Each variable in turn moves to the normalized gradient direction
     g_i = sum_j rhs_ij w_ij v_j; zero gradients leave the vector frozen.
     The objective never decreases; ascent stops after the sweep budget or
-    when a full sweep improves by less than 1e-9 * W.
+    when a full sweep improves by less than 1e-9 * W.  ``coeffs`` passes
+    the instance's ``merged_coefficients`` when the caller already has them.
     """
     if rank < 2:
         raise InputError("relaxation rank must be >= 2")
     n = instance.n
-    m, lin = merged_coefficients(instance)
+    m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
     if np.any(lin):
         raise InputError("solve_relaxation expects a homogenized instance")
     rng = np.random.default_rng(seed)
@@ -157,6 +151,7 @@ def hyperplane_round(
     embedding: UnitEmbedding,
     trials: int,
     seed,
+    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Sign the vectors against random Gaussian directions; keep the best trial.
 
@@ -167,7 +162,7 @@ def hyperplane_round(
         raise InputError("at least one rounding trial is required")
     if embedding.n != instance.n:
         raise InputError("embedding size does not match the instance")
-    m, lin = merged_coefficients(instance)
+    m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
     v = embedding.vectors
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((trials, embedding.rank))
@@ -184,9 +179,14 @@ def hyperplane_round(
     return x, weight
 
 
-def _flip_search(instance: KLinInstance, x: np.ndarray, cap_factor: int = 10) -> np.ndarray:
+def _flip_search(
+    instance: KLinInstance,
+    x: np.ndarray,
+    cap_factor: int = 10,
+    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Repeated best-single-flip improvement on the satisfied weight."""
-    m, lin = merged_coefficients(instance)
+    m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
     x = x.astype(np.float64)
     mx = m @ x
     tol = 1e-9 * max(1.0, instance.total_weight)
@@ -205,18 +205,22 @@ def solve_2lin(
     config: TwoLinConfig = TwoLinConfig(),
     seed=0,
 ) -> tuple[np.ndarray, float]:
-    """Homogenize, relax, round, then polish; returns (assignment, weight)."""
-    for idx, _, _ in instance.constraints:
-        if len(idx) > 2:
-            raise InputError("solve_2lin accepts arity <= 2 only")
+    """Homogenize, relax, round, then polish; returns (assignment, weight).
+
+    The homogenized pair matrix is built once: the relaxation and the
+    rounding use it whole, and the flip search reads the original pair
+    matrix and unary vector off its top-left block and last column.
+    """
+    _check_arity(instance, "solve_2lin accepts arity <= 2 only")
     n = instance.n
     if instance.m == 0:
         return np.ones(n, dtype=np.int8), 0.0
     hom, ref = homogenize(instance)
+    coeffs = merged_coefficients(hom)
     rank = config.rank if config.rank is not None else math.ceil(math.sqrt(2 * n)) + 1
     rank = max(2, rank)
-    embedding = solve_relaxation(hom, rank, config.sweeps, seed)
-    x_hom, _ = hyperplane_round(hom, embedding, config.trials, (seed, 1))
+    embedding = solve_relaxation(hom, rank, config.sweeps, seed, coeffs=coeffs)
+    x_hom, _ = hyperplane_round(hom, embedding, config.trials, (seed, 1), coeffs=coeffs)
     candidates = [dehomogenize(x_hom, ref)]
     if config.hint is not None:
         candidates.append(_as_pm1(config.hint, n, what="hint assignment"))
@@ -225,7 +229,8 @@ def solve_2lin(
         w, _ = evaluate(instance, cand)
         if w > best_w:
             best_x, best_w = cand, w
-    polished = _flip_search(instance, best_x)
+    hom_m = coeffs[0]
+    polished = _flip_search(instance, best_x, coeffs=(hom_m[:n, :n], hom_m[:n, ref]))
     w, _ = evaluate(instance, polished)
     if w >= best_w:
         best_x, best_w = polished, w

@@ -138,7 +138,13 @@ def _random_2lin(rng, n, m, weighted=True) -> KLinInstance:
         i, j = rng.choice(n, size=2, replace=False)
         w = float(rng.random() + 0.1) if weighted else 1.0
         cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), w))
-    return KLinInstance(k=2, n=n, constraints=tuple(cons))
+    return KLinInstance.from_constraints(2, n, cons)
+
+
+def _same_columns(a: KLinInstance, b: KLinInstance) -> bool:
+    return (a.k, a.n) == (b.k, b.n) and all(
+        np.array_equal(x, y) for x, y in ((a.idx, b.idx), (a.rhs, b.rhs), (a.w, b.w))
+    )
 
 
 def _binomial_band(p: float, trials: int, sigmas: float = 3.0) -> float:
@@ -169,9 +175,7 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
         n = int(rng.integers(4, 11))
         plant = plant_klin(n, 3, 3 * n, 0.3, seed=int(rng.integers(1 << 30)))
         inst = plant.instance
-        flipped = KLinInstance(
-            k=3, n=n, constraints=tuple((idx, -rhs, w) for idx, rhs, w in inst.constraints)
-        )
+        flipped = KLinInstance(k=3, n=n, idx=inst.idx, rhs=-inst.rhs, w=inst.w)
         for _ in range(8):
             x = rng.choice([-1, 1], size=n)
             if not np.array_equal(satisfied_mask(inst, -x), satisfied_mask(flipped, x)):
@@ -196,10 +200,7 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
 
     p1 = plant_klin(50, 3, 200, 0.2, seed=77)
     p2 = plant_klin(50, 3, 200, 0.2, seed=77)
-    same = (
-        p1.instance.constraints == p2.instance.constraints
-        and np.array_equal(p1.x_star, p2.x_star)
-    )
+    same = _same_columns(p1.instance, p2.instance) and np.array_equal(p1.x_star, p2.x_star)
     g1 = plant_bipartite_regular(64, 6, 0.5, seed=8)
     g2 = plant_bipartite_regular(64, 6, 0.5, seed=8)
     same = same and g1.instance.edges == g2.instance.edges
@@ -210,7 +211,7 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
         inst = _random_2lin(rng, 9, 12)
         fileio.write_instance(path, inst)
         back = fileio.read_instance(path)
-        ok = back.constraints == inst.constraints and back.n == inst.n and back.k == inst.k
+        ok = _same_columns(back, inst)
     out.append(CheckResult("instance-invariants", "instance file round-trip", ok))
     return out
 
@@ -481,9 +482,9 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
 
     dehom_ok = True
     for _ in range(max(5, seeds // 20)):
-        inst = KLinInstance(
-            k=2, n=6,
-            constraints=tuple(
+        inst = KLinInstance.from_constraints(
+            2, 6,
+            tuple(
                 ((int(i),), int(rng.choice([-1, 1])), 1.0) for i in range(3)
             ) + tuple(
                 ((int(a), int(b)), int(rng.choice([-1, 1])), float(rng.random() + 0.1))
@@ -513,7 +514,7 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
         dominance_ok = False
     out.append(CheckResult("twolin-invariants", "best-of rounding dominates each trial", dominance_ok))
 
-    dup = KLinInstance(k=2, n=2, constraints=(((0, 1), 1, 1.0),) * 3)
+    dup = KLinInstance.from_constraints(2, 2, (((0, 1), 1, 1.0),) * 3)
     w, _ = evaluate(dup, np.array([1, 1], dtype=np.int8))
     out.append(CheckResult("twolin-invariants", "duplicates count with multiplicity", w == 3.0))
 
@@ -538,7 +539,7 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
         plant = plant_klin(30, 3, 400, 0.1, seed=700 + s)
         phi = plant.instance
         incidence, lights = classify_constraints(phi, t=4)
-        if sum(len(v) for v in incidence.by_pair.values()) != 3 * phi.m:
+        if incidence.by_pair.offsets[-1] != 3 * phi.m:
             counting_ok = False
         advice = gen_label_advice(plant.x_star, 0.8, seed=(71, s))
         reduced = build_psi(phi, advice, delta=0.1, epsilon=0.8)
@@ -546,8 +547,8 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
         if np.any(reps < 2) or np.any(reps > 6) or np.any(~np.isin(reps, (2, 3, 4, 6))):
             reps_ok = False
         inc_t, lights_t = classify_constraints(phi, reduced.threshold)
-        heavy_total = sum(2 * len(inc_t.by_pair[p]) for p in inc_t.heavy_pairs)
-        light_total = sum(len(v) for v in lights_t.by_var.values())
+        heavy_total = 2 * int(inc_t.by_pair.sizes[inc_t.heavy].sum())
+        light_total = int(lights_t.by_var.offsets[-1])
         if reduced.m != heavy_total + light_total:
             counting_ok = False
     out.append(CheckResult("threelin-lemmas", "pair lists cover each constraint thrice", counting_ok))
@@ -558,9 +559,7 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
     reduced = build_psi(plant.instance, advice, delta=0.05, epsilon=1.0)
     value = conservative_psi_value(reduced, plant.x_star)
-    if value != reduced.psi.total_weight - float(
-        np.array([w for _, _, w in reduced.psi.constraints])[reduced.flagged].sum()
-    ):
+    if value != reduced.psi.total_weight - float(reduced.psi.w[reduced.flagged].sum()):
         exact_ok = False
     out.append(CheckResult("threelin-lemmas", "noiseless exact advice satisfies every vote", exact_ok))
 
@@ -590,14 +589,14 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     incidence, lights = classify_constraints(phi, t)
     sat_star = satisfied_mask(phi, x_star)
     errs = total = 0
-    for pair in reduced.heavy_pairs:
-        members = incidence.by_pair[pair]
-        viol = sum(1 for pos in members if not sat_star[pos])
+    for g, (i, j) in enumerate(reduced.heavy_pairs.tolist()):
+        members = incidence.members((i, j))
+        viol = int(np.count_nonzero(~sat_star[members]))
         if viol >= len(members) / 4:
             continue
         total += 1
-        truth = int(x_star[pair[0]]) * int(x_star[pair[1]])
-        if reduced.sigma_by_pair[pair] != truth:
+        truth = int(x_star[i]) * int(x_star[j])
+        if reduced.sigma_pair[g] != truth:
             errs += 1
     bound = math.exp(-eps * eps * t / 8.0)
     margin = _binomial_band(bound, max(total, 1))
@@ -607,11 +606,11 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
 
     light_errs = light_total = 0
     bound_sum = 0.0
-    for var, members in lights.by_var.items():
+    for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
         light_total += 1
-        if reduced.sigma_by_var.get(var, 0) != int(x_star[var]):
+        if reduced.sigma_var[var] != int(x_star[var]):
             light_errs += 1
-        bound_sum += math.exp(-eps**4 * len(members) / (16.0 * t))
+        bound_sum += math.exp(-eps**4 * size / (16.0 * t))
     mean_bound = bound_sum / max(light_total, 1)
     margin = _binomial_band(mean_bound, max(light_total, 1))
     out.append(CheckResult("threelin-lemmas", "light vote error rate within bound",
@@ -624,7 +623,7 @@ def suite_enumeration(seeds: int) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20_008)
     cons = tuple(((i, i + 1), 1, 1.0) for i in range(5))
-    inst = KLinInstance(k=2, n=6, constraints=cons)
+    inst = KLinInstance.from_constraints(2, 6, cons)
 
     def inner(instance, sub, seed):
         adv = subset_to_label(sub, seed)

@@ -168,13 +168,13 @@ def test_a4_heavy_vote_recovery():
         t_used = reduced.threshold
         incidence, _ = classify_constraints(phi, reduced.threshold)
         sat_star = satisfied_mask(phi, x_star)
-        for pair in reduced.heavy_pairs:
-            members = incidence.by_pair[pair]
+        for g, pair in enumerate(reduced.heavy_pairs.tolist()):
+            members = incidence.members(pair)
             if sum(0 if sat_star[p] else 1 for p in members) >= len(members) / 4:
                 continue
             total += 1
             truth = int(x_star[pair[0]]) * int(x_star[pair[1]])
-            errors += reduced.sigma_by_pair[pair] != truth
+            errors += reduced.sigma_pair[g] != truth
     bound = math.exp(-eps * eps * t_used / 8)
     margin = 3 * math.sqrt(bound * (1 - bound) / total)
     assert total >= 1000, f"only {total} qualifying heavy pairs"
@@ -193,9 +193,9 @@ def test_a5_light_vote_recovery():
     _, lights = classify_constraints(phi, reduced.threshold)
     errors = 0
     bounds = []
-    for var, members in lights.by_var.items():
-        errors += reduced.sigma_by_var[var] != int(x_star[var])
-        bounds.append(math.exp(-eps**4 * len(members) / (16 * reduced.threshold)))
+    for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
+        errors += reduced.sigma_var[var] != int(x_star[var])
+        bounds.append(math.exp(-eps**4 * size / (16 * reduced.threshold)))
     total = len(bounds)
     mean_bound = float(np.mean(bounds))
     margin = 3 * math.sqrt(mean_bound * (1 - mean_bound) / total)
@@ -298,7 +298,7 @@ def test_a9_enumeration_exactness():
     # n=10, eps=0.3 satisfiable 2-Lin: run count equals the projection,
     # the best value equals the brute-force optimum, under 5 minutes.
     cons = tuple(((i, (i + 1) % 10), 1, 1.0) for i in range(9))
-    inst = KLinInstance(k=2, n=10, constraints=cons)
+    inst = KLinInstance.from_constraints(k=2, n=10, constraints=cons)
 
     def inner(instance, sub, seed):
         return solve_2lin_with_advice(instance, subset_to_label(sub, seed))[0]

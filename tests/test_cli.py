@@ -98,7 +98,7 @@ class TestSolve:
         assert first["output"]["fraction"] == second["output"]["fraction"]
 
     def test_irregular_routes_to_qp(self, tmp_path, capsys):
-        inst = KLinInstance(
+        inst = KLinInstance.from_constraints(
             k=2, n=3, constraints=(((0, 1), -1, 1.0), ((1, 2), -1, 1.0))
         )
         path = str(tmp_path / "irr.instance")
@@ -116,7 +116,7 @@ class TestSolve:
         assert report["output"]["value"] == 2.0
 
     def test_qp_advice_weighted(self, tmp_path, capsys):
-        inst = KLinInstance(
+        inst = KLinInstance.from_constraints(
             k=2, n=4,
             constraints=(((0, 1), 1, 2.0), ((2, 3), -1, 1.5), ((0, 3), 1, 0.5)),
         )
@@ -227,7 +227,7 @@ class TestBench:
 
 class TestEnumerateReduceVerify:
     def test_enumerate_small(self, tmp_path, capsys):
-        inst = KLinInstance(
+        inst = KLinInstance.from_constraints(
             k=2, n=5, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(4))
         )
         path = str(tmp_path / "chain.instance")
@@ -242,7 +242,7 @@ class TestEnumerateReduceVerify:
         assert report["output"]["value"] == 4.0
 
     def test_enumerate_budget_refusal_exit_two(self, tmp_path, capsys):
-        inst = KLinInstance(
+        inst = KLinInstance.from_constraints(
             k=2, n=30, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(29))
         )
         path = str(tmp_path / "big.instance")

@@ -14,7 +14,7 @@ def qp_inner(instance, sub, seed):
 
 
 def chain(n):
-    return KLinInstance(k=2, n=n, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(n - 1)))
+    return KLinInstance.from_constraints(k=2, n=n, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(n - 1)))
 
 
 class TestProjectedRuns:

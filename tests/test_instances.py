@@ -23,17 +23,18 @@ from advice_csp.instances import (
 def naive_evaluate(instance, x):
     """Independent straightforward recount, constraint by constraint."""
     sat = 0.0
-    for idx, rhs, w in instance.constraints:
+    for row, rhs, w in zip(instance.idx.tolist(), instance.rhs.tolist(), instance.w.tolist()):
         prod = 1
-        for i in idx:
-            prod *= int(x[i])
+        for i in row:
+            if i != -1:  # padding
+                prod *= int(x[i])
         if prod == rhs:
             sat += w
     return sat, sat / instance.total_weight
 
 
 def test_evaluate_single_constraint():
-    inst = KLinInstance(k=2, n=2, constraints=(((0, 1), -1, 1.0),))
+    inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), -1, 1.0),))
     weight, fraction = evaluate(inst, np.array([1, -1]))
     assert weight == 1.0
     assert fraction == 1.0
@@ -54,7 +55,7 @@ def test_evaluate_matches_naive_recount():
 
 
 def test_evaluate_rejects_wrong_length():
-    inst = KLinInstance(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
+    inst = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
     with pytest.raises(InputError):
         evaluate(inst, np.array([1, -1]))
 
@@ -71,9 +72,7 @@ def test_even_arity_negation_invariance():
 def test_odd_arity_negation_flips_rhs():
     plant = plant_klin(7, 3, 20, 0.3, seed=5)
     inst = plant.instance
-    flipped = KLinInstance(
-        k=3, n=7, constraints=tuple((i, -r, w) for i, r, w in inst.constraints)
-    )
+    flipped = KLinInstance(k=3, n=7, idx=inst.idx, rhs=-inst.rhs, w=inst.w)
     for x in itertools.product([-1, 1], repeat=7):
         xv = np.array(x, dtype=np.int8)
         assert np.array_equal(satisfied_mask(inst, -xv), satisfied_mask(flipped, xv))
@@ -81,25 +80,60 @@ def test_odd_arity_negation_flips_rhs():
 
 def test_instance_validation():
     with pytest.raises(InputError):
-        KLinInstance(k=2, n=3, constraints=(((0, 0), 1, 1.0),))  # repeated index
+        KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 0), 1, 1.0),))  # repeated index
     with pytest.raises(InputError):
-        KLinInstance(k=2, n=3, constraints=(((0, 3), 1, 1.0),))  # out of range
+        KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 3), 1, 1.0),))  # out of range
     with pytest.raises(InputError):
-        KLinInstance(k=2, n=3, constraints=(((0, 1), 2, 1.0),))  # bad rhs
+        KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 2, 1.0),))  # bad rhs
     with pytest.raises(InputError):
-        KLinInstance(k=2, n=3, constraints=(((0, 1), 1, -0.5),))  # negative weight
+        KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, -0.5),))  # negative weight
+
+
+def test_columnar_validation_messages():
+    one = np.array([1])
+    cases = [
+        ([[-1, -1]], one, [1.0], "constraint arity 0 outside 1..2"),
+        ([[2, 2]], one, [1.0], r"repeated index in constraint \(2, 2\)"),
+        ([[0, 5]], one, [1.0], r"index out of range in constraint \(0, 5\)"),
+        ([[-1, 1]], one, [1.0], "index out of range"),  # padding must trail
+        ([[0, -2]], one, [1.0], "index out of range"),
+        ([[0, 1]], [0], [1.0], r"right-hand side must be -1 or \+1, got 0"),
+        ([[0, 1]], one, [np.nan], "weight must be finite and nonnegative, got nan"),
+        ([[0, 1, 2]], one, [1.0], "shapes"),
+    ]
+    for idx, rhs, w, message in cases:
+        with pytest.raises(InputError, match=message):
+            KLinInstance(k=2, n=3, idx=np.array(idx), rhs=rhs, w=w)
+    # a trailing -1 pads a unary constraint
+    assert KLinInstance(k=2, n=3, idx=np.array([[0, -1]]), rhs=one, w=[1.0]).arity.tolist() == [1]
+    with pytest.raises(InputError, match=r"index out of range in constraint \(2, -1\)"):
+        KLinInstance.from_constraints(2, 3, [((2, -1), 1, 1.0)])
+    with pytest.raises(InputError, match="constraint arity 3 outside 1..2"):
+        KLinInstance.from_constraints(2, 3, [((0, 1, 2), 1, 1.0)])
+    with pytest.raises(InputError, match="arity and variable count"):
+        KLinInstance.from_constraints(0, 3, [])
+
+
+def test_constraints_view_and_columns():
+    cons = (((2,), -1, 0.5), ((0, 1), 1, 2.0), ((1, 2), -1, 1.0))
+    inst = KLinInstance.from_constraints(2, 3, cons)
+    assert inst.constraints == cons
+    assert inst.idx.tolist() == [[2, -1], [0, 1], [1, 2]]
+    assert inst.rhs.dtype == np.int8 and inst.w.dtype == np.float64
+    assert inst.arity.tolist() == [1, 2, 2]
+    assert not inst.idx.flags.writeable
 
 
 class TestQuadraticMatrix:
     def test_single_maxcut_edge_identity(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), -1, 3.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), -1, 3.0),))
         qp = to_quadratic_matrix(inst)
         assert qp.a[0, 1] == qp.a[1, 0] == -3.0
         x = np.array([1, -1])
         assert quadratic_identity_value(inst, qp, x) == 3.0
 
     def test_single_positive_constraint(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
         qp = to_quadratic_matrix(inst)
         assert quadratic_identity_value(inst, qp, np.array([1, 1])) == 1.0
 
@@ -110,7 +144,7 @@ class TestQuadraticMatrix:
         for _ in range(40):
             i, j = rng.choice(n, size=2, replace=False)
             cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), float(rng.random())))
-        inst = KLinInstance(k=2, n=n, constraints=tuple(cons))
+        inst = KLinInstance.from_constraints(k=2, n=n, constraints=tuple(cons))
         qp = to_quadratic_matrix(inst)
         for x in itertools.product([-1, 1], repeat=n):
             xv = np.array(x, dtype=np.int8)
@@ -118,15 +152,15 @@ class TestQuadraticMatrix:
             assert quadratic_identity_value(inst, qp, xv) == pytest.approx(want, abs=1e-9)
 
     def test_parallel_constraints_merge(self):
-        inst = KLinInstance(
+        inst = KLinInstance.from_constraints(
             k=2, n=2, constraints=(((0, 1), 1, 1.0), ((1, 0), 1, 2.0), ((0, 1), -1, 0.5))
         )
         qp = to_quadratic_matrix(inst)
         assert qp.a[0, 1] == pytest.approx(2.5)
-        assert len(inst.constraints) == 3  # instance itself stays verbatim
+        assert inst.m == 3  # instance itself stays verbatim
 
     def test_rejects_wrong_arity(self):
-        inst = KLinInstance(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
         with pytest.raises(InputError):
             to_quadratic_matrix(inst)
 
@@ -188,7 +222,8 @@ class TestKLinPlant:
     def test_deterministic(self):
         a = plant_klin(50, 3, 200, 0.2, seed=13)
         b = plant_klin(50, 3, 200, 0.2, seed=13)
-        assert a.instance.constraints == b.instance.constraints
+        for col in ("idx", "rhs", "w"):
+            assert np.array_equal(getattr(a.instance, col), getattr(b.instance, col))
         assert np.array_equal(a.x_star, b.x_star)
 
     def test_arity_exceeds_n(self):
@@ -197,7 +232,7 @@ class TestKLinPlant:
 
     def test_distinct_indices_per_constraint(self):
         plant = plant_klin(6, 3, 300, 0.5, seed=2)
-        for idx, _, _ in plant.instance.constraints:
+        for idx in plant.instance.idx.tolist():
             assert len(set(idx)) == 3
 
 

@@ -7,6 +7,7 @@ from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, plant_klin, satisfied_mask
 from advice_csp.max3lin import (
+    Groups,
     build_psi,
     classify_constraints,
     compute_threshold,
@@ -40,97 +41,118 @@ class TestClassify:
     def test_pair_counts_against_threshold(self):
         cons = (((0, 1, 2), 1, 1.0), ((0, 1, 3), 1, 1.0), ((0, 1, 4), 1, 1.0),
                 ((2, 3, 4), 1, 1.0))
-        phi = KLinInstance(k=3, n=5, constraints=cons)
+        phi = KLinInstance.from_constraints(k=3, n=5, constraints=cons)
         incidence, lights = classify_constraints(phi, t=3)
         assert incidence.is_heavy((0, 1))
         assert not incidence.is_heavy((2, 3))
-        assert incidence.heavy_pairs == ((0, 1),)
+        assert incidence.heavy_pairs.tolist() == [[0, 1]]
         # the lone (2,3,4) constraint stays light
-        assert sorted(lights.by_var) == [2, 3, 4]
+        assert lights.by_var.keys.tolist() == [2, 3, 4]
 
     def test_threshold_one_makes_everything_heavy(self):
         plant = plant_klin(10, 3, 15, 0.0, seed=0)
         incidence, lights = classify_constraints(plant.instance, t=1)
-        assert not lights.by_var
-        assert all(len(v) >= 1 for v in incidence.by_pair.values())
+        assert lights.by_var.keys.size == 0
+        assert np.all(incidence.by_pair.sizes >= 1)
 
     def test_counting_identity(self):
         plant = plant_klin(25, 3, 300, 0.2, seed=1)
         incidence, _ = classify_constraints(plant.instance, t=5)
-        assert sum(len(v) for v in incidence.by_pair.values()) == 3 * 300
+        assert incidence.by_pair.offsets[-1] == 3 * 300
 
     def test_light_membership_three_sets(self):
         plant = plant_klin(25, 3, 100, 0.2, seed=2)
         incidence, lights = classify_constraints(plant.instance, t=50)
-        counts = {}
-        for var, members in lights.by_var.items():
-            for pos in members:
-                counts[pos] = counts.get(pos, 0) + 1
-        assert all(c == 3 for c in counts.values())
-        assert len(counts) == 100
+        counts = np.bincount(lights.by_var.members, minlength=100)
+        assert np.all(counts == 3)
+        assert counts.size == 100
 
     def test_rejects_wrong_arity(self):
-        phi = KLinInstance(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
+        phi = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
         with pytest.raises(InputError):
             classify_constraints(phi, t=2)
+
+
+class TestGroups:
+    def test_sort_paths_agree(self):
+        # Keys too large for the packed key * size + rank sort take the
+        # stable argsort; both must keep positions in order within a key.
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 5, size=40)
+        positions = np.arange(40)
+        small = Groups.of(keys, positions)
+        big = Groups.of(keys + 2**61, positions)
+        assert np.array_equal(big.keys - 2**61, small.keys)
+        assert np.array_equal(big.offsets, small.offsets)
+        assert np.array_equal(big.members, small.members)
+        for key in small.keys:
+            assert small.members_of(key).tolist() == np.flatnonzero(keys == key).tolist()
+        assert small.members_of(7).size == 0
+        assert Groups.of(keys[:0], positions[:0]).offsets.tolist() == [0]
 
 
 class TestCreateH:
     def test_hand_vote(self):
         cons = (((1, 2, 3), 1, 1.0), ((1, 2, 4), -1, 1.0), ((1, 2, 5), 1, 1.0))
-        phi = KLinInstance(k=3, n=6, constraints=cons)
+        phi = KLinInstance.from_constraints(k=3, n=6, constraints=cons)
         labels = np.array([1, 1, 1, 1, -1, 1], dtype=np.int8)
         advice = LabelAdvice(values=labels, epsilon=0.5)
-        emitted, sources, flagged, sigma = create_h_constraints((1, 2), [0, 1, 2], advice, phi)
-        assert sigma == 1 and not flagged
-        assert emitted == [
-            ((1, 2), 1, 1.0), ((3,), 1, 1.0),
-            ((1, 2), 1, 1.0), ((4,), -1, 1.0),
-            ((1, 2), 1, 1.0), ((5,), 1, 1.0),
-        ]
-        assert sources == [0, 0, 1, 1, 2, 2]
+        incidence, _ = classify_constraints(phi, t=3)
+        assert incidence.heavy_pairs.tolist() == [[1, 2]]
+        reps = create_h_constraints(incidence, advice, phi)
+        assert reps.sigma.tolist() == [1] and not reps.flagged.any()
+        assert reps.idx.tolist() == [[1, 2], [3, -1], [1, 2], [4, -1], [1, 2], [5, -1]]
+        assert reps.rhs.tolist() == [1, 1, 1, -1, 1, 1]
+        assert reps.source.tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_noiseless_vote_recovers_pair_product(self):
         plant = plant_klin(12, 3, 240, 0.0, seed=3)
         advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
         incidence, _ = classify_constraints(plant.instance, t=2)
-        for pair in incidence.heavy_pairs[:10]:
-            _, _, flagged, sigma = create_h_constraints(
-                pair, incidence.by_pair[pair], advice, plant.instance
-            )
-            assert not flagged
-            assert sigma == int(plant.x_star[pair[0]]) * int(plant.x_star[pair[1]])
+        reps = create_h_constraints(incidence, advice, plant.instance)
+        pairs = incidence.heavy_pairs
+        assert len(pairs) >= 10 and not reps.flagged.any()
+        truth = plant.x_star[pairs[:, 0]] * plant.x_star[pairs[:, 1]]
+        assert np.array_equal(reps.sigma, truth)
 
     def test_zero_vote_flagged(self):
         cons = (((0, 1, 2), 1, 1.0), ((0, 1, 3), -1, 1.0))
-        phi = KLinInstance(k=3, n=4, constraints=cons)
+        phi = KLinInstance.from_constraints(k=3, n=4, constraints=cons)
         advice = all_ones_advice(4)
-        emitted, _, flagged, sigma = create_h_constraints((0, 1), [0, 1], advice, phi)
-        assert flagged and sigma == 1
-        assert len(emitted) == 4
+        incidence, _ = classify_constraints(phi, t=2)
+        reps = create_h_constraints(incidence, advice, phi)
+        # a zero vote keeps sign +1 for the emitted rows but records 0
+        assert reps.flagged.all() and reps.sigma.tolist() == [0]
+        assert len(reps.idx) == 4 and reps.rhs[0::2].tolist() == [1, 1]
 
 
 class TestCreateL:
     def test_hand_vote(self):
-        phi = KLinInstance(k=3, n=4, constraints=(((1, 2, 3), 1, 1.0),))
+        phi = KLinInstance.from_constraints(k=3, n=4, constraints=(((1, 2, 3), 1, 1.0),))
         labels = np.array([1, 1, 1, -1], dtype=np.int8)
         advice = LabelAdvice(values=labels, epsilon=0.5)
-        emitted, sources, flagged, sigma = create_l_constraints(1, [0], advice, phi)
-        assert sigma == -1 and not flagged
-        assert emitted == [((1,), -1, 1.0)]
+        _, lights = classify_constraints(phi, t=2)
+        reps = create_l_constraints(lights, advice, phi)
+        assert reps.sigma[1] == -1 and not reps.flagged.any()
+        # variables 1, 2, 3 each emit their one light representative
+        assert reps.idx.tolist() == [[1, -1], [2, -1], [3, -1]]
+        assert reps.rhs.tolist() == [-1, -1, 1] and reps.source.tolist() == [0, 0, 0]
 
     def test_noiseless_vote_recovers_value(self):
         plant = plant_klin(15, 3, 60, 0.0, seed=4)
         advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
         _, lights = classify_constraints(plant.instance, t=1000)
-        for var, members in lights.by_var.items():
-            _, _, flagged, sigma = create_l_constraints(var, members, advice, plant.instance)
-            assert not flagged and sigma == int(plant.x_star[var])
+        reps = create_l_constraints(lights, advice, plant.instance)
+        voters = lights.by_var.keys
+        assert not reps.flagged.any()
+        assert np.array_equal(reps.sigma[voters], plant.x_star[voters])
 
     def test_empty_members(self):
-        phi = KLinInstance(k=3, n=4, constraints=(((0, 1, 2), 1, 1.0),))
-        emitted, sources, flagged, sigma = create_l_constraints(3, [], all_ones_advice(4), phi)
-        assert emitted == [] and sources == []
+        phi = KLinInstance.from_constraints(k=3, n=4, constraints=(((0, 1, 2), 1, 1.0),))
+        _, lights = classify_constraints(phi, t=2)
+        reps = create_l_constraints(lights, all_ones_advice(4), phi)
+        # variable 3 has no light members: it emits nothing and records no vote
+        assert 3 not in reps.idx[:, 0].tolist() and reps.sigma[3] == 0
 
 
 class TestBuildPsi:
@@ -139,8 +161,8 @@ class TestBuildPsi:
         advice = gen_label_advice(plant.x_star, 0.8, seed=6)
         reduced = build_psi(plant.instance, advice, delta=0.1, epsilon=0.8)
         incidence, lights = classify_constraints(plant.instance, reduced.threshold)
-        expected = sum(2 * len(incidence.by_pair[p]) for p in incidence.heavy_pairs)
-        expected += sum(len(v) for v in lights.by_var.values())
+        expected = 2 * int(incidence.by_pair.sizes[incidence.heavy].sum())
+        expected += int(lights.by_var.offsets[-1])
         assert reduced.m == expected
         reps = np.bincount(reduced.source, minlength=plant.instance.m)
         assert set(np.unique(reps)).issubset({2, 3, 4, 6})
@@ -156,7 +178,7 @@ class TestBuildPsi:
         )
 
     def test_empty_instance(self):
-        phi = KLinInstance(k=3, n=5, constraints=())
+        phi = KLinInstance.from_constraints(k=3, n=5, constraints=())
         reduced = build_psi(phi, all_ones_advice(5), delta=0.1, epsilon=0.5)
         assert reduced.m == 0
 
@@ -165,7 +187,8 @@ class TestBuildPsi:
         advice = gen_label_advice(plant.x_star, 0.7, seed=9)
         a = build_psi(plant.instance, advice, delta=0.1, epsilon=0.7)
         b = build_psi(plant.instance, advice, delta=0.1, epsilon=0.7)
-        assert a.psi.constraints == b.psi.constraints
+        for col in ("idx", "rhs", "w"):
+            assert np.array_equal(getattr(a.psi, col), getattr(b.psi, col))
         assert np.array_equal(a.source, b.source)
 
 
@@ -204,7 +227,7 @@ class TestSolve:
         assert not res.diagnostics.in_guarantee
 
     def test_rejects_wrong_arity(self):
-        phi = KLinInstance(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
+        phi = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
         with pytest.raises(InputError):
             solve_max3lin_with_advice(phi, all_ones_advice(3), delta=0.1, seed=0)
 
@@ -219,13 +242,13 @@ class TestRecoveryRates:
         incidence, _ = classify_constraints(phi, reduced.threshold)
         sat_star = satisfied_mask(phi, x_star)
         errors = total = 0
-        for pair in reduced.heavy_pairs:
-            members = incidence.by_pair[pair]
+        for g, pair in enumerate(reduced.heavy_pairs.tolist()):
+            members = incidence.members(pair)
             if sum(0 if sat_star[p] else 1 for p in members) >= len(members) / 4:
                 continue
             total += 1
             truth = int(x_star[pair[0]]) * int(x_star[pair[1]])
-            errors += reduced.sigma_by_pair[pair] != truth
+            errors += reduced.sigma_pair[g] != truth
         bound = math.exp(-eps * eps * reduced.threshold / 8)
         margin = 3 * math.sqrt(bound * (1 - bound) / max(total, 1))
         assert total >= 100
@@ -240,9 +263,9 @@ class TestRecoveryRates:
         _, lights = classify_constraints(phi, reduced.threshold)
         errors = 0
         bounds = []
-        for var, members in lights.by_var.items():
-            errors += reduced.sigma_by_var[var] != int(x_star[var])
-            bounds.append(math.exp(-eps**4 * len(members) / (16 * reduced.threshold)))
+        for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
+            errors += reduced.sigma_var[var] != int(x_star[var])
+            bounds.append(math.exp(-eps**4 * size / (16 * reduced.threshold)))
         total = len(bounds)
         mean_bound = float(np.mean(bounds))
         margin = 3 * math.sqrt(mean_bound * (1 - mean_bound) / total)

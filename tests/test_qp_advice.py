@@ -184,7 +184,7 @@ class TestSolveQp:
 class TestSolve2Lin:
     def test_satisfiable_chain(self):
         cons = tuple(((i, i + 1), 1, 1.0) for i in range(5))
-        inst = KLinInstance(k=2, n=6, constraints=cons)
+        inst = KLinInstance.from_constraints(k=2, n=6, constraints=cons)
         adv = LabelAdvice(values=np.ones(6, dtype=np.int8), epsilon=1.0)
         _, weight = solve_2lin_with_advice(inst, adv)
         assert weight == 6 - 1
@@ -194,19 +194,19 @@ class TestSolve2Lin:
         rng = np.random.default_rng(12)
         for s in range(10):
             rhs = int(rng.choice([-1, 1]))
-            inst = KLinInstance(k=2, n=4, constraints=(((1, 3), rhs, 2.0),))
+            inst = KLinInstance.from_constraints(k=2, n=4, constraints=(((1, 3), rhs, 2.0),))
             adv = gen_label_advice(rng.choice([-1, 1], size=4), 0.5, seed=s)
             _, weight = solve_2lin_with_advice(inst, adv)
             assert weight == 2.0
 
     def test_empty_instance(self):
-        inst = KLinInstance(k=2, n=3, constraints=())
+        inst = KLinInstance.from_constraints(k=2, n=3, constraints=())
         adv = LabelAdvice(values=np.ones(3, dtype=np.int8), epsilon=0.5)
         x, weight = solve_2lin_with_advice(inst, adv)
         assert weight == 0.0 and x.shape == (3,)
 
     def test_rejects_unary(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0,), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0,), 1, 1.0),))
         adv = LabelAdvice(values=np.ones(2, dtype=np.int8), epsilon=0.5)
         with pytest.raises(InputError):
             solve_2lin_with_advice(inst, adv)

@@ -7,7 +7,7 @@ from advice_csp.reduce4lin import lift_assignment, project_assignment, three_to_
 
 
 def small_phi():
-    return KLinInstance(
+    return KLinInstance.from_constraints(
         k=3, n=3, constraints=(((0, 1, 2), 1, 1.0), ((0, 1, 2), -1, 1.0))
     )
 
@@ -41,7 +41,7 @@ class TestLift:
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
             three_to_four_lin(small_phi(), t=0)
-        phi2 = KLinInstance(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
+        phi2 = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
         with pytest.raises(InputError):
             three_to_four_lin(phi2, t=1)
 

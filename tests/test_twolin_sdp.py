@@ -22,15 +22,16 @@ def random_2lin(rng, n, m):
     for _ in range(m):
         i, j = rng.choice(n, size=2, replace=False)
         cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), float(rng.random() + 0.1)))
-    return KLinInstance(k=2, n=n, constraints=tuple(cons))
+    return KLinInstance.from_constraints(k=2, n=n, constraints=tuple(cons))
 
 
 class TestHomogenize:
     def test_unary_becomes_pair(self):
-        inst = KLinInstance(k=1, n=1, constraints=(((0,), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=1, n=1, constraints=(((0,), 1, 1.0),))
         hom, ref = homogenize(inst)
         assert ref == 1 and hom.n == 2
-        assert hom.constraints == (((0, 1), 1, 1.0),)
+        assert hom.idx.tolist() == [[0, 1]]
+        assert hom.rhs.tolist() == [1] and hom.w.tolist() == [1.0]
         for pattern in ([1, 1], [-1, -1]):
             assert evaluate(hom, np.array(pattern))[0] == 1.0
             assert dehomogenize(np.array(pattern, dtype=np.int8), ref)[0] == 1
@@ -39,11 +40,13 @@ class TestHomogenize:
         rng = np.random.default_rng(0)
         inst = random_2lin(rng, 5, 8)
         hom, ref = homogenize(inst)
-        assert hom.n == 6 and hom.constraints == inst.constraints
+        assert hom.n == 6
+        for col in ("idx", "rhs", "w"):
+            assert np.array_equal(getattr(hom, col), getattr(inst, col))
 
     def test_weight_preserved(self):
         rng = np.random.default_rng(1)
-        inst = KLinInstance(
+        inst = KLinInstance.from_constraints(
             k=2, n=4,
             constraints=(((0,), 1, 2.0), ((1,), -1, 0.5), ((2, 3), 1, 1.0)),
         )
@@ -54,14 +57,14 @@ class TestHomogenize:
             assert evaluate(hom, x)[0] == evaluate(inst, dehomogenize(x, ref))[0]
 
     def test_rejects_arity_three(self):
-        inst = KLinInstance(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
         with pytest.raises(InputError):
             homogenize(inst)
 
 
 class TestRelaxation:
     def test_antipodal_pair(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), -1, 1.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), -1, 1.0),))
         emb = solve_relaxation(inst, rank=3, sweeps=100, seed=0)
         assert float(emb.vectors[0] @ emb.vectors[1]) == pytest.approx(-1.0, abs=1e-6)
 
@@ -83,21 +86,21 @@ class TestRelaxation:
         assert relaxation_objective(hom, emb) >= plant.instance.total_weight * (1 - 1e-6)
 
     def test_rank_validation(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
         with pytest.raises(InputError):
             solve_relaxation(inst, rank=1, sweeps=10, seed=0)
 
 
 class TestHyperplaneRound:
     def test_antipodal_always_satisfied(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), -1, 1.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), -1, 1.0),))
         v = np.array([[1.0, 0.0], [-1.0, 0.0]])
         for s in range(10):
             _, w = hyperplane_round(inst, UnitEmbedding(vectors=v), trials=1, seed=s)
             assert w == 1.0
 
     def test_identical_vectors_equal_signs(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), 1, 1.0),))
         v = np.array([[0.6, 0.8], [0.6, 0.8]])
         for s in range(10):
             x, w = hyperplane_round(inst, UnitEmbedding(vectors=v), trials=1, seed=s)
@@ -126,7 +129,7 @@ class TestHyperplaneRound:
 class TestSolve2Lin:
     def test_satisfiable_chain_found(self):
         cons = tuple(((i, i + 1), 1, 1.0) for i in range(7))
-        inst = KLinInstance(k=2, n=8, constraints=cons)
+        inst = KLinInstance.from_constraints(k=2, n=8, constraints=cons)
         hits = 0
         for s in range(10):
             _, w = solve_2lin(inst, TwoLinConfig(rank=4, trials=64), seed=s)
@@ -134,7 +137,7 @@ class TestSolve2Lin:
         assert hits >= 9
 
     def test_empty_instance(self):
-        inst = KLinInstance(k=2, n=4, constraints=())
+        inst = KLinInstance.from_constraints(k=2, n=4, constraints=())
         x, w = solve_2lin(inst, TwoLinConfig(), seed=0)
         assert w == 0.0 and x.shape == (4,)
 
@@ -160,12 +163,12 @@ class TestSolve2Lin:
         assert w == plant.instance.total_weight
 
     def test_duplicates_count_with_multiplicity(self):
-        inst = KLinInstance(k=2, n=2, constraints=(((0, 1), 1, 1.0),) * 3)
+        inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0, 1), 1, 1.0),) * 3)
         _, w = solve_2lin(inst, TwoLinConfig(), seed=17)
         assert w == 3.0
 
     def test_rejects_arity_three(self):
-        inst = KLinInstance(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
+        inst = KLinInstance.from_constraints(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
         with pytest.raises(InputError):
             solve_2lin(inst, TwoLinConfig(), seed=0)
 
@@ -179,7 +182,7 @@ class TestSolve2Lin:
 
 def test_merged_coefficients_identity():
     rng = np.random.default_rng(20)
-    inst = KLinInstance(
+    inst = KLinInstance.from_constraints(
         k=2, n=5,
         constraints=(((0,), 1, 2.0), ((1, 2), -1, 1.5), ((1, 2), -1, 0.5), ((3, 4), 1, 1.0)),
     )
