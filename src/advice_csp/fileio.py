@@ -18,28 +18,13 @@ endings are accepted.  Writing then reading any value is the identity.
 
 from __future__ import annotations
 
-import gc
 import itertools
-from contextlib import contextmanager
 
 import numpy as np
 
 from .advice import LabelAdvice, SubsetAdvice
 from .errors import InputError, ParseError
 from .instances import GraphInstance, KLinInstance, graph_to_klin, _as_pm1
-
-
-@contextmanager
-def _cycle_collector_paused():
-    """Token lists form no cycles, but with 10^5 of them alive each cyclic
-    collection rescans them all; pausing it halves a large parse."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _content_lines(path):
@@ -122,19 +107,18 @@ def _parse_constraint(tokens, k, n, path, lineno) -> tuple[tuple[int, ...], int,
     return idx, rhs, w
 
 
-def _columns(body, k, n) -> KLinInstance:
-    """Constraint lines to columns in bulk; raises on any malformed line."""
-    ids = [tokens[:-2] for _, tokens in body]
-    arity = np.array([len(t) for t in ids], dtype=np.int64)
+def _columns(k, n, arity, ids, rhs, w) -> KLinInstance:
+    """Token columns to an instance; raises on any malformed line."""
+    arity = np.array(arity, dtype=np.int64)
     if np.any((arity < 1) | (arity > k)):
         raise ValueError("arity")
-    flat = np.array(list(map(int, itertools.chain.from_iterable(ids))), dtype=np.int64)
+    flat = np.array(list(map(int, ids)), dtype=np.int64)
     if np.any(flat < 0):
         raise ValueError("negative index")
-    rhs = np.array(list(map(int, (tokens[-2] for _, tokens in body))), dtype=np.int64)
-    w = np.array(list(map(float, (tokens[-1] for _, tokens in body))), dtype=np.float64)
-    idx = np.full((len(body), k), -1, dtype=np.int64)
+    idx = np.full((arity.size, k), -1, dtype=np.int64)
     idx[np.arange(k) < arity[:, None]] = flat  # row-major: each row's leading columns
+    rhs = np.array(list(map(int, rhs)), dtype=np.int64)
+    w = np.array(list(map(float, w)), dtype=np.float64)
     return KLinInstance(k=k, n=n, idx=idx, rhs=rhs, w=w)
 
 
@@ -148,18 +132,21 @@ def read_instance(path) -> KLinInstance:
         raise ParseError(path, lineno, "header fields must be integers") from None
     if k < 1 or n < 1 or m < 0:
         raise ParseError(path, lineno, f"invalid header values k={k} n={n} m={m}")
-    with _cycle_collector_paused():
-        body = list(lines)
-        try:
-            instance = _columns(body, k, n)
-        except (ValueError, OverflowError, InputError):
-            instance = None
-    if instance is None:
+    # Flat lists of token strings: unlike one list per line, they leave the
+    # cyclic garbage collector nothing to rescan as the parse grows.
+    arity, ids, rhs, w = [], [], [], []
+    for lineno, tokens in lines:
+        arity.append(len(tokens) - 2)
+        ids += tokens[:-2]
+        rhs += tokens[-2:-1]
+        w.append(tokens[-1])
+    try:
+        instance = _columns(k, n, arity, ids, rhs, w)
+    except (ValueError, OverflowError, InputError):
         # Some line is malformed: reparse line by line to name the first one.
+        body = itertools.islice(_content_lines(path), 1, None)
         cons = [_parse_constraint(tokens, k, n, path, ln) for ln, tokens in body]
         instance = KLinInstance.from_constraints(k, n, cons)
-    if body:
-        lineno = body[-1][0]
     if instance.m != m:
         raise ParseError(path, lineno, f"header promises {m} constraints, found {instance.m}")
     return instance
@@ -169,7 +156,7 @@ def instance_to_graph(instance: KLinInstance) -> GraphInstance:
     """Interpret a Max-Cut shaped 2-Lin instance as an unweighted graph."""
     if np.any(instance.arity != 2) or np.any(instance.rhs != -1) or np.any(instance.w != 1.0):
         raise InputError("graph form requires arity 2, rhs -1, and unit weights")
-    e = np.sort(instance.idx[:, :2], axis=1)
+    e = np.sort(instance.idx[:, :2].reshape(-1, 2), axis=1)  # (0, 2) when k = 1
     e = e[np.lexsort((e[:, 1], e[:, 0]))]
     return GraphInstance(n=instance.n, edges=tuple(map(tuple, e.tolist())))
 

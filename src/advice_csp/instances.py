@@ -89,9 +89,12 @@ class KLinInstance:
             ((rhs != 1) & (rhs != -1), lambda r: f"right-hand side must be -1 or +1, got {rhs[r].item()}"),
             (~(np.isfinite(w) & (w >= 0)), lambda r: f"weight must be finite and nonnegative, got {w[r]}"),
         )
-        for bad, message in checks:  # masks over rows, or over (row, column) cells
-            if bad.any():
-                raise InputError(message(int(np.unravel_index(np.argmax(bad), bad.shape)[0])))
+        # The first faulty row is named; within it, the first failing check.
+        first = [int(np.argmax(bad.reshape(m, -1).any(axis=1))) if bad.any() else m
+                 for bad, _ in checks]
+        r = min(first)
+        if r < m:
+            raise InputError(checks[first.index(r)][1](r))
         object.__setattr__(self, "rhs", _readonly(rhs, np.int8))
 
     @classmethod
@@ -125,18 +128,14 @@ class KLinInstance:
 
     @cached_property
     def total_weight(self) -> float:
-        """Weights summed left to right, as Python's sum() does."""
-        if np.array_equal(self.w, np.rint(self.w)) and self.w.sum() < 2.0**53:
-            return float(self.w.sum())  # integral: every order is exact
-        return float(sum(self.w.tolist()))
+        """Weights summed left to right from 0.0, as Python's sum() does."""
+        return float(np.cumsum(np.append(0.0, self.w))[-1])
 
     @cached_property
     def _arity_rows(self) -> list:
-        """Row selectors per arity in order of first appearance, the order in
+        """Row indices per arity in order of first appearance, the order in
         which satisfied weight is summed."""
         values, first = np.unique(self.arity, return_index=True)
-        if len(values) <= 1:
-            return [slice(None)]
         return [np.flatnonzero(self.arity == a) for a in values[np.argsort(first)]]
 
 

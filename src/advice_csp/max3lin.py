@@ -44,7 +44,8 @@ class Groups:
         within each group (a stable sort)."""
         size = keys.size
         if size and (int(keys.max()) + 1) * size < 2**63:
-            # key * size + rank is distinct, so a plain sort of it is stable.
+            # key * size + rank is distinct, so a plain sort of it is stable;
+            # several times faster than the stable argsort below.
             order = np.sort(keys * size + np.arange(size)) % size
         else:
             order = np.argsort(keys, kind="stable")

@@ -51,6 +51,13 @@ def test_graph_round_trip(tmp_path):
     assert graph.edges == plant.instance.edges
 
 
+def test_empty_unary_instance_reads_as_empty_graph(tmp_path):
+    path = tmp_path / "empty.klin"
+    path.write_text("p klin 1 4 0\n")
+    graph = fileio.instance_to_graph(fileio.read_instance(path))
+    assert graph.n == 4 and graph.edges == ()
+
+
 def test_crlf_and_comments_accepted(tmp_path):
     body = "# a comment\r\np klin 2 3 2\r\n\r\n0 1 +1 1.0\r\n1 2 -1 2.0\r\n"
     lf = tmp_path / "lf.klin"
@@ -113,6 +120,8 @@ def test_count_mismatch_names_last_content_line(tmp_path):
 
 @pytest.mark.parametrize("bad, message", [
     ("0 1 2 +1 1.0", "expected 1..2 indices"),
+    ("0", "expected 1..2 indices"),
+    ("99999999999999999999 1 +1 1.0", "index out of range"),
     ("0 x +1 1.0", "indices must be integers"),
     ("2 -1 +1 1.0", "index out of range"),
     ("1 1 +1 1.0", "indices within a constraint must be distinct"),

@@ -54,6 +54,16 @@ def test_evaluate_matches_naive_recount():
         assert evaluate(plant.instance, x) == naive_evaluate(plant.instance, x)
 
 
+def test_total_weight_is_left_to_right_sum():
+    w = np.random.default_rng(5).random(500) * 1e3  # np.sum would differ in the last bit
+    inst = KLinInstance(k=1, n=1, idx=np.zeros((500, 1), dtype=np.int64), rhs=np.ones(500), w=w)
+    total = 0
+    for weight in w.tolist():
+        total += weight
+    assert inst.total_weight == total
+    assert KLinInstance.from_constraints(1, 1, []).total_weight == 0.0
+
+
 def test_evaluate_rejects_wrong_length():
     inst = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
     with pytest.raises(InputError):
@@ -112,6 +122,16 @@ def test_columnar_validation_messages():
         KLinInstance.from_constraints(2, 3, [((0, 1, 2), 1, 1.0)])
     with pytest.raises(InputError, match="arity and variable count"):
         KLinInstance.from_constraints(0, 3, [])
+
+
+def test_validation_names_first_faulty_row():
+    # row 0 has a bad rhs, row 1 a repeated index: row 0 is named
+    idx = np.array([[0, 1], [2, 2]])
+    with pytest.raises(InputError, match=r"right-hand side must be -1 or \+1, got 0"):
+        KLinInstance(k=2, n=3, idx=idx, rhs=[0, 1], w=[1.0, 1.0])
+    # within one row the checks keep their order: repeated index before weight
+    with pytest.raises(InputError, match="repeated index"):
+        KLinInstance(k=2, n=3, idx=idx, rhs=[1, 1], w=[1.0, -1.0])
 
 
 def test_constraints_view_and_columns():
