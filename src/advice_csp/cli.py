@@ -6,8 +6,9 @@ solver fallbacks), 1 input error, 2 budget refusal, 3 internal
 consistency failure.
 
 Seed scheme: a run's master seed s derives component streams as tuples
-(s, 1) for advice and (s, 2) for algorithm randomness, so parallel and
-serial bench execution agree run for run.
+(s, 1) for advice and (s, 2) for algorithm randomness, so a bench row
+for seed s and a ``solve --seed s`` run on the files ``gen --seed s``
+writes (label advice) give the same answer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,24 +64,30 @@ def _log(msg: str) -> None:
 
 
 def _refuse_existing(paths, force: bool):
+    """Raise InputError if an output path (None means no output) exists."""
     if force:
         return
-    clashes = [p for p in paths if os.path.exists(p)]
+    clashes = [p for p in paths if p is not None and os.path.exists(p)]
     if clashes:
         raise InputError(f"refusing to overwrite {clashes[0]} (pass --force to allow)")
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("ADVICE_CSP_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        raise InputError(f"ADVICE_CSP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(cap, n_jobs))
-
-
 # ---------------------------------------------------------------------------
 # gen
+
+# Size parameters each generator kind requires.
+GENERATORS = {"maxcut-planted": ("n", "d"), "klin-planted": ("n", "k", "m")}
+
+
+def _plant(gen: dict, seed: int):
+    """Plant the instance ``gen`` describes; returns (plant, planted fraction)."""
+    if gen["kind"] == "maxcut-planted":
+        plant = plant_bipartite_regular(gen["n"], gen["d"], gen.get("gamma", 0.0), seed=seed)
+        total = len(plant.instance.edges)
+    else:
+        plant = plant_klin(gen["n"], gen["k"], gen["m"], gen.get("delta", 0.0), seed=seed)
+        total = plant.instance.m
+    return plant, plant.planted_value / total if total else 1.0
 
 
 def _gen_advice(kind: str, x_star, epsilon: float, seed):
@@ -100,12 +107,7 @@ def cmd_gen(args) -> int:
     if args.advice is not None:
         paths["advice"] = f"{prefix}.advice"
     _refuse_existing(paths.values(), args.force)
-    if args.kind == "maxcut-planted":
-        plant = plant_bipartite_regular(args.n, args.d, args.gamma, seed=args.seed)
-        total = len(plant.instance.edges)
-    else:
-        plant = plant_klin(args.n, args.k, args.m, args.delta, seed=args.seed)
-        total = plant.instance.m
+    plant, planted_fraction = _plant(vars(args), args.seed)
     fileio.write_instance(paths["instance"], plant.instance)
     fileio.write_assignment(paths["assignment"], plant.x_star)
     report = {
@@ -113,7 +115,7 @@ def cmd_gen(args) -> int:
         "kind": args.kind,
         "seeds": {"master": args.seed},
         "planted_value": plant.planted_value,
-        "planted_fraction": plant.planted_value / total if total else 1.0,
+        "planted_fraction": planted_fraction,
         "files": paths,
     }
     if args.advice is not None:
@@ -138,18 +140,25 @@ def _load_label_advice(path, n, seed) -> LabelAdvice:
     return advice
 
 
-def _solve_dispatch(algorithm, instance, advice, args, seed):
-    """Returns (value, fraction, diagnostics dict, routed_to or None)."""
-    if algorithm == "maxcut-lp":
-        try:
-            graph = fileio.instance_to_graph(instance)
-        except AdviceCspError:
-            graph = None
+def _run_algorithm(name, instance, advice, seed, maxcut=MaxCutParams(),
+                   twolin=TwoLinConfig(), delta=None, epsilon=None):
+    """Run one solver on a graph or k-Lin instance with label advice.
+
+    Returns (value, fraction, diagnostics dict, routed_to or None).
+    ``maxcut-lp`` on an instance that is not a regular graph runs
+    ``qp-advice`` instead.  Algorithm randomness uses stream (seed, 2).
+    """
+    if name == "maxcut-lp":
+        graph = instance
+        if isinstance(instance, KLinInstance):
+            try:
+                graph = fileio.instance_to_graph(instance)
+            except AdviceCspError:
+                graph = None
         if graph is None or graph.regular_degree is None:
-            value, fraction, diag, _ = _solve_dispatch("qp-advice", instance, advice, args, seed)
+            value, fraction, diag, _ = _run_algorithm("qp-advice", instance, advice, seed)
             return value, fraction, diag, "qp-advice"
-        params = MaxCutParams(args.c1, args.c2)
-        res = solve_maxcut_with_advice(graph, advice, params, seed=(seed, 2))
+        res = solve_maxcut_with_advice(graph, advice, maxcut, seed=(seed, 2))
         d = res.diagnostics
         diag = {
             "lp_status": d.lp_status,
@@ -163,23 +172,13 @@ def _solve_dispatch(algorithm, instance, advice, args, seed):
         }
         total = len(graph.edges)
         return res.cut_weight, res.cut_weight / total if total else 1.0, diag, None
-    if algorithm == "qp-advice":
-        x, weight = solve_2lin_with_advice(instance, advice)
-        _, fraction = evaluate(instance, x)
-        return weight, fraction, {"assignment": x, "fallback": False}, None
-    if algorithm == "twolin-sdp":
-        config = TwoLinConfig(
-            rank=args.rank,
-            sweeps=args.sweeps,
-            trials=args.trials,
-            hint=advice.values if advice is not None else None,
-        )
-        x, weight = solve_2lin(instance, config, seed=(seed, 2))
-        _, fraction = evaluate(instance, x)
-        return weight, fraction, {"assignment": x, "fallback": False}, None
-    if algorithm == "max3lin":
+    if name not in ALGORITHMS:
+        raise InputError(f"unknown algorithm {name!r}")
+    if not isinstance(instance, KLinInstance):
+        instance = graph_to_klin(instance)
+    if name == "max3lin":
         res = solve_max3lin_with_advice(
-            instance, advice, delta=args.delta, epsilon=args.epsilon, seed=(seed, 2)
+            instance, advice, delta=delta, epsilon=epsilon, seed=(seed, 2)
         )
         d = res.diagnostics
         diag = {
@@ -198,23 +197,32 @@ def _solve_dispatch(algorithm, instance, advice, args, seed):
         }
         weight = res.satisfied_fraction * instance.total_weight
         return weight, res.satisfied_fraction, diag, None
-    raise InputError(f"unknown algorithm {algorithm!r}")
+    if name == "qp-advice":
+        x, weight = solve_2lin_with_advice(instance, advice)
+    else:
+        hint = advice.values if advice is not None else None
+        x, weight = solve_2lin(instance, replace(twolin, hint=hint), seed=(seed, 2))
+    _, fraction = evaluate(instance, x)
+    return weight, fraction, {"assignment": x, "fallback": False}, None
 
 
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
+    _refuse_existing([args.out], args.force)
     instance = fileio.read_instance(args.instance)
     advice = None
     if args.advice is not None:
         advice = _load_label_advice(args.advice, instance.n, seed=(args.seed, 1))
     elif args.algorithm != "twolin-sdp":
         raise InputError(f"algorithm {args.algorithm} requires --advice")
-    value, fraction, diag, routed = _solve_dispatch(
-        args.algorithm, instance, advice, args, args.seed
+    value, fraction, diag, routed = _run_algorithm(
+        args.algorithm, instance, advice, args.seed,
+        maxcut=MaxCutParams(args.c1, args.c2),
+        twolin=TwoLinConfig(rank=args.rank, sweeps=args.sweeps, trials=args.trials),
+        delta=args.delta, epsilon=args.epsilon,
     )
     assignment = diag.pop("assignment", None)
     if args.out is not None:
-        _refuse_existing([args.out], args.force)
         fileio.write_assignment(args.out, assignment)
     report = {
         "command": "solve",
@@ -247,55 +255,14 @@ def cmd_solve(args) -> int:
 _REQUIRED_BENCH_KEYS = ("name", "generator", "advice", "algorithm", "seeds", "threshold")
 
 
-def _bench_one(config: dict, seed: int) -> dict:
-    gen = config["generator"]
-    kind = gen.get("kind")
-    if kind == "maxcut-planted":
-        plant = plant_bipartite_regular(gen["n"], gen["d"], gen.get("gamma", 0.0), seed=seed)
-        total = len(plant.instance.edges)
-    elif kind == "klin-planted":
-        plant = plant_klin(gen["n"], gen["k"], gen["m"], gen.get("delta", 0.0), seed=seed)
-        total = plant.instance.m
-    else:
-        raise InputError(f"unknown generator kind {kind!r}")
-    adv_cfg = config["advice"]
-    advice = _gen_advice(adv_cfg.get("model", "label"), plant.x_star,
-                         adv_cfg["epsilon"], seed=(seed, 1))
-    if isinstance(advice, SubsetAdvice):
-        advice = subset_to_label(advice, seed=(seed, 1, 1))
-    algo = config["algorithm"]
-    name = algo.get("name")
-    if name == "maxcut-lp":
-        params = MaxCutParams(algo.get("threshold_coeff", 20.0), algo.get("slack_coeff", 30.0))
-        res = solve_maxcut_with_advice(plant.instance, advice, params, seed=(seed, 2))
-        value, fraction = res.cut_weight, res.cut_weight / total
-    elif name == "qp-advice":
-        inst = plant.instance if isinstance(plant.instance, KLinInstance) else graph_to_klin(plant.instance)
-        _, value = solve_2lin_with_advice(inst, advice)
-        fraction = value / inst.total_weight
-    elif name == "twolin-sdp":
-        inst = plant.instance if isinstance(plant.instance, KLinInstance) else graph_to_klin(plant.instance)
-        _, value = solve_2lin(inst, TwoLinConfig(hint=advice.values), seed=(seed, 2))
-        fraction = value / inst.total_weight
-    elif name == "max3lin":
-        res = solve_max3lin_with_advice(
-            plant.instance, advice, delta=algo["delta"],
-            epsilon=algo.get("epsilon"), seed=(seed, 2),
-        )
-        fraction = res.satisfied_fraction
-        value = fraction * plant.instance.total_weight
-    else:
-        raise InputError(f"unknown algorithm {name!r}")
-    thr = config["threshold"]
-    metric = value if thr.get("metric", "value") == "value" else fraction
-    return {
-        "seed": seed,
-        "value": value,
-        "fraction": fraction,
-        "planted_value": plant.planted_value,
-        "planted_fraction": plant.planted_value / total if total else 1.0,
-        "passed": bool(metric >= thr["min"]),
-    }
+def _config_key(config: dict, path: str):
+    """The value at a dotted key path such as 'threshold.min'."""
+    node = config
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise InputError(f"bench config missing key {path!r}")
+        node = node[key]
+    return node
 
 
 def cmd_bench(args) -> int:
@@ -303,23 +270,47 @@ def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     for key in _REQUIRED_BENCH_KEYS:
-        if key not in config:
-            raise InputError(f"bench config missing key {key!r}")
-    if "min" not in config["threshold"]:
-        raise InputError("bench config missing key 'threshold.min'")
-    seeds = config["seeds"]
-    if isinstance(seeds, dict):
-        seeds = list(range(seeds.get("start", 0), seeds.get("start", 0) + seeds["count"]))
-    seeds = [int(s) for s in seeds]
-    workers = _worker_count(len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: _bench_one(config, s), seeds))
-    else:
-        rows = [_bench_one(config, s) for s in seeds]
-    rows.sort(key=lambda r: seeds.index(r["seed"]))
+        _config_key(config, key)
     csv_path = args.csv or f"{config['name']}.csv"
     _refuse_existing([csv_path], args.force)
+
+    gen, algo = config["generator"], config["algorithm"]
+    if gen.get("kind") not in GENERATORS:
+        raise InputError(f"unknown generator kind {gen.get('kind')!r}")
+    for key in GENERATORS[gen["kind"]]:
+        _config_key(config, f"generator.{key}")
+    name = algo.get("name")
+    delta = _config_key(config, "algorithm.delta") if name == "max3lin" else None
+    adv_epsilon = _config_key(config, "advice.epsilon")
+    threshold = _config_key(config, "threshold.min")
+    metric = config["threshold"].get("metric", "value")
+    if metric not in ("value", "fraction"):
+        raise InputError(f"unknown threshold metric {metric!r}; use 'value' or 'fraction'")
+    seeds = config["seeds"]
+    if isinstance(seeds, dict):
+        start = seeds.get("start", 0)
+        seeds = range(start, start + _config_key(config, "seeds.count"))
+    maxcut = MaxCutParams(**{k: algo[k] for k in ("threshold_coeff", "slack_coeff") if k in algo})
+
+    rows = []
+    for seed in map(int, seeds):
+        plant, planted_fraction = _plant(gen, seed)
+        advice = _gen_advice(config["advice"].get("model", "label"), plant.x_star,
+                             adv_epsilon, seed=(seed, 1))
+        if isinstance(advice, SubsetAdvice):
+            advice = subset_to_label(advice, seed=(seed, 1, 1))
+        value, fraction, _, _ = _run_algorithm(
+            name, plant.instance, advice, seed,
+            maxcut=maxcut, delta=delta, epsilon=algo.get("epsilon"),
+        )
+        rows.append({
+            "seed": seed,
+            "value": value,
+            "fraction": fraction,
+            "planted_value": plant.planted_value,
+            "planted_fraction": planted_fraction,
+            "passed": bool((value if metric == "value" else fraction) >= threshold),
+        })
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["seed", "value", "fraction", "planted_value",
@@ -348,11 +339,11 @@ def cmd_bench(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t0 = time.monotonic()
+    _refuse_existing([args.out], args.force)
     instance = fileio.read_instance(args.instance)
 
     if args.inner == "qp-advice":
-        def inner(inst, sub, seed):
-            return solve_2lin_with_advice(inst, subset_to_label(sub, seed))[0]
+        inner = verify.qp_subset_inner
     else:
         def inner(inst, sub, seed):
             return solve_2lin(inst, TwoLinConfig(hint=subset_to_label(sub, seed).values),
@@ -373,16 +364,15 @@ def cmd_enumerate(args) -> int:
         "wall_time_s": round(time.monotonic() - t0, 4),
     }
     if args.out is not None:
-        _refuse_existing([args.out], args.force)
         fileio.write_assignment(args.out, result.assignment)
     _emit(report)
     return 0
 
 
 def cmd_reduce(args) -> int:
+    _refuse_existing([args.out], args.force)
     instance = fileio.read_instance(args.instance)
     lift = three_to_four_lin(instance, args.t)
-    _refuse_existing([args.out], args.force)
     fileio.write_instance(args.out, lift.phi4)
     _emit({
         "command": "reduce",
@@ -443,13 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--advice")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c1", type=float, default=20.0, help="maxcut threshold coefficient")
-    p.add_argument("--c2", type=float, default=30.0, help="maxcut slack coefficient")
+    p.add_argument("--c1", type=float, default=MaxCutParams.threshold_coeff,
+                   help="maxcut threshold coefficient")
+    p.add_argument("--c2", type=float, default=MaxCutParams.slack_coeff,
+                   help="maxcut slack coefficient")
     p.add_argument("--delta", type=float, help="max3lin near-satisfiability parameter")
     p.add_argument("--epsilon", type=float, help="max3lin advice parameter override")
     p.add_argument("--rank", type=int, help="twolin-sdp embedding rank")
-    p.add_argument("--sweeps", type=int, default=200)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--sweeps", type=int, default=TwoLinConfig.sweeps)
+    p.add_argument("--trials", type=int, default=TwoLinConfig.trials)
     p.add_argument("--out", help="write the solution assignment here")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -491,12 +483,10 @@ def main(argv=None) -> int:
         _log("error: max3lin requires --delta")
         return 1
     if args.command == "gen":
-        if args.kind == "maxcut-planted" and args.d is None:
-            _log("error: maxcut-planted requires --d")
-            return 1
-        if args.kind == "klin-planted" and args.m is None:
-            _log("error: klin-planted requires --m")
-            return 1
+        for key in GENERATORS[args.kind]:
+            if getattr(args, key) is None:
+                _log(f"error: {args.kind} requires --{key}")
+                return 1
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -46,7 +46,13 @@ from .maxcut import (
     solve_maxcut_with_advice,
     split_vertices,
 )
-from .qp_advice import advice_objective, greedy_round, maximize_concave, solve_2lin_with_advice
+from .qp_advice import (
+    advice_objective,
+    greedy_round,
+    maximize_concave,
+    solve_2lin_with_advice,
+    solve_qp_with_advice,
+)
 from .reduce4lin import lift_assignment, project_assignment, three_to_four_lin
 from .twolin_sdp import (
     dehomogenize,
@@ -114,6 +120,52 @@ def lp_vertex_optimum(lp: LinearProgram, tol: float = FEAS_TOL) -> LpOutcome:
     if best_x is None:
         return LpOutcome(status="infeasible")
     return LpOutcome(status="optimal", x=best_x, value=best_v + lp.offset)
+
+
+def random_lp(rng) -> LinearProgram:
+    """A random LP with 1..6 variables in a finite box and 0..6 rows, each
+    ranged, upper-bounded or lower-bounded.  Draws p, the row count, the
+    rows, then c, lo and hi."""
+    p = int(rng.integers(1, 7))
+    rows = []
+    for _ in range(int(rng.integers(0, 7))):
+        a = rng.normal(size=p)
+        mid, width = rng.normal(), 2 * rng.random()
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            rows.append(RangedRow(a=a, lo=mid - width, hi=mid + width))
+        elif kind == 1:
+            rows.append(RangedRow(a=a, hi=mid))
+        else:
+            rows.append(RangedRow(a=a, lo=mid))
+    return LinearProgram(c=rng.normal(size=p), rows=tuple(rows),
+                         lo=-rng.random(p), hi=rng.random(p))
+
+
+def lp_oracle_disagreements(rng, trials: int) -> tuple[int, int]:
+    """Solve ``trials`` random LPs twice each against ``lp_vertex_optimum``.
+
+    Returns (mismatches, nondeterministic): LPs whose status differs from
+    the oracle's or whose optimum is off by more than 1e-6, and LPs whose
+    repeat solve differs in status, point or value.
+    """
+    mismatches = nondet = 0
+    for _ in range(trials):
+        lp = random_lp(rng)
+        got, want = solve_lp(lp), lp_vertex_optimum(lp)
+        if got.status != want.status or (got.is_optimal and abs(got.value - want.value) > 1e-6):
+            mismatches += 1
+        again = solve_lp(lp)
+        if again.status != got.status or (
+            got.is_optimal and (not np.array_equal(again.x, got.x) or again.value != got.value)
+        ):
+            nondet += 1
+    return mismatches, nondet
+
+
+def qp_subset_inner(instance: KLinInstance, subset, seed) -> np.ndarray:
+    """Enumeration inner solver: qp-advice on ``subset_to_label(subset, seed)``."""
+    return solve_2lin_with_advice(instance, subset_to_label(subset, seed))[0]
 
 
 def brute_force_best(instance: KLinInstance) -> float:
@@ -258,9 +310,7 @@ def suite_advice_stats(seeds: int) -> list[CheckResult]:
     for s in range(trials):
         lab = subset_to_label(probe, seed=(9, s))
         hits += int(lab.values[0] == x_star[0])
-    target = (1 + 0.3) / 2 if 0 in probe.indices.tolist() else 0.5
-    if 0 in probe.indices.tolist():
-        target = 1.0
+    target = 1.0 if 0 in probe.indices.tolist() else 0.5
     band = _binomial_band(max(target, 0.5), trials)
     out.append(CheckResult("advice-stats", "conversion mixture statistics",
                            abs(hits / trials - target) <= band + 1e-9,
@@ -269,37 +319,8 @@ def suite_advice_stats(seeds: int) -> list[CheckResult]:
 
 
 def suite_lp_oracle(seeds: int) -> list[CheckResult]:
-    rng = np.random.default_rng(20_003)
-    mismatches = 0
-    nondet = 0
     trials = max(20, seeds)
-    for _ in range(trials):
-        p = int(rng.integers(1, 7))
-        nr = int(rng.integers(0, 7))
-        c = rng.normal(size=p)
-        lo, hi = -rng.random(p), rng.random(p)
-        rows = []
-        for _ in range(nr):
-            a = rng.normal(size=p)
-            mid, width = rng.normal(), 2 * rng.random()
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                rows.append(RangedRow(a=a, lo=mid - width, hi=mid + width))
-            elif kind == 1:
-                rows.append(RangedRow(a=a, hi=mid))
-            else:
-                rows.append(RangedRow(a=a, lo=mid))
-        lp = LinearProgram(c=c, rows=tuple(rows), lo=lo, hi=hi)
-        got, want = solve_lp(lp), lp_vertex_optimum(lp)
-        if got.status != want.status:
-            mismatches += 1
-        elif got.is_optimal and abs(got.value - want.value) > 1e-6:
-            mismatches += 1
-        rerun = solve_lp(lp)
-        if rerun.status != got.status or (
-            got.is_optimal and not np.array_equal(rerun.x, got.x)
-        ):
-            nondet += 1
+    mismatches, nondet = lp_oracle_disagreements(np.random.default_rng(20_003), trials)
     return [
         CheckResult("lp-oracle", "simplex matches vertex enumeration",
                     mismatches == 0, f"{mismatches}/{trials} mismatches"),
@@ -352,8 +373,6 @@ def suite_qp_lemmas(seeds: int) -> list[CheckResult]:
         A = random_qp(n)
         eps = float(rng.uniform(0.2, 1.0))
         adv = LabelAdvice(values=rng.choice([-1, 1], size=n).astype(np.int8), epsilon=eps)
-        from .qp_advice import solve_qp_with_advice
-
         _, val = solve_qp_with_advice(A, adv)
         if val > brute_force_qp_max(A) + 1e-9:
             ceiling_ok = False
@@ -377,15 +396,10 @@ def suite_qp_lemmas(seeds: int) -> list[CheckResult]:
     return out
 
 
-def _maxcut_fixture(seed):
-    plant = plant_bipartite_regular(512, 64, 0.0, seed=1000 + seed % 3)
-    return plant
-
-
 def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
     params = MaxCutParams(1.0, 1.5)
     eps = 0.4
-    plant = _maxcut_fixture(0)
+    plant = plant_bipartite_regular(512, 64, 0.0, seed=1000)
     graph = plant.instance
     n, d = graph.n, graph.regular_degree
     u, v = graph.edge_arrays
@@ -531,7 +545,6 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
 
 def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     out = []
-    rng = np.random.default_rng(20_007)
 
     counting_ok = True
     reps_ok = True
@@ -621,23 +634,17 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
 
 def suite_enumeration(seeds: int) -> list[CheckResult]:
     out = []
-    rng = np.random.default_rng(20_008)
     cons = tuple(((i, i + 1), 1, 1.0) for i in range(5))
     inst = KLinInstance.from_constraints(2, 6, cons)
-
-    def inner(instance, sub, seed):
-        adv = subset_to_label(sub, seed)
-        return solve_2lin_with_advice(instance, adv)[0]
-
-    res = enumerate_solve(inst, 0.2, inner, seed=1)
+    res = enumerate_solve(inst, 0.2, qp_subset_inner, seed=1)
     out.append(CheckResult("enumeration", "run count equals the projection",
                            res.runs == projected_runs(6, 0.2),
                            f"{res.runs} vs {projected_runs(6, 0.2)}"))
-    res2 = enumerate_solve(inst, 0.2, inner, seed=1)
+    res2 = enumerate_solve(inst, 0.2, qp_subset_inner, seed=1)
     out.append(CheckResult("enumeration", "deterministic best tuple",
                            res.subset == res2.subset and res.value == res2.value
                            and np.array_equal(res.assignment, res2.assignment)))
-    res_big = enumerate_solve(inst, 0.35, inner, seed=1)
+    res_big = enumerate_solve(inst, 0.35, qp_subset_inner, seed=1)
     out.append(CheckResult("enumeration", "larger epsilon never loses value",
                            res_big.value >= res.value,
                            f"{res_big.value} vs {res.value}"))

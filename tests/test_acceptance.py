@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from advice_csp.advice import LabelAdvice, gen_label_advice, subset_to_label
+from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.enumeration import enumerate_solve, projected_runs
 from advice_csp.instances import (
     KLinInstance,
@@ -21,7 +21,6 @@ from advice_csp.instances import (
     plant_klin,
     satisfied_mask,
 )
-from advice_csp.lp import solve_lp
 from advice_csp.max3lin import build_psi, classify_constraints, solve_max3lin_with_advice
 from advice_csp.maxcut import (
     MaxCutParams,
@@ -29,9 +28,14 @@ from advice_csp.maxcut import (
     solve_maxcut_with_advice,
     split_vertices,
 )
-from advice_csp.qp_advice import greedy_round, solve_2lin_with_advice, solve_qp_with_advice
+from advice_csp.qp_advice import greedy_round, solve_qp_with_advice
 from advice_csp.reduce4lin import lift_assignment, project_assignment, three_to_four_lin
-from advice_csp.verify import brute_force_best, brute_force_qp_max, lp_vertex_optimum
+from advice_csp.verify import (
+    brute_force_best,
+    brute_force_qp_max,
+    lp_oracle_disagreements,
+    qp_subset_inner,
+)
 
 BENCH = MaxCutParams(1.0, 1.5)
 PAPER = MaxCutParams(20.0, 30.0)
@@ -260,35 +264,7 @@ def test_a7_delta_statistics():
 def test_a8_lp_against_vertex_oracle():
     # 200 random LPs with p <= 6: value within 1e-6 of the enumeration
     # oracle; identical outcomes on repeat solves.
-    from advice_csp.lp import LinearProgram, RangedRow
-
-    rng = np.random.default_rng(8)
-    mismatches = nondet = 0
-    for _ in range(200):
-        p = int(rng.integers(1, 7))
-        rows = []
-        for _ in range(int(rng.integers(0, 7))):
-            a = rng.normal(size=p)
-            mid, width = rng.normal(), 2 * rng.random()
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                rows.append(RangedRow(a=a, lo=mid - width, hi=mid + width))
-            elif kind == 1:
-                rows.append(RangedRow(a=a, hi=mid))
-            else:
-                rows.append(RangedRow(a=a, lo=mid))
-        lp = LinearProgram(c=rng.normal(size=p), rows=tuple(rows),
-                           lo=-rng.random(p), hi=rng.random(p))
-        got, want = solve_lp(lp), lp_vertex_optimum(lp)
-        if got.status != want.status:
-            mismatches += 1
-        elif got.is_optimal and abs(got.value - want.value) > 1e-6:
-            mismatches += 1
-        again = solve_lp(lp)
-        if again.status != got.status or (
-            got.is_optimal and (not np.array_equal(again.x, got.x) or again.value != got.value)
-        ):
-            nondet += 1
+    mismatches, nondet = lp_oracle_disagreements(np.random.default_rng(8), 200)
     assert mismatches == 0
     assert nondet == 0
     report("A8 PASS: 200/200 LPs match the vertex oracle, determinism 200/200")
@@ -299,12 +275,8 @@ def test_a9_enumeration_exactness():
     # the best value equals the brute-force optimum, under 5 minutes.
     cons = tuple(((i, (i + 1) % 10), 1, 1.0) for i in range(9))
     inst = KLinInstance.from_constraints(k=2, n=10, constraints=cons)
-
-    def inner(instance, sub, seed):
-        return solve_2lin_with_advice(instance, subset_to_label(sub, seed))[0]
-
     t0 = time.monotonic()
-    res = enumerate_solve(inst, 0.3, inner, seed=9)
+    res = enumerate_solve(inst, 0.3, qp_subset_inner, seed=9)
     elapsed = time.monotonic() - t0
     projected = projected_runs(10, 0.3)
     best = brute_force_best(inst)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -208,21 +209,65 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(path))
         assert code == 1 and "generator" in err
 
-    def test_thread_cap_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ADVICE_CSP_THREADS", "2")
-        path = self.config(tmp_path, name=str(tmp_path / "bench-threads"))
-        code, summary, _ = run_cli(capsys, "bench", path)
-        assert code == 0 and summary["rows"] == 4
-
-    def test_deterministic_rows(self, tmp_path, capsys, monkeypatch):
+    def test_deterministic_rows(self, tmp_path, capsys):
         path = self.config(tmp_path, name=str(tmp_path / "bench-a"))
         _, a, _ = run_cli(capsys, "bench", path)
-        monkeypatch.setenv("ADVICE_CSP_THREADS", "3")
         path_b = self.config(tmp_path, name=str(tmp_path / "bench-b"))
         _, b, _ = run_cli(capsys, "bench", path_b)
         rows_a = open(a["csv"]).read().splitlines()[1:]
         rows_b = open(b["csv"]).read().splitlines()[1:]
         assert rows_a == rows_b
+
+    def test_existing_csv_refused_before_running(self, tmp_path, capsys):
+        path = self.config(tmp_path, algorithm={"name": "nope"})
+        taken = tmp_path / "bench-test.csv"
+        taken.write_text("keep\n")
+        code, _, err = run_cli(capsys, "bench", path)
+        assert code == 1 and "refusing to overwrite" in err
+        assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("override, named", [
+        ({"seeds": {"start": 0}}, "seeds.count"),
+        ({"advice": {"model": "label"}}, "advice.epsilon"),
+        ({"algorithm": {"name": "max3lin"}}, "algorithm.delta"),
+        ({"generator": {"kind": "klin-planted", "n": 30, "k": 3}}, "generator.m"),
+        ({"threshold": {"metric": "ratio", "min": 0.5}}, "ratio"),
+    ])
+    def test_config_error_names_key(self, tmp_path, capsys, override, named):
+        path = self.config(tmp_path, **override)
+        code, _, err = run_cli(capsys, "bench", path)
+        assert code == 1 and f"'{named}'" in err
+        assert not os.path.exists(tmp_path / "bench-test.csv")
+
+    @pytest.mark.parametrize("generator, algorithm, gen_args, solve_args", [
+        ({"kind": "klin-planted", "n": 30, "k": 3, "m": 400, "delta": 0.1},
+         {"name": "max3lin", "delta": 0.1},
+         ("klin-planted", "--n", "30", "--k", "3", "--m", "400", "--delta", "0.1"),
+         ("max3lin", "--delta", "0.1")),
+        ({"kind": "maxcut-planted", "n": 128, "d": 8, "gamma": 0.0},
+         {"name": "maxcut-lp", "threshold_coeff": 1.0, "slack_coeff": 1.5},
+         ("maxcut-planted", "--n", "128", "--d", "8", "--gamma", "0"),
+         ("maxcut-lp", "--c1", "1", "--c2", "1.5")),
+    ])
+    def test_solve_matches_bench_row(self, tmp_path, capsys, generator, algorithm,
+                                     gen_args, solve_args):
+        seed = 5
+        path = self.config(tmp_path, generator=generator, algorithm=algorithm,
+                           advice={"model": "label", "epsilon": 0.8}, seeds=[4, seed])
+        _, summary, _ = run_cli(capsys, "bench", path)
+        with open(summary["csv"]) as fh:
+            row = next(r for r in csv.DictReader(fh) if r["seed"] == str(seed))
+        prefix = str(tmp_path / "planted")
+        code, _, _ = run_cli(capsys, "gen", *gen_args, "--seed", str(seed), "--out", prefix,
+                             "--advice", "label", "--epsilon", "0.8")
+        assert code == 0
+        code, report, _ = run_cli(
+            capsys, "solve", *solve_args, "--instance", f"{prefix}.instance",
+            "--advice", f"{prefix}.advice", "--seed", str(seed),
+        )
+        assert code == 0
+        assert report["output"]["value"] == float(row["value"])
+        assert report["output"]["fraction"] == float(row["fraction"])
 
 
 class TestEnumerateReduceVerify:
@@ -252,6 +297,22 @@ class TestEnumerateReduceVerify:
             "--cap", "1000",
         )
         assert code == 2 and "budget" in err
+
+    @pytest.mark.parametrize("command", [
+        ("enumerate", "--epsilon", "0.5", "--cap", "1000"),
+        ("solve", "qp-advice"),
+    ])
+    def test_existing_out_refused_before_solving(self, tmp_path, capsys, command):
+        inst = KLinInstance.from_constraints(
+            k=2, n=30, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(29))
+        )
+        path = str(tmp_path / "big.instance")
+        fileio.write_instance(path, inst)
+        taken = tmp_path / "taken.assignment"
+        taken.write_text("keep\n")
+        code, _, err = run_cli(capsys, *command, "--instance", path, "--out", str(taken))
+        assert code == 1 and "refusing to overwrite" in err
+        assert taken.read_text() == "keep\n"
 
     def test_reduce_round_trip_counts(self, tmp_path, capsys):
         from advice_csp.instances import plant_klin

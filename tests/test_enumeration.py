@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from advice_csp.advice import subset_to_label
 from advice_csp.enumeration import budget_for, enumerate_solve, projected_runs
 from advice_csp.errors import BudgetError, InputError
 from advice_csp.instances import KLinInstance
-from advice_csp.qp_advice import solve_2lin_with_advice
-from advice_csp.verify import brute_force_best
-
-
-def qp_inner(instance, sub, seed):
-    return solve_2lin_with_advice(instance, subset_to_label(sub, seed))[0]
+from advice_csp.verify import brute_force_best, qp_subset_inner as qp_inner
 
 
 def chain(n):
