@@ -108,6 +108,9 @@ def cmd_gen(args) -> int:
         paths["advice"] = f"{prefix}.advice"
     _refuse_existing(paths.values(), args.force)
     plant, planted_fraction = _plant(vars(args), args.seed)
+    # Draw the advice before writing anything, so invalid advice leaves no files.
+    advice = (None if args.advice is None
+              else _gen_advice(args.advice, plant.x_star, args.epsilon, seed=(args.seed, 1)))
     fileio.write_instance(paths["instance"], plant.instance)
     fileio.write_assignment(paths["assignment"], plant.x_star)
     report = {
@@ -118,8 +121,7 @@ def cmd_gen(args) -> int:
         "planted_fraction": planted_fraction,
         "files": paths,
     }
-    if args.advice is not None:
-        advice = _gen_advice(args.advice, plant.x_star, args.epsilon, seed=(args.seed, 1))
+    if advice is not None:
         fileio.write_advice(paths["advice"], advice)
         report["advice"] = {"model": args.advice, "epsilon": args.epsilon,
                             "seed": [args.seed, 1]}

@@ -1,9 +1,10 @@
 """Dense bounded-variable linear programming for small ranged-constraint LPs.
 
 The solver maximizes c.x subject to per-row ranges L_r <= a_r.x <= U_r and
-a per-variable box.  Ranged rows expand to at most two inequalities at
-solve time after an interval-arithmetic presolve that drops rows the box
-already implies.  The core is a two-phase dense tableau simplex over
+a per-variable box.  The rows are one (m, p) matrix with range vectors
+beside it.  Ranged rows expand to at most two inequalities at solve time
+after an interval-arithmetic presolve that drops rows the box already
+implies.  The core is a two-phase dense tableau simplex over
 bounded variables (with bound flips); pricing is steepest-coefficient and
 switches to Bland's anti-cycling rule when the objective stalls.  The
 whole pipeline is deterministic.
@@ -23,25 +24,25 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 _STALL_LIMIT = 40
 _REFRESH = 128
+_BLOCK = 1 << 14  # matrix entries per presolve block
 
 _LO, _HI, _BASIC = 0, 1, 2
+_DIRECTION = np.array([1.0, -1.0, 0.0])  # by status: a column at _LO may rise, at _HI fall
 
 
-@dataclass(frozen=True, eq=False)
-class RangedRow:
-    """One constraint a.x in [lo, hi]; either end may be infinite."""
-
-    a: np.ndarray
-    lo: float = -math.inf
-    hi: float = math.inf
+_ROW_FAULTS = ("constraint coefficients must be finite", "row range must not be NaN",
+               "row range requires lo <= hi")
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize c.x + offset over box(lo, hi) intersected with ranged rows."""
+    """maximize c.x + offset over box(lo, hi) and row_lo <= rows @ x <= row_hi,
+    ``rows`` being an (m, p) matrix; a range end left out is infinite."""
 
     c: np.ndarray
-    rows: tuple[RangedRow, ...] = ()
+    rows: np.ndarray | None = None
+    row_lo: np.ndarray | None = None
+    row_hi: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     offset: float = 0.0
@@ -61,20 +62,27 @@ class LinearProgram:
             raise InputError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise InputError("box requires lo <= hi")
-        rows = []
-        for r in self.rows:
-            a = np.asarray(r.a, dtype=np.float64)
-            if a.shape != (p,):
-                raise InputError("constraint row length must match the variable count")
-            if np.any(np.isnan(a)) or np.any(np.isinf(a)):
-                raise InputError("constraint coefficients must be finite")
-            if math.isnan(r.lo) or math.isnan(r.hi):
-                raise InputError("row range must not be NaN")
-            if r.lo > r.hi:
-                raise InputError("row range requires lo <= hi")
-            rows.append(RangedRow(a=a, lo=float(r.lo), hi=float(r.hi)))
+        rows = np.zeros((0, p)) if self.rows is None else np.asarray(self.rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != p:
+            raise InputError("constraint row length must match the variable count")
+        m = rows.shape[0]
+        row_lo, row_hi = (np.full(m, end) if v is None else np.asarray(v, dtype=np.float64)
+                          for v, end in ((self.row_lo, -math.inf), (self.row_hi, math.inf)))
+        if row_lo.shape != (m,) or row_hi.shape != (m,):
+            raise InputError("row ranges must match the row count")
+        # One column per check, in the order a row is checked: the first True
+        # in row-major order is the first faulty row's first failing check.
+        finite = (np.isfinite(rows.max(axis=1, initial=0.0))
+                  & np.isfinite(rows.min(axis=1, initial=0.0)))
+        faults = np.column_stack((~finite,
+                                  np.isnan(row_lo) | np.isnan(row_hi),
+                                  row_lo > row_hi))
+        if faults.any():
+            raise InputError(_ROW_FAULTS[int(np.argmax(faults.ravel())) % 3])
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_lo", row_lo)
+        object.__setattr__(self, "row_hi", row_hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -94,33 +102,43 @@ class LpOutcome:
         return self.status == "optimal"
 
 
-def _row_extremes(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest value a.x can take inside the box."""
-    pos = a > 0
-    neg = a < 0
-    rmin = float(np.dot(a[pos], lo[pos]) + np.dot(a[neg], hi[neg]))
-    rmax = float(np.dot(a[pos], hi[pos]) + np.dot(a[neg], lo[neg]))
-    return rmin, rmax
+def _row_extremes(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(2, m) smallest and largest a.x over the box per row a of A, summed as a dot
+    product of one row sums them: positive and negative terms each left to right."""
+    pos, neg = A > 0, A < 0
+    terms = np.empty((2,) + A.shape)
+    extremes = np.empty((2, A.shape[0]))
+    for k, (at_pos, at_neg) in enumerate(((lo, hi), (hi, lo))):
+        terms.fill(0.0)
+        np.multiply(A, at_pos, out=terms[0], where=pos)
+        np.multiply(A, at_neg, out=terms[1], where=neg)
+        sums = np.cumsum(terms, axis=2, out=terms)[:, :, -1]
+        np.add(sums[0], sums[1], out=extremes[k])
+    return extremes
 
 
 def _expand_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray] | None:
-    """Presolve and expand ranged rows to G x <= h; None means infeasible."""
-    G_rows, h_vals = [], []
-    for row in lp.rows:
-        rmin, rmax = _row_extremes(row.a, lp.lo, lp.hi)
-        scale = max(1.0, abs(row.lo) if math.isfinite(row.lo) else 0.0,
-                    abs(row.hi) if math.isfinite(row.hi) else 0.0)
-        if rmin > row.hi + FEAS_TOL * scale or rmax < row.lo - FEAS_TOL * scale:
-            return None
-        if math.isfinite(row.hi) and not rmax <= row.hi:
-            G_rows.append(row.a)
-            h_vals.append(row.hi)
-        if math.isfinite(row.lo) and not rmin >= row.lo:
-            G_rows.append(-row.a)
-            h_vals.append(-row.lo)
-    if not G_rows:
-        return np.zeros((0, lp.p)), np.zeros(0)
-    return np.array(G_rows, dtype=np.float64), np.array(h_vals, dtype=np.float64)
+    """Presolve and expand ranged rows to G x <= h; None means infeasible.
+    Each row's upper then lower inequality is kept unless the box implies it."""
+    A, r_lo, r_hi = lp.rows, lp.row_lo, lp.row_hi
+    # Blocks of rows bound the presolve's temporaries to a few times _BLOCK.
+    step = max(1, _BLOCK // lp.p)
+    rmin, rmax = np.empty((2, A.shape[0]))
+    for i in range(0, A.shape[0], step):
+        rmin[i:i + step], rmax[i:i + step] = _row_extremes(A[i:i + step], lp.lo, lp.hi)
+    fin_lo, fin_hi = np.isfinite(r_lo), np.isfinite(r_hi)
+    scale = np.maximum(1.0, np.maximum(np.abs(np.where(fin_lo, r_lo, 0.0)),
+                                       np.abs(np.where(fin_hi, r_hi, 0.0))))
+    if np.any((rmin > r_hi + FEAS_TOL * scale) | (rmax < r_lo - FEAS_TOL * scale)):
+        return None
+    # Inequality 2r is row r's upper end, 2r + 1 its lower end, negated.
+    kept = np.flatnonzero(np.column_stack((fin_hi & ~(rmax <= r_hi),
+                                           fin_lo & ~(rmin >= r_lo))))
+    upper = kept % 2 == 0
+    G = A[kept // 2]
+    np.negative(G, out=G, where=~upper[:, None])
+    h = np.where(upper, r_hi[kept // 2], -r_lo[kept // 2])
+    return G, h
 
 
 class _Simplex:
@@ -133,17 +151,14 @@ class _Simplex:
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.hi = np.concatenate([hi, np.full(m, math.inf)])
         self.D = np.hstack([G, np.eye(m), h.reshape(-1, 1)])
-        self.status = np.full(self.ncols, _LO, dtype=np.int8)
+        finite_lo = np.isfinite(lo)
+        if not np.all(finite_lo | np.isfinite(hi)):
+            raise InputError("variables without any finite bound are unsupported")
+        self.status = np.full(self.ncols, _BASIC, dtype=np.int8)
+        self.status[:p] = np.where(finite_lo, _LO, _HI)
         self.xval = np.zeros(self.ncols)
-        for j in range(p):
-            if math.isfinite(self.lo[j]):
-                self.status[j], self.xval[j] = _LO, self.lo[j]
-            elif math.isfinite(self.hi[j]):
-                self.status[j], self.xval[j] = _HI, self.hi[j]
-            else:
-                raise InputError("variables without any finite bound are unsupported")
+        self.xval[:p] = np.where(finite_lo, lo, hi)
         self.basis = np.arange(p, p + m)
-        self.status[self.basis] = _BASIC
         self.xval[self.basis] = h - G @ self.xval[:p]
         self.n_art = 0
 
@@ -155,13 +170,13 @@ class _Simplex:
             return None
         # Flip violated rows so each incoming artificial carries coefficient +1.
         self.D[viol] *= -1.0
-        art_cols = np.zeros((self.m, self.n_art))
         first_art = self.ncols
-        for k, r in enumerate(viol):
-            art_cols[r, k] = 1.0
-            slack = self.basis[r]
-            self.status[slack], self.xval[slack] = _LO, 0.0
-            self.basis[r] = first_art + k
+        arts = np.arange(self.n_art)
+        art_cols = np.zeros((self.m, self.n_art))
+        art_cols[viol, arts] = 1.0
+        slacks = self.basis[viol]
+        self.status[slacks], self.xval[slacks] = _LO, 0.0
+        self.basis[viol] = first_art + arts
         rhs = self.D[:, -1].copy()
         self.D = np.hstack([self.D[:, :-1], art_cols, rhs.reshape(-1, 1)])
         self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
@@ -174,13 +189,9 @@ class _Simplex:
         self._refresh_values()
         return cost
 
-    def _nonbasic_values(self) -> np.ndarray:
+    def _refresh_values(self):
         vals = self.xval.copy()
         vals[self.basis] = 0.0
-        return vals
-
-    def _refresh_values(self):
-        vals = self._nonbasic_values()
         self.xval[self.basis] = self.D[:, -1] - self.D[:, :-1] @ vals
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
@@ -191,10 +202,7 @@ class _Simplex:
         """Pivot out or delete rows for basic artificials, then cut columns."""
         first_art = self.ncols - self.n_art
         keep_rows = np.ones(self.m, dtype=bool)
-        for r in range(self.m):
-            b = self.basis[r]
-            if b < first_art:
-                continue
+        for r in np.flatnonzero(self.basis >= first_art):
             row = self.D[r, :first_art]
             cand = np.flatnonzero((np.abs(row) > PIVOT_TOL) & (self.status[:first_art] != _BASIC))
             if cand.size:
@@ -217,7 +225,7 @@ class _Simplex:
 
     def _pivot(self, r: int, j: int):
         b = self.basis[r]
-        col = self.D[:, j].copy()
+        col = self.D[:, j]
         prow = self.D[r] / col[r]
         self.D -= np.outer(col, prow)
         self.D[r] = prow
@@ -231,44 +239,36 @@ class _Simplex:
         use_bland = False
         stalled = 0
         tol = OPT_TOL * max(1.0, float(np.max(np.abs(cost))) if cost.size else 1.0)
+        span = self.hi - self.lo
+        movable = span > 0
+        # Direction each column may move, kept in step with status: +1 at the
+        # lower bound, -1 at the upper, 0 when basic or fixed.
+        sign = np.where(movable, _DIRECTION[self.status], 0.0)
         for it in range(max_iter):
             if it and it % _REFRESH == 0:
                 self._refresh_values()
                 rc = self.reduced_costs(cost)
-            movable = self.hi - self.lo > 0
-            up = (self.status == _LO) & (rc > tol) & movable
-            down = (self.status == _HI) & (rc < -tol) & movable
-            eligible = np.flatnonzero(up | down)
-            if eligible.size == 0:
+            j = _entering(rc * sign, tol, use_bland)
+            if j < 0:
                 self._refresh_values()
                 rc = self.reduced_costs(cost)
-                up = (self.status == _LO) & (rc > tol) & movable
-                down = (self.status == _HI) & (rc < -tol) & movable
-                eligible = np.flatnonzero(up | down)
-                if eligible.size == 0:
+                j = _entering(rc * sign, tol, use_bland)
+                if j < 0:
                     return "optimal"
-            if use_bland:
-                j = int(eligible[0])
-            else:
-                j = int(eligible[np.argmax(np.abs(rc[eligible]))])
-            direction = 1.0 if self.status[j] == _LO else -1.0
+            direction = sign[j]
             col = self.D[:, j]
             denom = col * direction
-            limit = self.hi[j] - self.lo[j]
+            size = np.abs(denom)
+            limit = span[j]
             bvars = self.basis
-            t = np.full(self.m, math.inf)
-            dec = denom > PIVOT_TOL
-            if np.any(dec):
-                bound = self.lo[bvars[dec]]
-                with np.errstate(invalid="ignore"):
-                    t[dec] = (self.xval[bvars[dec]] - bound) / denom[dec]
-            inc = denom < -PIVOT_TOL
-            if np.any(inc):
-                bound = self.hi[bvars[inc]]
-                with np.errstate(invalid="ignore"):
-                    t[inc] = (bound - self.xval[bvars[inc]]) / (-denom[inc])
-            t = np.maximum(t, 0.0)
-            t_min = float(np.min(t)) if self.m else math.inf
+            xb = self.xval[bvars]
+            # Ratio test: a basic variable falls to its lower bound where the
+            # step decreases it (denom > 0) and rises to its upper bound where
+            # it increases it; rows with |denom| <= PIVOT_TOL never block.
+            room = np.where(denom > 0, xb - self.lo[bvars], self.hi[bvars] - xb)
+            t = np.where(size > PIVOT_TOL, room, math.inf) / size
+            np.maximum(t, 0.0, out=t)
+            t_min = float(t[t.argmin()]) if self.m else math.inf
             t_star = min(limit, t_min)
             if math.isinf(t_star):
                 return "unbounded"
@@ -278,43 +278,56 @@ class _Simplex:
             if stalled > _STALL_LIMIT:
                 use_bland = True
             if t_star > 0:
-                self.xval[bvars] -= col * delta
+                self.xval[bvars] = xb - col * delta
                 self.xval[j] += delta
             if limit <= t_min:
                 # The entering variable runs to its other bound: a flip.
                 self.status[j] = _HI if self.status[j] == _LO else _LO
                 self.xval[j] = self.hi[j] if self.status[j] == _HI else self.lo[j]
+                sign[j] = -direction
                 continue
-            cand = np.flatnonzero(t <= t_star + PIVOT_TOL)
-            if use_bland:
-                r = int(cand[np.argmin(bvars[cand])])
-            else:
-                r = int(cand[np.argmax(np.abs(denom[cand]))])
-            leaving = self._pivot(r, j)
+            ties = t <= t_star + PIVOT_TOL
+            r = int(np.where(ties, bvars, self.ncols).argmin() if use_bland
+                    else np.where(ties, size, -1.0).argmax())
             leaves_low = denom[r] > 0
+            leaving = self._pivot(r, j)
             self.status[leaving] = _LO if leaves_low else _HI
             self.xval[leaving] = self.lo[leaving] if leaves_low else self.hi[leaving]
-            rc = rc - rc[j] * self.D[r, :-1]
+            sign[j] = 0.0
+            if movable[leaving]:
+                sign[leaving] = 1.0 if leaves_low else -1.0
+            rc -= rc[j] * self.D[r, :-1]
         raise InternalError("simplex iteration cap exceeded")
+
+
+def _entering(score: np.ndarray, tol: float, use_bland: bool) -> int:
+    """The column with the largest score above tol (the first on ties), or
+    under Bland's rule the first such column; -1 when there is none."""
+    j = int((score > tol).argmax() if use_bland else score.argmax())
+    return j if score[j] > tol else -1
+
+
+def _violates_rows(lp: LinearProgram, x: np.ndarray) -> bool:
+    """True when a row leaves its range by more than FEAS_TOL * max(1, max|a| max|x|)."""
+    v = lp.rows @ x
+    a_max = np.maximum(lp.rows.max(axis=1, initial=0.0), -lp.rows.min(axis=1, initial=0.0))
+    scale = np.maximum(1.0, a_max * np.abs(x).max(initial=0.0))
+    return bool(np.any((v < lp.row_lo - FEAS_TOL * scale) | (v > lp.row_hi + FEAS_TOL * scale)))
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     if np.any(x < lp.lo - FEAS_TOL) or np.any(x > lp.hi + FEAS_TOL):
         raise InternalError("solver returned a point outside the variable box")
-    for row in lp.rows:
-        v = float(row.a @ x)
-        scale = max(1.0, float(np.max(np.abs(row.a))) * float(np.max(np.abs(x))) if x.size else 1.0)
-        if v < row.lo - FEAS_TOL * scale or v > row.hi + FEAS_TOL * scale:
-            raise InternalError("solver returned a point violating a constraint row")
+    if _violates_rows(lp, x):
+        raise InternalError("solver returned a point violating a constraint row")
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Maximize the program; outcomes are optimal, infeasible, or unbounded."""
     p = lp.p
     if p == 0:
-        for row in lp.rows:
-            if 0.0 < row.lo - FEAS_TOL or 0.0 > row.hi + FEAS_TOL:
-                return LpOutcome(status="infeasible")
+        if _violates_rows(lp, np.zeros(0)):
+            return LpOutcome(status="infeasible")
         return LpOutcome(status="optimal", x=np.zeros(0), value=lp.offset)
     expanded = _expand_rows(lp)
     if expanded is None:

@@ -23,7 +23,7 @@ from .advice import LabelAdvice
 from .errors import InputError
 # evaluate is unused here but stays bound: perfbench's span tests rebind it in this module.
 from .instances import GraphInstance, cut_value, evaluate  # noqa: F401
-from .lp import LinearProgram, RangedRow, solve_lp
+from .lp import LinearProgram, solve_lp
 
 
 @dataclass(frozen=True)
@@ -161,25 +161,22 @@ def build_lp(
     pos_in_q[q] = np.arange(nq)
     d_s, d_t = _side_degrees(graph, split)
     delta = params.slack(d, graph.n, epsilon)
-    # Q-restricted neighbor multiplicities, as dense LP rows.
-    rows_mat = np.zeros((nq, nq), dtype=np.float64)
+    # Rows 2i, 2i + 1: d_T(i) + sum_{j in N(i) cap Q} (1 - theta_j) and
+    # d_S(i) + sum_{j in N(i) cap Q} theta_j, each in [d/2 +- delta].
+    rows = np.zeros((nq, 2, nq), dtype=np.float64)
+    neighbours = rows[:, 1]
     u, v = graph.edge_arrays
     uq, vq = pos_in_q[u], pos_in_q[v]
     both = (uq >= 0) & (vq >= 0)
-    np.add.at(rows_mat, (uq[both], vq[both]), 1.0)
-    np.add.at(rows_mat, (vq[both], uq[both]), 1.0)
-    deg_q = rows_mat.sum(axis=1)
-    rows = []
-    for pos, i in enumerate(q):
-        a = rows_mat[pos]
-        # d_T(i) + sum_{j in N(i) cap Q} (1 - theta_j) in [d/2 +- delta]
-        base = d_t[i] + deg_q[pos]
-        rows.append(RangedRow(a=-a, lo=d / 2 - delta - base, hi=d / 2 + delta - base))
-        # d_S(i) + sum_{j in N(i) cap Q} theta_j in [d/2 +- delta]
-        rows.append(RangedRow(a=a, lo=d / 2 - delta - d_s[i], hi=d / 2 + delta - d_s[i]))
+    np.add.at(neighbours, (uq[both], vq[both]), 1.0)
+    np.add.at(neighbours, (vq[both], uq[both]), 1.0)
+    np.negative(neighbours, out=rows[:, 0])
+    base = np.column_stack([d_t[q] + neighbours.sum(axis=1), d_s[q]]).ravel()
     return LinearProgram(
         c=(d_t[q] - d_s[q]).astype(np.float64),
-        rows=tuple(rows),
+        rows=rows.reshape(2 * nq, nq),
+        row_lo=d / 2 - delta - base,
+        row_hi=d / 2 + delta - base,
         lo=np.zeros(nq),
         hi=np.ones(nq),
         offset=float(d_s[q].sum()),

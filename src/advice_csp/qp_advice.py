@@ -26,7 +26,7 @@ from .instances import (
     quadratic_identity_value,
     to_quadratic_matrix,
 )
-from .lp import LinearProgram, RangedRow, solve_lp
+from .lp import LinearProgram, solve_lp
 
 
 def _check_point(x, n, what="point") -> np.ndarray:
@@ -60,16 +60,12 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
     yv = _check_point(y, n, "advice labels")
     b = A.a @ yv
     c = np.concatenate([b, -np.ones(n)])
-    rows = []
     eye = np.eye(n)
-    upper = np.hstack([epsilon * A.a, -eye])
-    lower = np.hstack([-epsilon * A.a, -eye])
-    for r in range(n):
-        rows.append(RangedRow(a=upper[r], hi=float(b[r])))
-        rows.append(RangedRow(a=lower[r], hi=float(-b[r])))
+    # Row 2r is [eps A_r, -e_r] (the upper family), row 2r + 1 [-eps A_r, -e_r].
     lp = LinearProgram(
         c=c,
-        rows=tuple(rows),
+        rows=np.hstack([epsilon * A.a, -eye, -epsilon * A.a, -eye]).reshape(2 * n, 2 * n),
+        row_hi=np.column_stack([b, -b]).ravel(),
         lo=np.concatenate([-np.ones(n), np.zeros(n)]),
         hi=np.concatenate([np.ones(n), np.full(n, math.inf)]),
     )

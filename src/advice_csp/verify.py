@@ -31,7 +31,7 @@ from .instances import (
     satisfied_mask,
     to_quadratic_matrix,
 )
-from .lp import FEAS_TOL, LinearProgram, LpOutcome, RangedRow, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpOutcome, solve_lp
 from .max3lin import (
     build_psi,
     classify_constraints,
@@ -82,32 +82,24 @@ def lp_vertex_optimum(lp: LinearProgram, tol: float = FEAS_TOL) -> LpOutcome:
     p = lp.p
     if not (np.all(np.isfinite(lp.lo)) and np.all(np.isfinite(lp.hi))):
         raise InputError("vertex enumeration needs a finite box")
-    planes: list[tuple[np.ndarray, float]] = []
-    for row in lp.rows:
-        if math.isfinite(row.lo):
-            planes.append((row.a, row.lo))
-        if math.isfinite(row.hi) and row.hi != row.lo:
-            planes.append((row.a, row.hi))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = 1.0
-        planes.append((e, lp.lo[j]))
-        if lp.hi[j] != lp.lo[j]:
-            planes.append((e, lp.hi[j]))
+    # Candidate planes: each row's lower then upper end, then each variable's lower
+    # then upper face, skipping infinite ends and an upper end equal to the lower.
+    lows, highs = np.concatenate([lp.row_lo, lp.lo]), np.concatenate([lp.row_hi, lp.hi])
+    ends = np.column_stack([lows, highs])
+    usable = np.isfinite(ends) & np.column_stack([np.ones(lows.size, bool), highs != lows])
+    normals = np.repeat(np.vstack([lp.rows, np.eye(p)]), 2, axis=0)[usable.ravel()]
+    offsets = ends[usable]
 
     def feasible(x: np.ndarray) -> bool:
         if np.any(x < lp.lo - tol) or np.any(x > lp.hi + tol):
             return False
-        for row in lp.rows:
-            v = float(row.a @ x)
-            if v < row.lo - tol or v > row.hi + tol:
-                return False
-        return True
+        v = lp.rows @ x
+        return not np.any((v < lp.row_lo - tol) | (v > lp.row_hi + tol))
 
     best_x, best_v = None, -math.inf
-    for combo in itertools.combinations(range(len(planes)), p):
-        A = np.array([planes[i][0] for i in combo])
-        b = np.array([planes[i][1] for i in combo])
+    for combo in itertools.combinations(range(len(offsets)), p):
+        A = normals[list(combo)]
+        b = offsets[list(combo)]
         try:
             x = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
@@ -127,18 +119,18 @@ def random_lp(rng) -> LinearProgram:
     ranged, upper-bounded or lower-bounded.  Draws p, the row count, the
     rows, then c, lo and hi."""
     p = int(rng.integers(1, 7))
-    rows = []
-    for _ in range(int(rng.integers(0, 7))):
-        a = rng.normal(size=p)
+    m = int(rng.integers(0, 7))
+    rows = np.zeros((m, p))
+    row_lo, row_hi = np.full(m, -math.inf), np.full(m, math.inf)
+    for r in range(m):
+        rows[r] = rng.normal(size=p)
         mid, width = rng.normal(), 2 * rng.random()
         kind = rng.integers(0, 3)
-        if kind == 0:
-            rows.append(RangedRow(a=a, lo=mid - width, hi=mid + width))
-        elif kind == 1:
-            rows.append(RangedRow(a=a, hi=mid))
-        else:
-            rows.append(RangedRow(a=a, lo=mid))
-    return LinearProgram(c=rng.normal(size=p), rows=tuple(rows),
+        if kind != 1:  # ranged (0) or lower-bounded (2)
+            row_lo[r] = mid - width if kind == 0 else mid
+        if kind != 2:  # ranged (0) or upper-bounded (1)
+            row_hi[r] = mid + width if kind == 0 else mid
+    return LinearProgram(c=rng.normal(size=p), rows=rows, row_lo=row_lo, row_hi=row_hi,
                          lo=-rng.random(p), hi=rng.random(p))
 
 
@@ -446,10 +438,9 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
         # lower bound it certifies for the balance LP optimum.
         lp = build_lp(graph, split, d, eps, params)
         theta_star = star_s[split.undecided].astype(np.float64)
-        for row in lp.rows:
-            val = float(row.a @ theta_star)
-            if val < row.lo - 1e-9 or val > row.hi + 1e-9:
-                witness_ok = False
+        val = lp.rows @ theta_star
+        if np.any((val < lp.row_lo - 1e-9) | (val > lp.row_hi + 1e-9)):
+            witness_ok = False
         witness_value = float(lp.c @ theta_star) + lp.offset
         out_lp = solve_lp(lp)
         if not out_lp.is_optimal or out_lp.value < witness_value - 1e-6:
@@ -653,33 +644,34 @@ def suite_enumeration(seeds: int) -> list[CheckResult]:
     return out
 
 
-def suite_reduction(seeds: int) -> list[CheckResult]:
-    rng = np.random.default_rng(20_009)
-    complete_ok = True
-    sound_ok = True
-    count_ok = True
-    trials = max(20, seeds)
+def reduction_map_failures(rng, trials: int) -> tuple[int, int, int]:
+    """Failures of (counts, completeness, soundness) of the 3-Lin -> 4-Lin
+    lift over ``trials`` random (phi, sigma, sigma', t): n in [4, 10], m in
+    [3, 29], t in [1, 8]; soundness to 1e-12."""
+    counts = complete = sound = 0
     for _ in range(trials):
-        n = int(rng.integers(4, 10))
-        m = int(rng.integers(3, 25))
+        n = int(rng.integers(4, 11))
+        m = int(rng.integers(3, 30))
         t = int(rng.integers(1, 9))
-        plant = plant_klin(n, 3, m, float(rng.random() * 0.5), seed=int(rng.integers(1 << 30)))
+        plant = plant_klin(n, 3, m, float(rng.random() / 2), seed=int(rng.integers(1 << 30)))
         phi = plant.instance
         lift = three_to_four_lin(phi, t)
-        if lift.phi4.n != n + t or lift.phi4.m != m * t:
-            count_ok = False
+        counts += lift.phi4.n != n + t or lift.phi4.m != m * t
         sigma = rng.choice([-1, 1], size=n)
-        if evaluate(phi, sigma)[1] != evaluate(lift.phi4, lift_assignment(sigma, t))[1]:
-            complete_ok = False
+        complete += evaluate(phi, sigma)[1] != evaluate(lift.phi4, lift_assignment(sigma, t))[1]
         sigma_prime = rng.choice([-1, 1], size=n + t)
         back = project_assignment(sigma_prime, phi)
-        if evaluate(phi, back)[1] < evaluate(lift.phi4, sigma_prime)[1] - 1e-12:
-            sound_ok = False
-    return [
-        CheckResult("reduction", "variable and constraint counts exact", count_ok),
-        CheckResult("reduction", "completeness fraction preserved", complete_ok),
-        CheckResult("reduction", "soundness projection never loses value", sound_ok),
-    ]
+        sound += evaluate(phi, back)[1] < evaluate(lift.phi4, sigma_prime)[1] - 1e-12
+    return counts, complete, sound
+
+
+def suite_reduction(seeds: int) -> list[CheckResult]:
+    trials = max(20, seeds)
+    failures = reduction_map_failures(np.random.default_rng(20_009), trials)
+    names = ("variable and constraint counts exact", "completeness fraction preserved",
+             "soundness projection never loses value")
+    return [CheckResult("reduction", name, k == 0, f"{k}/{trials} failures")
+            for name, k in zip(names, failures)]
 
 
 SUITES = {

@@ -16,7 +16,6 @@ from advice_csp.enumeration import enumerate_solve, projected_runs
 from advice_csp.instances import (
     KLinInstance,
     QpMatrix,
-    evaluate,
     plant_bipartite_regular,
     plant_klin,
     satisfied_mask,
@@ -29,12 +28,12 @@ from advice_csp.maxcut import (
     split_vertices,
 )
 from advice_csp.qp_advice import greedy_round, solve_qp_with_advice
-from advice_csp.reduce4lin import lift_assignment, project_assignment, three_to_four_lin
 from advice_csp.verify import (
     brute_force_best,
     brute_force_qp_max,
     lp_oracle_disagreements,
     qp_subset_inner,
+    reduction_map_failures,
 )
 
 BENCH = MaxCutParams(1.0, 1.5)
@@ -290,24 +289,8 @@ def test_a9_enumeration_exactness():
 def test_a10_reduction_maps():
     # 100 random (phi, sigma, sigma', t <= 8): completeness equality and
     # soundness inequality with zero violations; counting identities exact.
-    rng = np.random.default_rng(10)
-    complete = sound = counting = 0
-    for s in range(100):
-        n = int(rng.integers(4, 11))
-        m = int(rng.integers(3, 30))
-        t = int(rng.integers(1, 9))
-        plant = plant_klin(n, 3, m, float(rng.random() / 2), seed=(10, s))
-        phi = plant.instance
-        lift = three_to_four_lin(phi, t)
-        counting += lift.phi4.n == n + t and lift.phi4.m == m * t
-        sigma = rng.choice([-1, 1], size=n)
-        complete += (
-            evaluate(phi, sigma)[1] == evaluate(lift.phi4, lift_assignment(sigma, t))[1]
-        )
-        sigma_prime = rng.choice([-1, 1], size=n + t)
-        back = project_assignment(sigma_prime, phi)
-        sound += evaluate(phi, back)[1] >= evaluate(lift.phi4, sigma_prime)[1] - 1e-12
-    assert counting == 100
-    assert complete == 100
-    assert sound == 100
+    counting, complete, sound = reduction_map_failures(np.random.default_rng(10), 100)
+    assert counting == 0
+    assert complete == 0
+    assert sound == 0
     report("A10 PASS: completeness 100/100, soundness 100/100, counting 100/100")

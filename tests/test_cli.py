@@ -65,6 +65,17 @@ class TestGen:
         inst = fileio.read_instance(f"{prefix}.instance")
         assert inst.n == 40 and inst.m == 300
 
+    def test_invalid_advice_leaves_no_files(self, tmp_path, capsys):
+        prefix = str(tmp_path / "p")
+        argv = ["gen", "klin-planted", "--n", "20", "--m", "50", "--out", prefix,
+                "--advice", "label"]
+        code, _, err = run_cli(capsys, *argv, "--epsilon", "1.5")
+        assert code == 1 and "epsilon" in err
+        assert os.listdir(tmp_path) == []
+        code, _, _ = run_cli(capsys, *argv, "--epsilon", "0.5")
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["p.advice", "p.assignment", "p.instance"]
+
     def test_infeasible_params_exit_one(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "gen", "maxcut-planted", "--n", "8", "--d", "4",

@@ -2,9 +2,10 @@
 
 Each case runs a small seeded pipeline and digests its int8 answer (and,
 for the reduction, every column of the reduced instance) with sha256.
-The digests were recorded before the constraint store became columnar,
-so a refactor that changes any answer, vote, emission order or weight
-sum on these seeds fails here.
+The digests were recorded before the constraint store became columnar
+(the LP and enumeration digests before the LP went to matrix form), so a
+refactor that changes any answer, vote, emission order, weight sum or
+LP float on these seeds fails here.
 """
 
 import hashlib
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 from advice_csp.advice import gen_label_advice
+from advice_csp.enumeration import enumerate_solve
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
+from advice_csp.lp import solve_lp
 from advice_csp.max3lin import build_psi, solve_max3lin_with_advice
 from advice_csp.maxcut import MaxCutParams, solve_maxcut_with_advice
 from advice_csp.qp_advice import solve_2lin_with_advice
 from advice_csp.twolin_sdp import TwoLinConfig, solve_2lin
+from advice_csp.verify import qp_subset_inner, random_lp
 
 
 def digest(*arrays) -> str:
@@ -92,6 +96,8 @@ GOLDEN = {
     "weighted-2lin.answer": "97659c0632c243c40f602d55d5dcab69189f53dd115937a2c109575255b4e283",
     "weighted-2lin.weight": "55.13704858052644",
     "weighted-2lin.total": "72.46257225788403",
+    "lp.random": "4bcf04b593e583a2d22f13be9b94ada1df8eaa3c6d854d0906e110103abba01c",
+    "enumerate.inner": "a613a00cd00ecd05d29474ca9bb867039d7cba209e6b19595545217d274cb1e5",
 }
 
 
@@ -132,3 +138,31 @@ def test_weighted_mixed_arity_2lin():
     assert answer(x) == GOLDEN["weighted-2lin.answer"]
     assert repr(weight) == GOLDEN["weighted-2lin.weight"]
     assert repr(inst.total_weight) == GOLDEN["weighted-2lin.total"]
+
+
+def test_lp_outcomes():
+    # status, optimal point bytes and value of 300 random LPs
+    rng = np.random.default_rng(21)
+    h = hashlib.sha256()
+    for _ in range(300):
+        out = solve_lp(random_lp(rng))
+        h.update(out.status.encode())
+        if out.is_optimal:
+            h.update(out.x.tobytes())
+            h.update(repr(out.value).encode())
+    assert h.hexdigest() == GOLDEN["lp.random"]
+
+
+def test_enumeration_inner_answers():
+    # every one of the 201 qp-advice inner answers, in run order
+    plant = plant_klin(10, 2, 30, 0.0, seed=17)
+    answers = []
+
+    def inner(instance, subset, seed):
+        x = qp_subset_inner(instance, subset, seed)
+        answers.append(np.asarray(x, dtype=np.int8))
+        return x
+
+    res = enumerate_solve(plant.instance, 0.1, inner, seed=(17, 2))
+    assert res.runs == len(answers) == 201
+    assert digest(*answers) == GOLDEN["enumerate.inner"]

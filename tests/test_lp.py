@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from advice_csp.errors import InputError
-from advice_csp.lp import LinearProgram, RangedRow, solve_lp
+from advice_csp.lp import LinearProgram, _expand_rows, solve_lp
 from advice_csp.verify import lp_oracle_disagreements, lp_vertex_optimum, random_lp
 
 
 def test_ranged_row_optimum():
     lp = LinearProgram(
         c=np.array([1.0, 1.0]),
-        rows=(RangedRow(a=np.array([1.0, 1.0]), lo=1.0, hi=1.5),),
+        rows=np.array([[1.0, 1.0]]),
+        row_lo=np.array([1.0]),
+        row_hi=np.array([1.5]),
         lo=np.zeros(2),
         hi=np.ones(2),
     )
@@ -23,7 +25,9 @@ def test_ranged_row_optimum():
 def test_box_infeasible_row():
     lp = LinearProgram(
         c=np.array([1.0, 1.0]),
-        rows=(RangedRow(a=np.array([1.0, 1.0]), lo=3.0, hi=4.0),),
+        rows=np.array([[1.0, 1.0]]),
+        row_lo=np.array([3.0]),
+        row_hi=np.array([4.0]),
         lo=np.zeros(2),
         hi=np.ones(2),
     )
@@ -48,9 +52,9 @@ def test_optimal_point_feasible_by_resubstitution():
         if not out.is_optimal:
             continue
         assert np.all(out.x >= lp.lo - 1e-7) and np.all(out.x <= lp.hi + 1e-7)
-        for row in lp.rows:
-            v = float(row.a @ out.x)
-            assert row.lo - 1e-6 <= v <= row.hi + 1e-6
+        for a, lo, hi in zip(lp.rows, lp.row_lo, lp.row_hi):
+            v = float(a @ out.x)
+            assert lo - 1e-6 <= v <= hi + 1e-6
         assert out.value == pytest.approx(float(lp.c @ out.x) + lp.offset, rel=1e-7, abs=1e-7)
 
 
@@ -64,7 +68,8 @@ def test_dominates_feasible_witness():
             continue
         # Perturb the optimum back into the box to build a feasible witness.
         witness = np.clip(out.x + rng.normal(scale=0.01, size=lp.p), lp.lo, lp.hi)
-        ok = all(row.lo - 1e-9 <= float(row.a @ witness) <= row.hi + 1e-9 for row in lp.rows)
+        ok = all(lo - 1e-9 <= float(a @ witness) <= hi + 1e-9
+                 for a, lo, hi in zip(lp.rows, lp.row_lo, lp.row_hi))
         if not ok:
             continue
         assert float(lp.c @ witness) <= out.value - lp.offset + 1e-7
@@ -78,10 +83,9 @@ def test_determinism():
 def test_equality_like_rows_need_phase_one():
     lp = LinearProgram(
         c=np.array([1.0, -2.0, 0.5]),
-        rows=(
-            RangedRow(a=np.array([1.0, 1.0, 1.0]), lo=1.5, hi=1.5),
-            RangedRow(a=np.array([1.0, -1.0, 0.0]), lo=0.2, hi=0.2),
-        ),
+        rows=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
+        row_lo=np.array([1.5, 0.2]),
+        row_hi=np.array([1.5, 0.2]),
         lo=np.zeros(3),
         hi=np.ones(3),
     )
@@ -98,7 +102,8 @@ def test_nan_rejected():
     with pytest.raises(InputError):
         LinearProgram(
             c=np.array([1.0]),
-            rows=(RangedRow(a=np.array([math.nan]), hi=1.0),),
+            rows=np.array([[math.nan]]),
+            row_hi=np.array([1.0]),
             lo=np.zeros(1),
             hi=np.ones(1),
         )
@@ -108,9 +113,152 @@ def test_invalid_ranges_rejected():
     with pytest.raises(InputError):
         LinearProgram(
             c=np.array([1.0]),
-            rows=(RangedRow(a=np.array([1.0]), lo=2.0, hi=1.0),),
+            rows=np.array([[1.0]]),
+            row_lo=np.array([2.0]),
+            row_hi=np.array([1.0]),
             lo=np.zeros(1),
             hi=np.ones(1),
         )
     with pytest.raises(InputError):
         LinearProgram(c=np.array([1.0]), lo=np.array([1.0]), hi=np.array([0.0]))
+
+
+def lp_with_rows(rows, row_lo=None, row_hi=None, p=None):
+    rows = np.asarray(rows, dtype=np.float64)
+    p = rows.shape[1] if p is None else p
+    return LinearProgram(c=np.ones(p), rows=rows, row_lo=row_lo, row_hi=row_hi,
+                         lo=np.zeros(p), hi=np.ones(p))
+
+
+def first_row_fault(rows, row_lo, row_hi):
+    """The message the checks give, row by row in the order they run."""
+    for a, lo, hi in zip(rows, row_lo, row_hi):
+        if not np.all(np.isfinite(a)):
+            return "constraint coefficients must be finite"
+        if math.isnan(lo) or math.isnan(hi):
+            return "row range must not be NaN"
+        if lo > hi:
+            return "row range requires lo <= hi"
+    return None
+
+
+def test_first_faulty_row_names_the_error():
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(300):
+        m, p = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        rows = rng.normal(size=(m, p))
+        row_lo, row_hi = rng.normal(size=m) - 1.0, rng.normal(size=m) + 1.0
+        for _ in range(int(rng.integers(1, 4))):
+            r, kind = int(rng.integers(m)), int(rng.integers(4))
+            if kind == 0:
+                rows[r, int(rng.integers(p))] = rng.choice([math.nan, math.inf, -math.inf])
+            elif kind == 1:
+                row_lo[r] = math.nan
+            elif kind == 2:
+                row_hi[r] = math.nan
+            else:
+                row_lo[r], row_hi[r] = row_hi[r] + 1.0, row_lo[r]
+        want = first_row_fault(rows, row_lo, row_hi)
+        if want is None:
+            lp_with_rows(rows, row_lo, row_hi)
+            continue
+        with pytest.raises(InputError) as err:
+            lp_with_rows(rows, row_lo, row_hi)
+        assert str(err.value) == want
+        checked += 1
+    assert checked > 250
+
+
+@pytest.mark.parametrize("rows, row_lo, row_hi, message", [
+    (np.ones((2, 3)), None, None, "constraint row length must match the variable count"),
+    (np.ones(2), None, None, "constraint row length must match the variable count"),
+    (np.ones((2, 2)), np.zeros(3), None, "row ranges must match the row count"),
+    (np.ones((2, 2)), None, np.zeros(1), "row ranges must match the row count"),
+])
+def test_row_shapes_checked(rows, row_lo, row_hi, message):
+    with pytest.raises(InputError, match=message):
+        lp_with_rows(rows, row_lo, row_hi, p=2)
+
+
+def expand_by_rows(lp):
+    """Per-row presolve: the reference for the whole-matrix ``_expand_rows``."""
+    G, h = [], []
+    for a, lo, hi in zip(lp.rows, lp.row_lo, lp.row_hi):
+        pos, neg = a > 0, a < 0
+        rmin = float(np.dot(a[pos], lp.lo[pos]) + np.dot(a[neg], lp.hi[neg]))
+        rmax = float(np.dot(a[pos], lp.hi[pos]) + np.dot(a[neg], lp.lo[neg]))
+        scale = max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
+                    abs(hi) if math.isfinite(hi) else 0.0)
+        if rmin > hi + 1e-7 * scale or rmax < lo - 1e-7 * scale:
+            return None
+        if math.isfinite(hi) and not rmax <= hi:
+            G.append(a)
+            h.append(hi)
+        if math.isfinite(lo) and not rmin >= lo:
+            G.append(-a)
+            h.append(-lo)
+    return np.array(G).reshape(-1, lp.p), np.array(h, dtype=np.float64)
+
+
+def test_presolve_matches_row_by_row_reference():
+    # zero rows, infinite ends and one-sided boxes, against the per-row loop
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for _ in range(400):
+        m, p = int(rng.integers(0, 7)), int(rng.integers(1, 5))
+        rows = rng.normal(size=(m, p)) * (rng.random((m, p)) < 0.7)
+        rows[rng.random(m) < 0.25] = 0.0
+        mid, width = 2 * rng.normal(size=m), 2 * rng.random(m)
+        ends = rng.integers(0, 4, size=m)
+        row_lo = np.where(ends == 1, -math.inf, mid - width)
+        row_hi = np.where(ends == 2, math.inf, mid + width)
+        row_lo[ends == 3], row_hi[ends == 3] = -math.inf, math.inf
+        lo, hi = -rng.random(p), rng.random(p)
+        lo[rng.random(p) < 0.2] = -math.inf
+        hi[rng.random(p) < 0.2] = math.inf
+        lp = LinearProgram(c=rng.normal(size=p), rows=rows, row_lo=row_lo, row_hi=row_hi,
+                           lo=lo, hi=hi)
+        got, want = _expand_rows(lp), expand_by_rows(lp)
+        assert (got is None) == (want is None)
+        if got is None:
+            outcomes.add("infeasible")
+            continue
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        outcomes.add(("kept", min(got[1].size, 2)))
+    assert outcomes == {"infeasible", ("kept", 0), ("kept", 1), ("kept", 2)}
+
+
+def test_zero_rows_and_infinite_ends():
+    rows = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+    lp = lp_with_rows(rows, np.array([-1.0, -math.inf, -math.inf, 0.5]),
+                      np.array([1.0, math.inf, 1.5, math.inf]))
+    G, h = _expand_rows(lp)
+    # the zero rows hold on the whole box; x0 + x1 <= 1.5 and x0 - x1 >= 0.5 bind
+    assert np.array_equal(G, [[1.0, 1.0], [-1.0, 1.0]]) and np.array_equal(h, [1.5, -0.5])
+    # a zero row whose range excludes 0 makes the program infeasible
+    lp = lp_with_rows(np.zeros((1, 2)), np.array([1.0]), np.array([2.0]))
+    assert _expand_rows(lp) is None and solve_lp(lp).status == "infeasible"
+
+
+def test_no_rows():
+    lp = LinearProgram(c=np.array([1.0, -1.0]), rows=np.zeros((0, 2)),
+                       lo=np.zeros(2), hi=np.full(2, 3.0))
+    out = solve_lp(lp)
+    assert out.is_optimal and np.array_equal(out.x, [3.0, 0.0]) and out.value == 3.0
+    assert len(LinearProgram(c=np.ones(2)).rows) == 0
+
+
+def test_no_variables():
+    rows = np.zeros((2, 0))
+    feasible = LinearProgram(c=np.zeros(0), rows=rows, row_lo=np.array([-1.0, 0.0]),
+                             row_hi=np.array([1.0, math.inf]), offset=1.5)
+    out = solve_lp(feasible)
+    assert out.is_optimal and out.value == 1.5
+    infeasible = LinearProgram(c=np.zeros(0), rows=rows, row_lo=np.array([-1.0, 0.5]))
+    assert solve_lp(infeasible).status == "infeasible"
+
+
+def test_huge_finite_coefficients_accepted():
+    lp = lp_with_rows(np.array([[1e308, -1e308]]), np.array([-1e308]), np.array([1e308]))
+    assert len(lp.rows) == 1

@@ -103,9 +103,8 @@ class TestBuildLp:
         split = split_vertices(compute_deltas(graph, adv), d, graph.n, BENCH_PARAMS)
         lp = build_lp(graph, split, d, eps, BENCH_PARAMS)
         theta_star = (plant.x_star[split.undecided] == 1).astype(np.float64)
-        for row in lp.rows:
-            val = float(row.a @ theta_star)
-            assert row.lo - 1e-9 <= val <= row.hi + 1e-9
+        val = lp.rows @ theta_star
+        assert np.all(lp.row_lo - 1e-9 <= val) and np.all(val <= lp.row_hi + 1e-9)
         witness_value = float(lp.c @ theta_star) + lp.offset
         out = solve_lp(lp)
         assert out.is_optimal
