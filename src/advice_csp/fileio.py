@@ -157,8 +157,7 @@ def instance_to_graph(instance: KLinInstance) -> GraphInstance:
     if np.any(instance.arity != 2) or np.any(instance.rhs != -1) or np.any(instance.w != 1.0):
         raise InputError("graph form requires arity 2, rhs -1, and unit weights")
     e = np.sort(instance.idx[:, :2].reshape(-1, 2), axis=1)  # (0, 2) when k = 1
-    e = e[np.lexsort((e[:, 1], e[:, 0]))]
-    return GraphInstance(n=instance.n, edges=tuple(map(tuple, e.tolist())))
+    return GraphInstance(n=instance.n, edges=e[np.lexsort((e[:, 1], e[:, 0]))])
 
 
 def write_assignment(path, values) -> None:

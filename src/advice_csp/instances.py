@@ -40,6 +40,15 @@ def _readonly(a, dtype) -> np.ndarray:
     return view
 
 
+def _raise_first_fault(checks, m: int) -> None:
+    """Raise the message of the first failing (row mask, message) check on the first faulty row."""
+    first = [int(np.argmax(bad.reshape(m, -1).any(axis=1))) if bad.any() else m
+             for bad, _ in checks]
+    r = min(first)
+    if r < m:
+        raise InputError(checks[first.index(r)][1](r))
+
+
 @dataclass(frozen=True, eq=False)
 class KLinInstance:
     """Max k-Lin instance: parity constraints with +-1 right-hand sides.
@@ -89,12 +98,7 @@ class KLinInstance:
             ((rhs != 1) & (rhs != -1), lambda r: f"right-hand side must be -1 or +1, got {rhs[r].item()}"),
             (~(np.isfinite(w) & (w >= 0)), lambda r: f"weight must be finite and nonnegative, got {w[r]}"),
         )
-        # The first faulty row is named; within it, the first failing check.
-        first = [int(np.argmax(bad.reshape(m, -1).any(axis=1))) if bad.any() else m
-                 for bad, _ in checks]
-        r = min(first)
-        if r < m:
-            raise InputError(checks[first.index(r)][1](r))
+        _raise_first_fault(checks, m)
         object.__setattr__(self, "rhs", _readonly(rhs, np.int8))
 
     @classmethod
@@ -141,24 +145,28 @@ class KLinInstance:
 
 @dataclass(frozen=True, eq=False)
 class GraphInstance:
-    """Undirected multigraph given by its edge list (u < v per edge)."""
+    """Undirected multigraph: ``edges`` is a read-only (E, 2) int64 array,
+    one edge per row as in ``KLinInstance.idx`` for k = 2.  Generated and
+    parsed graphs keep u < v in each row and the rows sorted."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge ({u},{v}) out of range")
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.edges:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        e = np.array(self.edges, dtype=np.int64)
-        return e[:, 0], e[:, 1]
+        try:
+            e = np.asarray(self.edges)
+        except (ValueError, OverflowError):  # ragged rows or too-large integers
+            raise InputError("edges must be (u, v) pairs of integer vertex indices") from None
+        if e.size == 0:
+            e = np.zeros((0, 2), dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+            raise InputError("edges must be (u, v) pairs of integer vertex indices")
+        u, v = e.T
+        _raise_first_fault((
+            (u == v, lambda r: f"self-loop at vertex {u[r]}"),
+            ((e < 0) | (e >= self.n), lambda r: f"edge ({u[r]},{v[r]}) out of range"),
+        ), e.shape[0])
+        object.__setattr__(self, "edges", _readonly(e, np.int64))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -166,7 +174,7 @@ class GraphInstance:
 
     def neighbour_sums(self, values) -> np.ndarray:
         """sum of values[j] over the neighbours j of each vertex, with multiplicity."""
-        u, v = self.edge_arrays
+        u, v = self.edges.T
         values = np.asarray(values, dtype=np.int64)
         return np.bincount(u, values[v], self.n).astype(np.int64) + np.bincount(
             v, values[u], self.n).astype(np.int64)
@@ -270,15 +278,14 @@ def satisfied_mask(instance: KLinInstance, x) -> np.ndarray:
 def cut_value(graph: GraphInstance, x) -> int:
     """Number of edges cut by the +-1 side assignment (+1 side is S)."""
     xv = _as_pm1(x, graph.n)
-    u, v = graph.edge_arrays
+    u, v = graph.edges.T
     return int(np.count_nonzero(xv[u] != xv[v]))
 
 
 def graph_to_klin(graph: GraphInstance) -> KLinInstance:
     """View a graph as a Max-Cut 2-Lin instance (all rhs -1, unit weights)."""
-    u, v = graph.edge_arrays
-    m = u.shape[0]
-    return KLinInstance(k=2, n=graph.n, idx=np.stack([u, v], axis=1),
+    m = len(graph.edges)
+    return KLinInstance(k=2, n=graph.n, idx=graph.edges,
                         rhs=np.full(m, -1, dtype=np.int8), w=np.ones(m))
 
 
@@ -301,15 +308,13 @@ def pair_coefficients(instance: KLinInstance) -> tuple[np.ndarray, np.ndarray]:
     return a.astype(np.float64, copy=False).reshape(n, n), lin.astype(np.float64, copy=False)
 
 
-def to_quadratic_matrix(instance: KLinInstance | GraphInstance) -> QpMatrix:
+def to_quadratic_matrix(instance: KLinInstance) -> QpMatrix:
     """Coefficient matrix of the satisfied-weight identity for arity-2 instances.
 
     Parallel constraints merge additively: a_ij = a_ji = sum of rhs * weight
     over constraints on {i, j}.  For any assignment x the satisfied weight
     equals W/2 + <x, A x>/4, with the form summed over ordered pairs.
     """
-    if isinstance(instance, GraphInstance):
-        instance = graph_to_klin(instance)
     if (instance.arity != 2).any():
         raise InputError("quadratic matrix requires every constraint to have arity 2")
     return QpMatrix(pair_coefficients(instance)[0])
@@ -350,10 +355,8 @@ def _pair_swap_repair(
     return False
 
 
-def _random_regular_pairing(nodes: np.ndarray, d: int, rng) -> list[tuple[int, int]]:
-    """Simple d-regular graph on the given nodes via repaired stub pairing."""
-    if d == 0:
-        return []
+def _random_regular_pairing(nodes: np.ndarray, d: int, rng) -> np.ndarray:
+    """Simple d-regular graph on increasing nodes by stub pairing; (E, 2) rows, u < v."""
     half = nodes.shape[0]
     if (half * d) % 2 != 0:
         raise ConstructionError(f"{d}-regular graph on {half} vertices needs an even stub count")
@@ -364,14 +367,12 @@ def _random_regular_pairing(nodes: np.ndarray, d: int, rng) -> list[tuple[int, i
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         if _pair_swap_repair(pairs, rng, bipartite=False):
-            return [(int(nodes[min(a, b)]), int(nodes[max(a, b)])) for a, b in pairs]
+            return nodes[np.sort(pairs, axis=1)]
     raise ConstructionError("regular pairing failed after restart cap")
 
 
-def _random_biregular_pairing(left: np.ndarray, right: np.ndarray, d: int, rng) -> list[tuple[int, int]]:
-    """Simple d-regular bipartite pairing between two equal-size sides."""
-    if d == 0:
-        return []
+def _random_biregular_pairing(left: np.ndarray, right: np.ndarray, d: int, rng) -> np.ndarray:
+    """Simple d-regular bipartite pairing of two equal-size sides; (E, 2) (left, right) rows."""
     half = left.shape[0]
     if d > half:
         raise ConstructionError(f"cross degree {d} impossible with {half} vertices per side")
@@ -382,7 +383,7 @@ def _random_biregular_pairing(left: np.ndarray, right: np.ndarray, d: int, rng) 
         pairs = np.stack([lstubs, rstubs], axis=1)
         # Self-loops are impossible across sides; only duplicates need repair.
         if _pair_swap_repair(pairs, rng, bipartite=True):
-            return [(int(left[a]), int(right[b])) for a, b in pairs]
+            return np.column_stack([left[pairs[:, 0]], right[pairs[:, 1]]])
     raise ConstructionError("bipartite pairing failed after restart cap")
 
 
@@ -412,11 +413,12 @@ def plant_bipartite_regular(n: int, d: int, gamma: float, seed: int) -> PlantedI
     rng = np.random.default_rng(seed)
     left = np.arange(half)
     right = np.arange(half, n)
-    edges: list[tuple[int, int]] = []
-    edges += _random_biregular_pairing(left, right, d_cross, rng)
-    edges += _random_regular_pairing(left, d_intra, rng)
-    edges += _random_regular_pairing(right, d_intra, rng)
-    graph = GraphInstance(n=n, edges=tuple(sorted(edges)))
+    edges = np.concatenate([
+        _random_biregular_pairing(left, right, d_cross, rng),
+        _random_regular_pairing(left, d_intra, rng),
+        _random_regular_pairing(right, d_intra, rng),
+    ])
+    graph = GraphInstance(n=n, edges=edges[np.lexsort((edges[:, 1], edges[:, 0]))])
     if graph.regular_degree != d:
         raise InternalError(f"generator produced a non-{d}-regular graph")
     x_star = np.concatenate([np.ones(half, dtype=np.int8), -np.ones(half, dtype=np.int8)])

@@ -165,7 +165,7 @@ def build_lp(
     # d_S(i) + sum_{j in N(i) cap Q} theta_j, each in [d/2 +- delta].
     rows = np.zeros((nq, 2, nq), dtype=np.float64)
     neighbours = rows[:, 1]
-    u, v = graph.edge_arrays
+    u, v = graph.edges.T
     uq, vq = pos_in_q[u], pos_in_q[v]
     both = (uq >= 0) & (vq >= 0)
     np.add.at(neighbours, (uq[both], vq[both]), 1.0)
@@ -253,7 +253,7 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
                  lp_status, lp_value, fallback, d, slack) -> CutDiagnostics:
     q = split.undecided
     f_y = float((y * d_t[q] + (1 - y) * d_s[q]).sum())
-    u, v = graph.edge_arrays
+    u, v = graph.edges.T
     in_q = np.zeros(graph.n, dtype=bool)
     in_q[q] = True
     cut_edge = assignment[u] != assignment[v]

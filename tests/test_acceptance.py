@@ -232,11 +232,8 @@ def test_a7_delta_statistics():
     plant = plant_bipartite_regular(512, 64, 0.0, seed=7)
     graph = plant.instance
     n, d, eps, draws = graph.n, 64, 0.3, 10_000
-    u, v = graph.edge_arrays
-    star = plant.x_star.astype(np.float64)
-    delta_star = np.zeros(n)
-    np.add.at(delta_star, u, star[v])
-    np.add.at(delta_star, v, star[u])
+    u, v = graph.edges.T
+    delta_star = graph.neighbour_sums(plant.x_star)  # |E(i,S*)| - |E(i,T*)|
     adj = np.zeros((n, n), dtype=np.float32)
     adj[u, v] = 1.0
     adj[v, u] = 1.0

@@ -3,7 +3,8 @@
 Each case runs a small seeded pipeline and digests its int8 answer (and,
 for the reduction, every column of the reduced instance) with sha256.
 The digests were recorded before the constraint store became columnar
-(the LP and enumeration digests before the LP went to matrix form), so a
+(the LP and enumeration digests before the LP went to matrix form, the
+planted-graph digests while edges were still tuples), so a
 refactor that changes any answer, vote, emission order, weight sum or
 LP float on these seeds fails here.
 """
@@ -98,7 +99,14 @@ GOLDEN = {
     "weighted-2lin.total": "72.46257225788403",
     "lp.random": "4bcf04b593e583a2d22f13be9b94ada1df8eaa3c6d854d0906e110103abba01c",
     "enumerate.inner": "a613a00cd00ecd05d29474ca9bb867039d7cba209e6b19595545217d274cb1e5",
+    "graph.1024-64-0.0": "78e1a47636b4f301b44648bbf48d422fbaf89cc049e11c989bc1f9c35fc7f7b4",
+    "graph.256-16-0.2": "36df6c1ab4b07cb97b4922e797fe378c2fea3f156fd1a6c7dbb108694e617421",
+    "graph.64-6-0.5": "a419e93eaf128cb6de8b820089b0c50ba5daacdc2127213fb3cbd6a9abf51838",
+    "graph.128-8-1.0": "52c6f8b45629b74a446711a0024a5178e8da57ff751f0d6ed08ae5020c875562",
 }
+
+# (n, d, gamma, seed): no intra edges, both kinds, half each, no cross edges
+GRAPH_CASES = [(1024, 64, 0.0, 1), (256, 16, 0.2, 2), (64, 6, 0.5, 3), (128, 8, 1.0, 4)]
 
 
 @pytest.mark.parametrize("name", sorted(MAX3LIN_CASES))
@@ -122,6 +130,14 @@ def test_maxcut():
     res = solve_maxcut_with_advice(plant.instance, advice, MaxCutParams(1.0, 1.5), seed=(13, 2))
     assert answer(res.assignment) == GOLDEN["maxcut.answer"]
     assert repr(res.cut_weight) == GOLDEN["maxcut.cut"]
+
+
+@pytest.mark.parametrize("n,d,gamma,seed", GRAPH_CASES)
+def test_bipartite_plants(n, d, gamma, seed):
+    plant = plant_bipartite_regular(n, d, gamma, seed=seed)
+    edges = np.asarray(plant.instance.edges, dtype=np.int64).reshape(-1, 2)
+    assert edges.shape == (n * d // 2, 2)
+    assert digest(edges, plant.x_star) == GOLDEN[f"graph.{n}-{d}-{gamma}"]
 
 
 def test_qp_advice():

@@ -203,7 +203,7 @@ class TestBipartitePlant:
         assert graph.regular_degree == 16
         assert len(graph.edges) == 256 * 16 // 2
         assert cut_value(graph, plant.x_star) == len(graph.edges)
-        assert len(set(graph.edges)) == len(graph.edges)
+        assert len(np.unique(graph.edges, axis=0)) == len(graph.edges)
 
     def test_gamma_one_has_no_cross_edges(self):
         plant = plant_bipartite_regular(64, 4, 1.0, seed=3)
@@ -219,7 +219,7 @@ class TestBipartitePlant:
     def test_deterministic(self):
         a = plant_bipartite_regular(64, 6, 0.5, seed=11)
         b = plant_bipartite_regular(64, 6, 0.5, seed=11)
-        assert a.instance.edges == b.instance.edges
+        assert np.array_equal(a.instance.edges, b.instance.edges)
         assert np.array_equal(a.x_star, b.x_star)
 
     def test_infeasible_parameters(self):
@@ -270,6 +270,33 @@ def test_planted_value_is_validated():
 def test_graph_rejects_self_loops():
     with pytest.raises(InputError):
         GraphInstance(n=3, edges=((1, 1),))
+
+
+@pytest.mark.parametrize("edges", [((0, 1, 2),), ((0,),), ((0, 1.7),), ((0, 1), (2,))])
+def test_graph_rejects_malformed_edges(edges):
+    with pytest.raises(InputError, match="pairs of integer vertex indices"):
+        GraphInstance(n=3, edges=edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1), (0, 5), (2, 2)), r"edge \(0,5\) out of range"),  # earlier edge wins
+    (((0, 1), (2, 2), (0, 5)), "self-loop at vertex 2"),
+    (((7, 7),), "self-loop at vertex 7"),  # self-loop beats range within an edge
+    (((-1, 2),), r"edge \(-1,2\) out of range"),
+])
+def test_graph_names_first_faulty_edge(edges, message):
+    with pytest.raises(InputError, match=message):
+        GraphInstance(n=3, edges=edges)
+
+
+def test_graph_edges_are_a_readonly_int64_array():
+    graph = GraphInstance(n=4, edges=[(0, 1), (2, 3)])
+    assert graph.edges.dtype == np.int64 and graph.edges.shape == (2, 2)
+    with pytest.raises(ValueError):
+        graph.edges[0, 0] = 3
+    empty = GraphInstance(n=4, edges=())
+    assert empty.edges.shape == (0, 2) and empty.edges.dtype == np.int64
+    assert empty.degrees.tolist() == [0, 0, 0, 0] and cut_value(empty, [1, -1, 1, -1]) == 0
 
 
 def test_graph_to_klin_cut_agreement():

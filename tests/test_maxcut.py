@@ -50,7 +50,7 @@ class TestDeltas:
             acc += compute_deltas(graph, gen_label_advice(plant.x_star, eps, seed=s))
         star_sign = plant.x_star.astype(np.float64)
         delta_star = np.zeros(graph.n)
-        u, v = graph.edge_arrays
+        u, v = graph.edges.T
         np.add.at(delta_star, u, star_sign[v])
         np.add.at(delta_star, v, star_sign[u])
         # 3 sigma on the mean of sums of 8 labels
@@ -117,7 +117,7 @@ class TestBuildLp:
         in_sl = np.zeros(graph.n, dtype=bool)
         in_sl[split.side_s] = True
         star_s = plant.x_star == 1
-        u, v = graph.edge_arrays
+        u, v = graph.edges.T
         qs_tl = np.count_nonzero((in_q[u] & star_s[u] & in_tl[v]) | (in_q[v] & star_s[v] & in_tl[u]))
         qt_sl = np.count_nonzero((in_q[u] & ~star_s[u] & in_sl[v]) | (in_q[v] & ~star_s[v] & in_sl[u]))
         assert witness_value == pytest.approx(qs_tl + qt_sl)
