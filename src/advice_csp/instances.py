@@ -9,7 +9,7 @@ case of arity 2 with every right-hand side equal to -1 and unit weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +28,10 @@ def _as_pm1(values, n=None, what="assignment"):
         raise InputError(f"{what} must be one-dimensional")
     if n is not None and x.shape[0] != n:
         raise InputError(f"{what} has length {x.shape[0]}, expected {n}")
+    if x.dtype.kind in "iu":  # integers need no rounding check: one pass
+        if not (np.abs(x) == 1).all():
+            raise InputError(f"{what} entries must be -1 or +1")
+        return x.astype(np.int8)
     xi = x.astype(np.int64, copy=False)
     if not np.array_equal(xi, x) or not np.all(np.abs(xi) == 1):
         raise InputError(f"{what} entries must be -1 or +1")
@@ -35,9 +39,16 @@ def _as_pm1(values, n=None, what="assignment"):
 
 
 def _readonly(a, dtype) -> np.ndarray:
-    view = np.asarray(a, dtype=dtype).view()
-    view.setflags(write=False)
-    return view
+    """A read-only array of ``dtype`` that no caller can write through.
+
+    An array that is already read-only and owns its memory, such as
+    another instance's column, passes through; anything else is copied.
+    """
+    arr = np.asarray(a, dtype=dtype)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 def _raise_first_fault(checks, m: int) -> None:
@@ -58,8 +69,10 @@ class KLinInstance:
     {-1, +1} and ``w`` float64 nonnegative weights.  A constraint of arity
     a < k (mixed unary/binary instances arise from the 3-Lin reduction)
     fills the first a columns of its row and pads the rest with -1.  The
-    arrays are read-only; duplicates are kept verbatim.  Literal instances
-    are built with ``from_constraints``.
+    arrays are read-only copies the instance owns, so the values derived
+    from them and cached here (arity, total weight, quadratic matrix) stay
+    valid; duplicates are kept verbatim.  Literal instances are built with
+    ``from_constraints``.
     """
 
     k: int
@@ -136,6 +149,11 @@ class KLinInstance:
         return float(np.cumsum(np.append(0.0, self.w))[-1])
 
     @cached_property
+    def _quadratic_matrix(self) -> QpMatrix:
+        """Built on first use by ``to_quadratic_matrix``, which checks arities."""
+        return QpMatrix(pair_coefficients(self)[0])
+
+    @cached_property
     def _arity_rows(self) -> list:
         """Row indices per arity in order of first appearance, the order in
         which satisfied weight is summed."""
@@ -145,9 +163,10 @@ class KLinInstance:
 
 @dataclass(frozen=True, eq=False)
 class GraphInstance:
-    """Undirected multigraph: ``edges`` is a read-only (E, 2) int64 array,
-    one edge per row as in ``KLinInstance.idx`` for k = 2.  Generated and
-    parsed graphs keep u < v in each row and the rows sorted."""
+    """Undirected multigraph: ``edges`` is a read-only (E, 2) int64 array
+    that the graph owns, one edge per row as in ``KLinInstance.idx`` for
+    k = 2.  Generated and parsed graphs keep u < v in each row and the rows
+    sorted."""
 
     n: int
     edges: np.ndarray
@@ -211,12 +230,18 @@ class PlantedInstance:
 
 @dataclass(frozen=True, eq=False)
 class QpMatrix:
-    """Symmetric zero-diagonal coefficient matrix of a +-1 quadratic form."""
+    """Symmetric zero-diagonal coefficient matrix of a +-1 quadratic form.
+
+    ``a`` is a read-only array the matrix owns, so one matrix can be
+    shared; ``memo`` holds state that solvers derive from ``a`` and keep
+    with it (``qp_advice`` keeps its surrogate LP rows and optima there).
+    """
 
     a: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
+        a = _readonly(self.a, np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError("coefficient matrix must be square")
         if not np.all(np.isfinite(a)):
@@ -313,11 +338,12 @@ def to_quadratic_matrix(instance: KLinInstance) -> QpMatrix:
 
     Parallel constraints merge additively: a_ij = a_ji = sum of rhs * weight
     over constraints on {i, j}.  For any assignment x the satisfied weight
-    equals W/2 + <x, A x>/4, with the form summed over ordered pairs.
+    equals W/2 + <x, A x>/4, with the form summed over ordered pairs.  The
+    matrix is built once per instance and shared by every call.
     """
     if (instance.arity != 2).any():
         raise InputError("quadratic matrix requires every constraint to have arity 2")
-    return QpMatrix(pair_coefficients(instance)[0])
+    return instance._quadratic_matrix
 
 
 def quadratic_identity_value(instance: KLinInstance, qp: QpMatrix, x) -> float:

@@ -9,6 +9,19 @@ then rounds the fractional optimizer coordinate-by-coordinate without
 ever decreasing <x, Ax>.  The surrogate maximization is an exact linear
 program: auxiliary variables s_r >= +-(A(eps*x - y))_r linearize the
 l1 penalty, so the optimum is certified rather than approximated.
+
+Each QpMatrix carries this solver's memo (``QpMatrix.memo``): the variable
+box, the surrogate rows [eps A, -I; -eps A, -I] per epsilon, and the
+clipped LP optimum per (epsilon, bytes of the checked labels).
+Subset-advice enumeration solves the same label vector many times on one
+instance; a hit returns the bytes the LP gave for it without solving it
+again.  The memo is bounded: each stored array is charged its bytes plus
+_ENTRY_BYTES for the Python objects around it, and once MEMO_BYTES would
+be exceeded, new rows and optima are computed and returned but not
+stored.  In the worst case a matrix therefore holds 16 MiB (MEMO_BYTES)
+of memo besides its O(n) box, that is at most MEMO_BYTES / (16 n +
+_ENTRY_BYTES) optima, for as long as the matrix lives.  The memo takes no
+lock: concurrent calls on one matrix may solve one LP twice.
 """
 
 from __future__ import annotations
@@ -22,11 +35,15 @@ from .errors import InputError, InternalError
 from .instances import (
     KLinInstance,
     QpMatrix,
+    _readonly,
     evaluate,
     quadratic_identity_value,
     to_quadratic_matrix,
 )
 from .lp import LinearProgram, solve_lp
+
+MEMO_BYTES = 16 << 20
+_ENTRY_BYTES = 256  # charged per stored array for the Python objects around it
 
 
 def _check_point(x, n, what="point") -> np.ndarray:
@@ -48,31 +65,63 @@ def advice_objective(A: QpMatrix, x, y, epsilon: float) -> float:
     return float(xv @ (A.a @ yv) - np.abs(A.a @ (epsilon * xv - yv)).sum())
 
 
+class _SurrogateMemo:
+    """One matrix's surrogate rows by epsilon and optima by (epsilon, y bytes)."""
+
+    def __init__(self, n: int):
+        self.lo = _readonly(np.concatenate([-np.ones(n), np.zeros(n)]), np.float64)
+        self.hi = _readonly(np.concatenate([np.ones(n), np.full(n, math.inf)]), np.float64)
+        self.rows: dict[float, np.ndarray] = {}
+        self.optima: dict[tuple[float, bytes], np.ndarray] = {}
+        self.charged = 0
+
+    def keep(self, table: dict, key, value: np.ndarray, key_bytes: int = 0) -> None:
+        """Store a read-only copy of value under key if the budget allows."""
+        cost = key_bytes + value.nbytes + _ENTRY_BYTES
+        if self.charged + cost <= MEMO_BYTES:
+            table[key] = _readonly(value, np.float64)
+            self.charged += cost
+
+
 def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
     """Exact maximizer of F(., y) over the solid cube, via LP reformulation.
 
     Variables are (x, s); rows enforce s_r >= (A(eps*x - y))_r and
     s_r >= -(A(eps*x - y))_r, and the objective is <x, Ay> - sum(s).
+    Optima are memoized on the matrix (see the module docstring); every
+    call returns a fresh array.
     """
     if not 0.0 < epsilon <= 1.0:
         raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = A.n
     yv = _check_point(y, n, "advice labels")
+    memo = A.memo.get(__name__)
+    if memo is None:
+        memo = A.memo[__name__] = _SurrogateMemo(n)
+    eps = float(epsilon)
+    key = (eps, yv.tobytes())
+    if key in memo.optima:
+        return memo.optima[key].copy()
+    rows = memo.rows.get(eps)
+    if rows is None:
+        eye = np.eye(n)
+        # Row 2r is [eps A_r, -e_r] (the upper family), row 2r + 1 [-eps A_r, -e_r].
+        rows = np.hstack([eps * A.a, -eye, -eps * A.a, -eye]).reshape(2 * n, 2 * n)
+        memo.keep(memo.rows, eps, rows)
     b = A.a @ yv
-    c = np.concatenate([b, -np.ones(n)])
-    eye = np.eye(n)
-    # Row 2r is [eps A_r, -e_r] (the upper family), row 2r + 1 [-eps A_r, -e_r].
     lp = LinearProgram(
-        c=c,
-        rows=np.hstack([epsilon * A.a, -eye, -epsilon * A.a, -eye]).reshape(2 * n, 2 * n),
+        c=np.concatenate([b, -np.ones(n)]),
+        rows=rows,
         row_hi=np.column_stack([b, -b]).ravel(),
-        lo=np.concatenate([-np.ones(n), np.zeros(n)]),
-        hi=np.concatenate([np.ones(n), np.full(n, math.inf)]),
+        lo=memo.lo,
+        hi=memo.hi,
     )
     out = solve_lp(lp)
     if not out.is_optimal:
         raise InternalError(f"concave surrogate LP ended {out.status}")
-    return np.clip(out.x[:n], -1.0, 1.0)
+    x = np.clip(out.x[:n], -1.0, 1.0)
+    memo.keep(memo.optima, key, x, len(key[1]))
+    return x
 
 
 def greedy_round(A: QpMatrix, x) -> np.ndarray:
@@ -111,6 +160,8 @@ def solve_2lin_with_advice(
     """
     if (instance.arity != 2).any():
         raise InputError("advice-guided 2-Lin solver requires arity-2 constraints")
+    if advice.n != instance.n:
+        raise InputError(f"advice length {advice.n} does not match variable count {instance.n}")
     if instance.m == 0:
         x = np.ones(instance.n, dtype=np.int8)
         return x, 0.0

@@ -297,6 +297,22 @@ class TestEnumerateReduceVerify:
         assert report["runs"] == projected_runs(5, 0.2)
         assert report["output"]["value"] == 4.0
 
+    def test_enumerate_twolin_sdp_inner(self, tmp_path, capsys):
+        inst = KLinInstance.from_constraints(
+            k=2, n=5, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(4))
+        )
+        path = str(tmp_path / "chain.instance")
+        fileio.write_instance(path, inst)
+        code, report, _ = run_cli(
+            capsys, "enumerate", "--instance", path, "--epsilon", "0.2", "--seed", "1",
+            "--inner", "twolin-sdp",
+        )
+        from advice_csp.enumeration import projected_runs
+
+        assert code == 0 and report["inner"] == "twolin-sdp"
+        assert report["runs"] == projected_runs(5, 0.2)
+        assert report["output"]["value"] == 4.0
+
     def test_enumerate_budget_refusal_exit_two(self, tmp_path, capsys):
         inst = KLinInstance.from_constraints(
             k=2, n=30, constraints=tuple(((i, i + 1), 1, 1.0) for i in range(29))

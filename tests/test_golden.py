@@ -14,7 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from advice_csp.advice import gen_label_advice
+from advice_csp import qp_advice
+from advice_csp.advice import gen_label_advice, subset_to_label
 from advice_csp.enumeration import enumerate_solve
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 from advice_csp.lp import solve_lp
@@ -182,3 +183,24 @@ def test_enumeration_inner_answers():
     res = enumerate_solve(plant.instance, 0.1, inner, seed=(17, 2))
     assert res.runs == len(answers) == 201
     assert digest(*answers) == GOLDEN["enumerate.inner"]
+
+
+def test_enumeration_solves_each_label_vector_once(monkeypatch):
+    # the golden enumeration case: one surrogate LP per distinct label vector
+    plant = plant_klin(10, 2, 30, 0.0, seed=17)
+    labels, solved = set(), []
+    solve = qp_advice.solve_lp
+
+    def counting(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(qp_advice, "solve_lp", counting)
+
+    def inner(instance, subset, seed):
+        labels.add(subset_to_label(subset, seed).values.tobytes())
+        return qp_subset_inner(instance, subset, seed)
+
+    res = enumerate_solve(plant.instance, 0.1, inner, seed=(17, 2))
+    assert res.runs == 201
+    assert len(solved) == len(labels) < res.runs

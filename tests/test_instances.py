@@ -17,6 +17,7 @@ from advice_csp.instances import (
     quadratic_identity_value,
     satisfied_mask,
     to_quadratic_matrix,
+    _as_pm1,
 )
 
 
@@ -184,6 +185,21 @@ class TestQuadraticMatrix:
         with pytest.raises(InputError):
             to_quadratic_matrix(inst)
 
+    def test_built_once_and_read_only(self):
+        inst = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
+        qp = to_quadratic_matrix(inst)
+        assert to_quadratic_matrix(inst) is qp
+        with pytest.raises(ValueError):
+            qp.a[0, 1] = 5.0
+
+    def test_matrix_owns_its_array(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        qp = QpMatrix(a)
+        a[0, 1] = a[1, 0] = 7.0
+        assert qp.a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError):
+            qp.a[0, 1] = 2.0
+
     def test_matrix_validation(self):
         with pytest.raises(InputError):
             QpMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))  # nonzero diagonal
@@ -297,6 +313,60 @@ def test_graph_edges_are_a_readonly_int64_array():
     empty = GraphInstance(n=4, edges=())
     assert empty.edges.shape == (0, 2) and empty.edges.dtype == np.int64
     assert empty.degrees.tolist() == [0, 0, 0, 0] and cut_value(empty, [1, -1, 1, -1]) == 0
+
+
+def test_instances_own_their_arrays():
+    # Writes into the caller's arrays after construction reach neither the
+    # instance nor what it derives and caches from them.
+    idx = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int64)
+    rhs = np.array([1, -1, 1], dtype=np.int8)
+    w = np.array([1.0, 2.0, 0.5])
+    inst = KLinInstance(k=2, n=3, idx=idx, rhs=rhs, w=w)
+    want = KLinInstance(k=2, n=3, idx=idx.copy(), rhs=rhs.copy(), w=w.copy())
+    idx[0] = (2, 2)
+    rhs[1] = 5
+    w[:] = -1.0
+    assert np.array_equal(inst.idx, want.idx)
+    assert np.array_equal(inst.rhs, want.rhs) and np.array_equal(inst.w, want.w)
+    assert np.array_equal(inst.arity, want.arity)
+    assert inst.total_weight == want.total_weight == 3.5
+    assert np.array_equal(to_quadratic_matrix(inst).a, to_quadratic_matrix(want).a)
+
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    graph = GraphInstance(3, edges)
+    edges[1] = (2, 2)
+    assert graph.edges.tolist() == [[0, 1], [1, 2]]
+    assert graph.degrees.tolist() == [1, 2, 1]
+
+
+def test_graph_to_klin_shares_the_graph_array():
+    graph = GraphInstance(4, np.array([[0, 1], [2, 3]]))
+    assert graph_to_klin(graph).idx is graph.edges
+
+
+@pytest.mark.parametrize("values, n, message", [
+    (np.array([1, 2**64 - 1], dtype=np.uint64), None, "entries must be -1 or"),
+    (np.array([1, -2**63], dtype=np.int64), None, "entries must be -1 or"),
+    (np.array([1, -128], dtype=np.int8), None, "entries must be -1 or"),
+    ([1.5, 1.0], None, "entries must be -1 or"),
+    (np.array([1, 0], dtype=np.int8), None, "entries must be -1 or"),
+    ([1, 0], None, "entries must be -1 or"),
+    ([1, -1, 1], 2, "has length 3, expected 2"),
+    ([[1, -1]], None, "must be one-dimensional"),
+])
+def test_pm1_rejections(values, n, message):
+    with pytest.raises(InputError, match=message):
+        _as_pm1(values, n, what="labels")
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1, -1], dtype=np.int8), np.array([1, 1], dtype=np.uint8),
+    [1, -1], [1.0, -1.0],
+])
+def test_pm1_accepts_and_copies(values):
+    out = _as_pm1(values)
+    assert out.dtype == np.int8 and out.tolist() == np.asarray(values, dtype=np.int64).tolist()
+    assert not np.shares_memory(out, np.asarray(values))
 
 
 def test_graph_to_klin_cut_agreement():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from advice_csp import qp_advice
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, QpMatrix
@@ -110,6 +111,62 @@ class TestMaximizeConcave:
         )
 
 
+class TestSurrogateMemo:
+    @staticmethod
+    def lps_solved(monkeypatch):
+        lps, solve_lp = [], qp_advice.solve_lp
+
+        def recording(lp):
+            lps.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(qp_advice, "solve_lp", recording)
+        return lps
+
+    def test_repeat_call_hits_and_returns_a_fresh_array(self, monkeypatch):
+        lps = self.lps_solved(monkeypatch)
+        A = random_qp(np.random.default_rng(30), 6)
+        y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+        first = maximize_concave(A, y, 0.4)
+        second = maximize_concave(A, y, 0.4)
+        assert len(lps) == 1 and first.tobytes() == second.tobytes()
+        keep = second.copy()
+        first[:] = 0.25
+        assert np.array_equal(maximize_concave(A, y, 0.4), keep)
+        assert np.array_equal(second, keep)
+        maximize_concave(A, y, 0.5)  # another epsilon is another key
+        assert len(lps) == 2
+
+    def test_cached_rows_and_box_are_read_only(self, monkeypatch):
+        lps = self.lps_solved(monkeypatch)
+        A = random_qp(np.random.default_rng(31), 4)
+        for y in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])):
+            maximize_concave(A, y, 0.5)
+        assert lps[1].rows is lps[2].rows
+        assert lps[0].rows.tobytes() == lps[1].rows.tobytes()
+        for arr in (lps[1].rows, lps[1].lo, lps[1].hi):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+
+    def test_budget_stops_growth_without_changing_answers(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        n = 5
+        a = random_qp(rng, n).a
+        ys = [rng.choice([-1.0, 1.0], size=n) for _ in range(12)]
+        want = [maximize_concave(QpMatrix(a), y, 0.3) for y in ys]
+        # room for the rows and two optima
+        rows_cost = (2 * n) ** 2 * 8 + qp_advice._ENTRY_BYTES
+        optimum_cost = 2 * 8 * n + qp_advice._ENTRY_BYTES
+        monkeypatch.setattr(qp_advice, "MEMO_BYTES", rows_cost + 2 * optimum_cost)
+        A = QpMatrix(a)
+        for _ in range(2):
+            got = [maximize_concave(A, y, 0.3) for y in ys]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        memo = A.memo[qp_advice.__name__]
+        assert len(memo.rows) == 1 and len(memo.optima) == 2
+        assert memo.charged <= qp_advice.MEMO_BYTES
+
+
 class TestGreedyRound:
     def test_hand_example(self):
         A = QpMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -204,6 +261,14 @@ class TestSolve2Lin:
         adv = LabelAdvice(values=np.ones(3, dtype=np.int8), epsilon=0.5)
         x, weight = solve_2lin_with_advice(inst, adv)
         assert weight == 0.0 and x.shape == (3,)
+
+    def test_empty_instance_checks_advice_length(self):
+        # the advice is checked before the m == 0 shortcut, as it is for m > 0
+        for cons in ((), (((0, 1), 1, 1.0),)):
+            inst = KLinInstance.from_constraints(k=2, n=5, constraints=cons)
+            adv = LabelAdvice(values=np.ones(3, dtype=np.int8), epsilon=0.5)
+            with pytest.raises(InputError, match="advice length 3"):
+                solve_2lin_with_advice(inst, adv)
 
     def test_rejects_unary(self):
         inst = KLinInstance.from_constraints(k=2, n=2, constraints=(((0,), 1, 1.0),))
