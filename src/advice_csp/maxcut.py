@@ -148,8 +148,11 @@ def build_lp(
 
     One variable theta_i in [0, 1] per undecided vertex; the objective
     sum theta_i d_T(i) + (1 - theta_i) d_S(i) is encoded with the constant
-    part as the LP offset.  Both neighborhood-balance families are ranged
-    rows around d/2 with slack c2 * sqrt(d ln n) / epsilon.
+    part as the LP offset.  Row i keeps vertex i's S-side count
+    d_S(i) + sum_{j in N(i) cap Q} theta_j within d/2 +- c2 * sqrt(d ln n) / eps.
+    The T-side band is the same halfspace, since d-regularity gives
+    d_S(i) + d_T(i) + |N(i) cap Q| = d with neighbours counted by edge
+    multiplicity, as the row counts them.
     """
     if graph.regular_degree != d:
         raise InputError("the balance LP requires a d-regular graph")
@@ -161,22 +164,17 @@ def build_lp(
     pos_in_q[q] = np.arange(nq)
     d_s, d_t = _side_degrees(graph, split)
     delta = params.slack(d, graph.n, epsilon)
-    # Rows 2i, 2i + 1: d_T(i) + sum_{j in N(i) cap Q} (1 - theta_j) and
-    # d_S(i) + sum_{j in N(i) cap Q} theta_j, each in [d/2 +- delta].
-    rows = np.zeros((nq, 2, nq), dtype=np.float64)
-    neighbours = rows[:, 1]
+    rows = np.zeros((nq, nq), dtype=np.float64)
     u, v = graph.edges.T
     uq, vq = pos_in_q[u], pos_in_q[v]
     both = (uq >= 0) & (vq >= 0)
-    np.add.at(neighbours, (uq[both], vq[both]), 1.0)
-    np.add.at(neighbours, (vq[both], uq[both]), 1.0)
-    np.negative(neighbours, out=rows[:, 0])
-    base = np.column_stack([d_t[q] + neighbours.sum(axis=1), d_s[q]]).ravel()
+    np.add.at(rows, (uq[both], vq[both]), 1.0)
+    np.add.at(rows, (vq[both], uq[both]), 1.0)
     return LinearProgram(
         c=(d_t[q] - d_s[q]).astype(np.float64),
-        rows=rows.reshape(2 * nq, nq),
-        row_lo=d / 2 - delta - base,
-        row_hi=d / 2 + delta - base,
+        rows=rows,
+        row_lo=d / 2 - delta - d_s[q],
+        row_hi=d / 2 + delta - d_s[q],
         lo=np.zeros(nq),
         hi=np.ones(nq),
         offset=float(d_s[q].sum()),
@@ -258,7 +256,6 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
     in_q[q] = True
     cut_edge = assignment[u] != assignment[v]
     s_side = assignment == 1
-    d_out = graph.neighbour_sums(~s_side) * s_side + graph.neighbour_sums(s_side) * ~s_side
     in_s_l = np.zeros(graph.n, dtype=bool)
     in_s_l[split.side_s] = True
     in_t_l = np.zeros(graph.n, dtype=bool)
@@ -268,10 +265,11 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
     qt_sl = np.count_nonzero((in_q[u] & ~s_side[u] & in_s_l[v]) | (in_q[v] & ~s_side[v] & in_s_l[u]))
     qq_cut = np.count_nonzero(in_q[u] & in_q[v] & cut_edge)
     q_cut_direct = qs_tl + qt_sl + qq_cut
-    q_cut_identity_twice = int(f_y) + int(d_out[q].sum())
-    half = d / 2 + 2 * slack
     dsi = graph.neighbour_sums(s_side)
     dti = graph.degrees - dsi
+    d_out = np.where(s_side, dti, dsi)
+    q_cut_identity_twice = int(f_y) + int(d_out[q].sum())
+    half = d / 2 + 2 * slack
     balance_violations = int(np.count_nonzero(
         np.maximum(dsi[q], dti[q]) > half + 1e-9))
     return CutDiagnostics(

@@ -50,7 +50,7 @@ def _check_point(x, n, what="point") -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (n,):
         raise InputError(f"{what} has shape {v.shape}, expected ({n},)")
-    if np.any(np.abs(v) > 1.0 + 1e-9):
+    if not np.all(np.abs(v) <= 1.0 + 1e-9):  # also rejects NaN
         raise InputError(f"{what} must lie in [-1, 1]^n")
     return np.clip(v, -1.0, 1.0)
 

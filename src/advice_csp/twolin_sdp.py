@@ -180,17 +180,14 @@ def hyperplane_round(
 
 
 def _flip_search(
-    instance: KLinInstance,
-    x: np.ndarray,
-    cap_factor: int = 10,
-    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
+    instance: KLinInstance, x: np.ndarray, m: np.ndarray, lin: np.ndarray
 ) -> np.ndarray:
-    """Repeated best-single-flip improvement on the satisfied weight."""
-    m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
+    """Repeated best-single-flip improvement on the satisfied weight, at
+    most 10 n flips; m and lin are the instance's merged coefficients."""
     x = x.astype(np.float64)
     mx = m @ x
     tol = 1e-9 * max(1.0, instance.total_weight)
-    for _ in range(cap_factor * max(1, instance.n)):
+    for _ in range(10 * max(1, instance.n)):
         gains = -x * (lin + mx)
         best = int(np.argmax(gains))
         if gains[best] <= tol:
@@ -230,7 +227,7 @@ def solve_2lin(
         if w > best_w:
             best_x, best_w = cand, w
     hom_m = coeffs[0]
-    polished = _flip_search(instance, best_x, coeffs=(hom_m[:n, :n], hom_m[:n, ref]))
+    polished = _flip_search(instance, best_x, hom_m[:n, :n], hom_m[:n, ref])
     w, _ = evaluate(instance, polished)
     if w >= best_w:
         best_x, best_w = polished, w

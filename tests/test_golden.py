@@ -14,7 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from advice_csp import qp_advice
+from advice_csp import lp as lp_module
+from advice_csp import maxcut, qp_advice
 from advice_csp.advice import gen_label_advice, subset_to_label
 from advice_csp.enumeration import enumerate_solve
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
@@ -93,6 +94,10 @@ GOLDEN = {
     "max3lin-light.votes": "51ef6591a8c52aa2b2377fc263dd3c86888984d66b53d3a9dfa8568044715766",
     "maxcut.answer": "1acdc000b666b2c4e67543624a7c7a138b7a79a3f1ba40e52d13259e93ac5bf7",
     "maxcut.cut": "1128.0",
+    "maxcut-kept.answer": "5109fc6c32650e4aaae2461b53d47e7ebc688788bbda8f2a311afd47be145808",
+    "maxcut-kept.cut": "37566.0",
+    "maxcut-kept.lp_value": "24056.0",
+    "maxcut-kept.theta": "271d808a7ba9b066cc143e1794c2b97647d9b5799fe2b08914f380327fda006e",
     "qp-advice.answer": "41aceaa06ae12faae31d7d9a55b4f6838e68a5859ed92d696aa8917a8e06bbae",
     "qp-advice.weight": "186.0",
     "weighted-2lin.answer": "97659c0632c243c40f602d55d5dcab69189f53dd115937a2c109575255b4e283",
@@ -131,6 +136,33 @@ def test_maxcut():
     res = solve_maxcut_with_advice(plant.instance, advice, MaxCutParams(1.0, 1.5), seed=(13, 2))
     assert answer(res.assignment) == GOLDEN["maxcut.answer"]
     assert repr(res.cut_weight) == GOLDEN["maxcut.cut"]
+
+
+def test_maxcut_lp_keeps_rows(monkeypatch):
+    # The one pinned Max-Cut case whose balance LP reaches the simplex.
+    kept, outcomes = [], []
+    expand, solve = lp_module._expand_rows, maxcut.solve_lp
+
+    def counting_expand(lp):
+        rows = expand(lp)
+        kept.append(rows[0].shape[0])
+        return rows
+
+    def recording_solve(lp):
+        outcomes.append(solve(lp))
+        return outcomes[-1]
+
+    monkeypatch.setattr(lp_module, "_expand_rows", counting_expand)
+    monkeypatch.setattr(maxcut, "solve_lp", recording_solve)
+    plant = plant_bipartite_regular(1024, 128, 0.37, seed=1)
+    advice = gen_label_advice(plant.x_star, 0.9, seed=(1, 1))
+    res = solve_maxcut_with_advice(plant.instance, advice, MaxCutParams(1.0, 1.5), seed=(1, 2))
+    # Presolve keeps 61 balance inequalities, so the simplex runs.
+    assert kept == [61]
+    assert digest(outcomes[0].x) == GOLDEN["maxcut-kept.theta"]
+    assert answer(res.assignment) == GOLDEN["maxcut-kept.answer"]
+    assert repr(res.cut_weight) == GOLDEN["maxcut-kept.cut"]
+    assert repr(res.diagnostics.lp_value) == GOLDEN["maxcut-kept.lp_value"]
 
 
 @pytest.mark.parametrize("n,d,gamma,seed", GRAPH_CASES)

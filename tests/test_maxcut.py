@@ -102,6 +102,8 @@ class TestBuildLp:
         adv = gen_label_advice(plant.x_star, eps, seed=3)
         split = split_vertices(compute_deltas(graph, adv), d, graph.n, BENCH_PARAMS)
         lp = build_lp(graph, split, d, eps, BENCH_PARAMS)
+        nq = split.undecided.size
+        assert lp.rows.shape == (nq, nq)  # one ranged row per undecided vertex
         theta_star = (plant.x_star[split.undecided] == 1).astype(np.float64)
         val = lp.rows @ theta_star
         assert np.all(lp.row_lo - 1e-9 <= val) and np.all(val <= lp.row_hi + 1e-9)

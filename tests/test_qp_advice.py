@@ -37,6 +37,14 @@ class TestObjective:
         A = QpMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert advice_objective(A, [1.0, 1.0], [1.0, 1.0], 0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.5])
+    def test_rejects_point_off_the_cube(self, bad):
+        A = QpMatrix([[0, 1], [1, 0]])
+        with pytest.raises(InputError):
+            advice_objective(A, [bad, 0.0], [1.0, 1.0], 0.5)
+        with pytest.raises(InputError):
+            advice_objective(A, [1.0, 1.0], [0.0, bad], 0.5)
+
     def test_zero_matrix(self):
         A = QpMatrix(np.zeros((3, 3)))
         rng = np.random.default_rng(0)
@@ -202,6 +210,10 @@ class TestGreedyRound:
         A = QpMatrix(np.zeros((2, 2)))
         with pytest.raises(InputError):
             greedy_round(A, np.array([1.5, 0.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(InputError):
+            greedy_round(QpMatrix([[0, 1], [1, 0]]), [math.nan, 0.0])
 
 
 class TestSolveQp:

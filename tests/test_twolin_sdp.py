@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from advice_csp import twolin_sdp
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, evaluate, plant_klin
 from advice_csp.twolin_sdp import (
@@ -194,3 +195,19 @@ def test_merged_coefficients_identity():
         want, _ = evaluate(inst, x.astype(np.int8))
         got = inst.total_weight / 2 + 0.5 * float(lin @ x) + 0.25 * float(x @ m @ x)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_solve_2lin_builds_coefficients_once(monkeypatch):
+    # relaxation, rounding and flip search all read one homogenized matrix
+    calls = []
+    build = twolin_sdp.merged_coefficients
+
+    def counting(instance):
+        calls.append(instance.n)
+        return build(instance)
+
+    monkeypatch.setattr(twolin_sdp, "merged_coefficients", counting)
+    inst = KLinInstance.from_constraints(
+        k=2, n=4, constraints=(((0,), 1, 1.0), ((1, 2), -1, 1.0), ((2, 3), 1, 2.0)))
+    solve_2lin(inst, TwoLinConfig(), seed=3)
+    assert calls == [inst.n + 1]
