@@ -51,6 +51,8 @@ class SubsetAdvice:
     epsilon: float
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InputError(f"advice length must be >= 0, got {self.n}")
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 1:
             raise InputError("revealed index set must be one-dimensional")

@@ -332,7 +332,7 @@ def cmd_bench(args) -> int:
         "wall_time_s": round(time.monotonic() - t0, 4),
     }
     _emit(summary)
-    return 0
+    return 0 if summary["passed"] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ endings are accepted.  Writing then reading any value is the identity.
 
 from __future__ import annotations
 
-import itertools
+import warnings
+from itertools import compress, count
 
 import numpy as np
 
@@ -27,28 +28,29 @@ from .errors import InputError, ParseError
 from .instances import GraphInstance, KLinInstance, graph_to_klin, _as_pm1
 
 
-def _content_lines(path):
+def _content_lines(path) -> tuple[list[int], list[str]]:
+    """Line numbers and stripped text of the lines that are neither blank nor comments."""
     with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split()
+        text = fh.read()
+    lines = list(map(str.strip, text.split("\n")))
+    # Without a "#" anywhere, a line is content exactly when it is non-empty.
+    keep = [s and s[0] != "#" for s in lines] if "#" in text else lines
+    return list(compress(count(1), keep)), list(compress(lines, keep))
 
 
 def _first_line(path, what):
-    """The content-line iterator and its first line number and tokens."""
-    lines = _content_lines(path)
-    try:
-        return (lines, *next(lines))
-    except StopIteration:
-        raise ParseError(path, 1, f"missing {what} header") from None
+    """Numbers and text of the content lines after the first; its number and tokens."""
+    numbers, lines = _content_lines(path)
+    if not lines:
+        raise ParseError(path, 1, f"missing {what} header")
+    return numbers[1:], lines[1:], numbers[0], lines[0].split()
 
 
-def _pm1_lines(lines, path, lineno, n: int, what: str) -> np.ndarray:
+def _pm1_lines(numbers, lines, path, lineno, n: int, what: str) -> np.ndarray:
     """n lines of one +1/-1 each; a count mismatch names the last line read."""
     values = []
-    for lineno, tokens in lines:
+    for lineno, line in zip(numbers, lines):
+        tokens = line.split()
         if len(tokens) != 1:
             raise ParseError(path, lineno, "expected one +1/-1 per line")
         values.append(_parse_pm1(tokens[0], path, lineno))
@@ -70,19 +72,25 @@ def _parse_pm1(token: str, path, lineno, what="value") -> int:
 def write_instance(path, instance: KLinInstance | GraphInstance) -> None:
     if isinstance(instance, GraphInstance):
         instance = graph_to_klin(instance)
-    k = instance.k
-    # tolist() yields Python ints and floats; %d and %r print them as str and repr.
-    fmt = {a: " ".join(["%d"] * a) + " %+d %r\n" for a in range(1, k + 1)}
-    cols = [instance.idx[:, c].tolist() for c in range(k)]
-    lines = [
-        fmt[a] % (*ids[:a], rhs, w)
-        for ids, a, rhs, w in zip(
-            zip(*cols), instance.arity.tolist(), instance.rhs.tolist(), instance.w.tolist()
-        )
-    ]
+    # Each distinct token is printed once, with its trailing separator, and
+    # the padding index -1 prints as "".  Index tokens cover 0..n-1 unless n
+    # exceeds the index count.  Weights are told apart by bit pattern so
+    # that -0.0 keeps its sign under repr.
+    if instance.n <= instance.idx.size:
+        ids, id_pos = np.arange(-1, instance.n), instance.idx + 1
+    else:
+        ids, id_pos = np.unique(instance.idx, return_inverse=True)
+    id_tok = np.array([f"{i} " if i >= 0 else "" for i in ids.tolist()], dtype=object)
+    bits, w_pos = np.unique(instance.w.view(np.int64), return_inverse=True)
+    w_tok = np.array([f"{w!r}\n" for w in bits.view(np.float64).tolist()], dtype=object)
+    rhs_tok = np.array(["-1 ", "", "+1 "], dtype=object)
+    cells = np.concatenate([
+        id_tok[id_pos.reshape(instance.idx.shape)],
+        rhs_tok[instance.rhs + 1][:, None],
+        w_tok[w_pos.reshape(-1)][:, None],
+    ], axis=1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"p klin {k} {instance.n} {instance.m}\n")
-        fh.write("".join(lines))
+        fh.write(f"p klin {instance.k} {instance.n} {instance.m}\n" + "".join(cells.ravel().tolist()))
 
 
 def _parse_constraint(tokens, k, n, path, lineno) -> tuple[tuple[int, ...], int, float]:
@@ -107,23 +115,29 @@ def _parse_constraint(tokens, k, n, path, lineno) -> tuple[tuple[int, ...], int,
     return idx, rhs, w
 
 
-def _columns(k, n, arity, ids, rhs, w) -> KLinInstance:
-    """Token columns to an instance; raises on any malformed line."""
-    arity = np.array(arity, dtype=np.int64)
-    if np.any((arity < 1) | (arity > k)):
+def _load_columns(k, n, lines) -> KLinInstance:
+    """A body of one arity in one np.loadtxt pass; raises on mixed arity and on all the
+    line checker rejects, and otherwise gives the columns it gives."""
+    a = len(lines[0].split()) - 2
+    if not 1 <= a <= k:
         raise ValueError("arity")
-    flat = np.array(list(map(int, ids)), dtype=np.int64)
-    if np.any(flat < 0):
+    fields = [("idx", np.int64, (a,)), ("rhs", np.int64), ("w", np.float64)]
+    with warnings.catch_warnings():
+        # numpy 1.x reads "1.0" as an integer with only a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        # comments=None: an inline "#" is an error, not a comment
+        table = np.loadtxt(lines, dtype=fields, comments=None, ndmin=1)
+    if table.size != len(lines):
+        raise ValueError("line count")
+    if np.any(table["idx"] < 0):  # -1 would read as padding
         raise ValueError("negative index")
-    idx = np.full((arity.size, k), -1, dtype=np.int64)
-    idx[np.arange(k) < arity[:, None]] = flat  # row-major: each row's leading columns
-    rhs = np.array(list(map(int, rhs)), dtype=np.int64)
-    w = np.array(list(map(float, w)), dtype=np.float64)
-    return KLinInstance(k=k, n=n, idx=idx, rhs=rhs, w=w)
+    idx = np.full((table.size, k), -1, dtype=np.int64)
+    idx[:, :a] = table["idx"]
+    return KLinInstance(k=k, n=n, idx=idx, rhs=table["rhs"], w=table["w"])
 
 
 def read_instance(path) -> KLinInstance:
-    lines, lineno, header = _first_line(path, "instance")
+    numbers, body, lineno, header = _first_line(path, "instance")
     if len(header) != 5 or header[0] != "p" or header[1] != "klin":
         raise ParseError(path, lineno, f"malformed header {' '.join(header)!r}")
     try:
@@ -132,21 +146,14 @@ def read_instance(path) -> KLinInstance:
         raise ParseError(path, lineno, "header fields must be integers") from None
     if k < 1 or n < 1 or m < 0:
         raise ParseError(path, lineno, f"invalid header values k={k} n={n} m={m}")
-    # Flat lists of token strings: unlike one list per line, they leave the
-    # cyclic garbage collector nothing to rescan as the parse grows.
-    arity, ids, rhs, w = [], [], [], []
-    for lineno, tokens in lines:
-        arity.append(len(tokens) - 2)
-        ids += tokens[:-2]
-        rhs += tokens[-2:-1]
-        w.append(tokens[-1])
     try:
-        instance = _columns(k, n, arity, ids, rhs, w)
-    except (ValueError, OverflowError, InputError):
-        # Some line is malformed: reparse line by line to name the first one.
-        body = itertools.islice(_content_lines(path), 1, None)
-        cons = [_parse_constraint(tokens, k, n, path, ln) for ln, tokens in body]
+        instance = _load_columns(k, n, body)
+    except Exception:
+        # Any failure (mixed arity, an empty body, a malformed line) defers
+        # to the line checker, the reference, which names the first bad line.
+        cons = [_parse_constraint(line.split(), k, n, path, ln) for ln, line in zip(numbers, body)]
         instance = KLinInstance.from_constraints(k, n, cons)
+    lineno = numbers[-1] if numbers else lineno
     if instance.m != m:
         raise ParseError(path, lineno, f"header promises {m} constraints, found {instance.m}")
     return instance
@@ -163,48 +170,45 @@ def instance_to_graph(instance: KLinInstance) -> GraphInstance:
 def write_assignment(path, values) -> None:
     vals = _as_pm1(values, what="assignment")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"s assign {vals.shape[0]}\n")
-        for v in vals:
-            fh.write(f"{int(v):+d}\n")
+        fh.write(f"s assign {vals.shape[0]}\n" + "".join(f"{v:+d}\n" for v in vals.tolist()))
 
 
 def read_assignment(path) -> np.ndarray:
-    lines, lineno, header = _first_line(path, "assignment")
+    numbers, lines, lineno, header = _first_line(path, "assignment")
     if len(header) != 3 or header[0] != "s" or header[1] != "assign":
         raise ParseError(path, lineno, f"malformed header {' '.join(header)!r}")
     try:
         n = int(header[2])
     except ValueError:
         raise ParseError(path, lineno, "assignment length must be an integer") from None
-    return _pm1_lines(lines, path, lineno, n, "values")
+    return _pm1_lines(numbers, lines, path, lineno, n, "values")
 
 
 def write_advice(path, advice: LabelAdvice | SubsetAdvice) -> None:
+    if isinstance(advice, LabelAdvice):
+        kind, rows = "label", [f"{v:+d}\n" for v in advice.values.tolist()]
+    else:
+        kind, rows = "subset", [
+            f"{i} {v:+d}\n" for i, v in zip(advice.indices.tolist(), advice.values.tolist())
+        ]
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(advice, LabelAdvice):
-            fh.write(f"a label {advice.n} {advice.epsilon!r}\n")
-            for v in advice.values:
-                fh.write(f"{int(v):+d}\n")
-        else:
-            fh.write(f"a subset {advice.n} {advice.epsilon!r}\n")
-            for i, v in zip(advice.indices, advice.values):
-                fh.write(f"{int(i)} {int(v):+d}\n")
+        fh.write(f"a {kind} {advice.n} {advice.epsilon!r}\n" + "".join(rows))
 
 
 def read_advice(path) -> LabelAdvice | SubsetAdvice:
-    lines, lineno, header = _first_line(path, "advice")
+    numbers, lines, lineno, header = _first_line(path, "advice")
     if len(header) != 4 or header[0] != "a" or header[1] not in ("label", "subset"):
         raise ParseError(path, lineno, f"malformed header {' '.join(header)!r}")
-    kind = header[1]
     try:
         n = int(header[2])
         epsilon = float(header[3])
     except ValueError:
         raise ParseError(path, lineno, "header needs an integer length and a float epsilon") from None
-    if kind == "label":
-        return LabelAdvice(values=_pm1_lines(lines, path, lineno, n, "labels"), epsilon=epsilon)
+    if header[1] == "label":
+        return LabelAdvice(values=_pm1_lines(numbers, lines, path, lineno, n, "labels"), epsilon=epsilon)
     indices, values = [], []
-    for lineno, tokens in lines:
+    for lineno, line in zip(numbers, lines):
+        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(path, lineno, "expected '<index> <+1|-1>' per line")
         try:
@@ -212,9 +216,5 @@ def read_advice(path) -> LabelAdvice | SubsetAdvice:
         except ValueError:
             raise ParseError(path, lineno, "index must be an integer") from None
         values.append(_parse_pm1(tokens[1], path, lineno))
-    return SubsetAdvice(
-        n=n,
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array(values, dtype=np.int8),
-        epsilon=epsilon,
-    )
+    return SubsetAdvice(n=n, indices=np.array(indices, dtype=np.int64),
+                        values=np.array(values, dtype=np.int8), epsilon=epsilon)

@@ -75,6 +75,11 @@ class TestSubsetAdvice:
         with pytest.raises(InputError):
             SubsetAdvice(n=5, indices=np.array([7]), values=np.array([1]), epsilon=0.5)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(InputError, match="advice length must be >= 0, got -5"):
+            SubsetAdvice(n=-5, indices=np.zeros(0, dtype=np.int64),
+                         values=np.zeros(0, dtype=np.int8), epsilon=0.5)
+
 
 class TestSubsetToLabel:
     def test_full_subset_copies_truth(self):

@@ -214,6 +214,12 @@ class TestBench:
         recount = sum(1 for line in lines[1:] if line.endswith("True"))
         assert recount == summary["pass_count"]
 
+    def test_unmet_threshold_exits_one(self, tmp_path, capsys):
+        path = self.config(tmp_path, threshold={"metric": "fraction", "min": 1.5})
+        code, summary, _ = run_cli(capsys, "bench", path)
+        assert code == 1
+        assert summary["passed"] is False and summary["pass_count"] == 0
+
     def test_missing_key_named(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"name": "x"}))

@@ -3,7 +3,7 @@ import pytest
 
 from advice_csp import fileio
 from advice_csp.advice import LabelAdvice, SubsetAdvice, gen_label_advice, gen_subset_advice
-from advice_csp.errors import ParseError
+from advice_csp.errors import InputError, ParseError
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 
 
@@ -146,6 +146,14 @@ def test_mixed_arity_round_trip(tmp_path):
     assert path.read_text() == "p klin 2 3 2\n0 +1 1.0\n1 2 -1 2.0\n"
 
 
+@pytest.mark.parametrize("n", [4, 10**6])  # index tokens for 0..n-1, or only for those used
+def test_instance_bytes_keep_signed_zero(tmp_path, n):
+    inst = KLinInstance.from_constraints(k=2, n=n, constraints=(((3, 1), 1, -0.0), ((2,), -1, 0.0)))
+    path = tmp_path / "zero.klin"
+    fileio.write_instance(path, inst)
+    assert path.read_bytes() == f"p klin 2 {n} 2\n3 1 +1 -0.0\n2 -1 0.0\n".encode()
+
+
 def test_assignment_round_trip(tmp_path):
     plant = plant_klin(9, 3, 10, 0.1, seed=1)
     path = tmp_path / "assign.txt"
@@ -181,3 +189,47 @@ def test_subset_advice_round_trip(tmp_path):
     assert back.n == adv.n and back.epsilon == adv.epsilon
     assert np.array_equal(back.indices, adv.indices)
     assert np.array_equal(back.values, adv.values)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # an inline "#" is not a comment
+    ("p klin 2 3 2\n0 1 +1 1.0 # x\n1 2 -1 1.0\n", ":2: expected 1..2 indices, rhs, and weight"),
+    ("p klin 2 3 2\n0 1 +1 1.0\n1.0 2 -1 1.0\n", ":3: indices must be integers"),
+    ("p klin 2 3 1\n1.5 2 -1 1.0\n", ":2: indices must be integers"),
+    # int() reads "1_0" as 10; the bulk parser does not, so the line checker does
+    ("p klin 2 12 2\n1_0 2 -1 1.0\n0 11 +1 0.5\n", (((10, 2), -1, 1.0), ((0, 11), 1, 0.5))),
+    ("p klin 2 3 2\r\n0\t1\t+1\t1.0\r\n1 \t2 -1\t2.5\r\n", (((0, 1), 1, 1.0), ((1, 2), -1, 2.5))),
+    ("p klin 2 3 2\n0 1 +1 1.0\n1 2 -1 nan\n", ":3: weight must be finite and nonnegative, got nan"),
+    ("p klin 2 3 2\n0 1 +1 inf\n1 2 -1 1.0\n", ":2: weight must be finite and nonnegative, got inf"),
+    ("p klin 2 3 2\n0 1 +1 1.0\n1 2 -1 -1.0\n", ":3: weight must be finite and nonnegative, got -1.0"),
+    # the header arity bounds the lines' arity; every line may be shorter
+    ("p klin 3 4 2\n0 1 +1 1.0\n2 3 -1 2.0\n", (((0, 1), 1, 1.0), ((2, 3), -1, 2.0))),
+    ("p klin 2 3 0\n", ()),
+    ("p klin 2 3 3\n0 +1 1.0\n1 2 -1 2.0\n2 -1 0.5\n", (((0,), 1, 1.0), ((1, 2), -1, 2.0), ((2,), -1, 0.5))),
+])
+def test_bulk_read_agrees_with_line_checker(tmp_path, text, expected):
+    path = tmp_path / "case.klin"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ParseError, match=f"{expected}$"):
+            fileio.read_instance(path)
+    else:
+        k, n = (int(t) for t in text.split()[2:4])
+        assert same_columns(fileio.read_instance(path), KLinInstance.from_constraints(k, n, expected))
+
+
+def test_advice_and_assignment_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    fileio.write_advice(path, LabelAdvice(np.array([1, -1, 1]), 0.375))
+    assert path.read_bytes() == b"a label 3 0.375\n+1\n-1\n+1\n"
+    fileio.write_advice(path, SubsetAdvice(5, np.array([3, 0]), np.array([-1, 1]), 0.4))
+    assert path.read_bytes() == b"a subset 5 0.4\n0 +1\n3 -1\n"
+    fileio.write_assignment(path, [-1.0, 1.0, 1.0])
+    assert path.read_bytes() == b"s assign 3\n-1\n+1\n+1\n"
+
+
+def test_negative_subset_length_rejected(tmp_path):
+    path = tmp_path / "advice.txt"
+    path.write_text("a subset -5 0.5\n")
+    with pytest.raises(InputError, match="advice length must be >= 0"):
+        fileio.read_advice(path)
