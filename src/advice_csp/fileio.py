@@ -23,7 +23,7 @@ from itertools import compress, count
 
 import numpy as np
 
-from .advice import LabelAdvice, SubsetAdvice
+from .advice import LabelAdvice, SubsetAdvice, _check_epsilon
 from .errors import InputError, ParseError
 from .instances import GraphInstance, KLinInstance, graph_to_klin, _as_pm1
 
@@ -204,17 +204,30 @@ def read_advice(path) -> LabelAdvice | SubsetAdvice:
         epsilon = float(header[3])
     except ValueError:
         raise ParseError(path, lineno, "header needs an integer length and a float epsilon") from None
+    # The advice constructors' checks, made here so that a fault names its line.
+    if n < 0:
+        raise ParseError(path, lineno, f"advice length must be >= 0, got {n}")
+    try:
+        _check_epsilon(epsilon)
+    except InputError as exc:
+        raise ParseError(path, lineno, str(exc)) from None
     if header[1] == "label":
         return LabelAdvice(values=_pm1_lines(numbers, lines, path, lineno, n, "labels"), epsilon=epsilon)
-    indices, values = [], []
+    indices, values, seen = [], [], set()
     for lineno, line in zip(numbers, lines):
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(path, lineno, "expected '<index> <+1|-1>' per line")
         try:
-            indices.append(int(tokens[0]))
+            i = int(tokens[0])
         except ValueError:
             raise ParseError(path, lineno, "index must be an integer") from None
+        if not 0 <= i < n:
+            raise ParseError(path, lineno, f"revealed index {i} out of range for n={n}")
+        if i in seen:
+            raise ParseError(path, lineno, f"revealed index {i} repeated")
+        seen.add(i)
+        indices.append(i)
         values.append(_parse_pm1(tokens[1], path, lineno))
     return SubsetAdvice(n=n, indices=np.array(indices, dtype=np.int64),
                         values=np.array(values, dtype=np.int8), epsilon=epsilon)

@@ -6,6 +6,12 @@ ascent on the low-rank objective sum w_ij (1 + rhs_ij <v_i, v_j>) / 2, and
 random-hyperplane rounding signs the vectors.  Best-of-trials plus the
 optional hint assignment and a best-single-flip local search close the
 gap on small instances.
+
+An instance without pair constraints is solved exactly instead: each
+variable stands alone and takes the sign of L_i, the rhs * weight sum of
+its unary constraints (the reference column of the homogenized pair
+matrix), with ties, such as a variable in no constraint, going to +1.
+No pair matrix is built and nothing is drawn from the seed.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ class UnitEmbedding:
         if v.ndim != 2:
             raise InputError("embedding must be a 2-d array")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise InputError("embedding rows must be unit vectors")
+        # written so that a NaN or infinite norm fails too
+        if not np.all(np.abs(norms - 1.0) <= 1e-8):
+            raise InputError("embedding rows must be finite unit vectors")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -54,6 +61,11 @@ class TwoLinConfig:
 def _check_arity(instance: KLinInstance, message: str) -> None:
     if (instance.arity > 2).any():
         raise InputError(message)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError("at least one rounding trial is required")
 
 
 def homogenize(instance: KLinInstance) -> tuple[KLinInstance, int]:
@@ -158,8 +170,7 @@ def hyperplane_round(
     sign(0) counts as +1.  Ties in satisfied weight keep the earliest
     trial, which makes the whole procedure deterministic given the seed.
     """
-    if trials < 1:
-        raise InputError("at least one rounding trial is required")
+    _check_trials(trials)
     if embedding.n != instance.n:
         raise InputError("embedding size does not match the instance")
     m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
@@ -197,6 +208,25 @@ def _flip_search(
     return x.astype(np.int8)
 
 
+def _solve_unary(instance: KLinInstance, config: TwoLinConfig) -> tuple[np.ndarray, float]:
+    """Weighted majority per variable, the exact optimum of an instance
+    whose constraints are all unary.
+
+    L_i sums rhs * weight over the constraints on i in constraint order,
+    as the homogenized pair matrix's reference column does, and x_i = +1
+    where L_i >= 0.  No hint can beat this and no single flip gains, so
+    those steps are skipped; the config is checked as the relaxation
+    path checks it, in the same order.
+    """
+    _check_trials(config.trials)
+    lin = np.bincount(instance.idx[:, 0], weights=instance.rhs * instance.w, minlength=instance.n)
+    x = np.where(lin >= 0, 1, -1).astype(np.int8)
+    weight, _ = evaluate(instance, x)
+    if config.hint is not None:
+        _as_pm1(config.hint, instance.n, what="hint assignment")
+    return x, weight
+
+
 def solve_2lin(
     instance: KLinInstance,
     config: TwoLinConfig = TwoLinConfig(),
@@ -206,13 +236,15 @@ def solve_2lin(
 
     The homogenized pair matrix is built once: the relaxation and the
     rounding use it whole, and the flip search reads the original pair
-    matrix and unary vector off its top-left block and last column.
+    matrix and unary vector off its top-left block and last column.  When
+    every homogenized pair touches the reference, ``_solve_unary`` answers
+    exactly instead.
     """
     _check_arity(instance, "solve_2lin accepts arity <= 2 only")
     n = instance.n
-    if instance.m == 0:
-        return np.ones(n, dtype=np.int8), 0.0
     hom, ref = homogenize(instance)
+    if (hom.idx[:, 1] == ref).all():  # also an empty instance: all +1, weight 0
+        return _solve_unary(instance, config)
     coeffs = merged_coefficients(hom)
     rank = config.rank if config.rank is not None else math.ceil(math.sqrt(2 * n)) + 1
     rank = max(2, rank)

@@ -185,6 +185,16 @@ class TestSolve:
         )
         assert code == 1 and "rhs" in err
 
+    def test_advice_fault_names_line_and_exits_one(self, maxcut_files, tmp_path, capsys):
+        prefix, _ = maxcut_files
+        bad = tmp_path / "bad.advice"
+        bad.write_text("a subset 128 0.5\n3 +1\n200 -1\n")
+        code, _, err = run_cli(
+            capsys, "solve", "maxcut-lp", "--instance", f"{prefix}.instance",
+            "--advice", str(bad),
+        )
+        assert code == 1 and f"{bad}:3: revealed index 200 out of range" in err
+
 
 class TestBench:
     def config(self, tmp_path, **overrides):

@@ -233,3 +233,29 @@ def test_negative_subset_length_rejected(tmp_path):
     path.write_text("a subset -5 0.5\n")
     with pytest.raises(InputError, match="advice length must be >= 0"):
         fileio.read_advice(path)
+
+
+@pytest.mark.parametrize("text, where, message", [
+    pytest.param("a subset -5 0.5\n", ":1:", "advice length must be >= 0, got -5",
+                 id="negative-subset-length"),
+    pytest.param("a label -1 0.5\n", ":1:", "advice length must be >= 0, got -1",
+                 id="negative-label-length"),
+    pytest.param("# c\na label 2 1.5\n+1\n-1\n", ":2:", r"epsilon must lie in \(0, 1\], got 1.5",
+                 id="label-epsilon"),
+    pytest.param("a subset 4 0\n0 +1\n", ":1:", "epsilon must lie in", id="zero-epsilon"),
+    pytest.param("a subset 4 nan\n", ":1:", "epsilon must lie in", id="nan-epsilon"),
+    pytest.param("a subset 4 0.5\n0 +1\n\n4 -1\n", ":4:", "revealed index 4 out of range for n=4",
+                 id="index-past-n"),
+    pytest.param("a subset 4 0.5\n-1 +1\n", ":2:", "revealed index -1 out of range",
+                 id="negative-index"),
+    pytest.param("a subset 4 0.5\n2 +1\n0 -1\n# c\n2 -1\n", ":5:", "revealed index 2 repeated",
+                 id="repeated-index"),
+    # a bad header is reported before a bad index line
+    pytest.param("a subset 1 2.0\n3 +1\n", ":1:", "epsilon must lie in", id="header-first"),
+])
+def test_advice_faults_name_file_and_line(tmp_path, text, where, message):
+    path = tmp_path / "advice.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as info:
+        fileio.read_advice(path)
+    assert str(info.value).startswith(f"{path}{where} ")

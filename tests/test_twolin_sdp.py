@@ -211,3 +211,75 @@ def test_solve_2lin_builds_coefficients_once(monkeypatch):
         k=2, n=4, constraints=(((0,), 1, 1.0), ((1, 2), -1, 1.0), ((2, 3), 1, 2.0)))
     solve_2lin(inst, TwoLinConfig(), seed=3)
     assert calls == [inst.n + 1]
+
+
+def test_embedding_rejects_nan_and_infinite_rows():
+    for bad in ([[np.nan, 0.0], [1.0, 0.0]], [[np.inf, 0.0], [1.0, 0.0]],
+                [[np.inf, np.nan], [1.0, 0.0]], [[1.0, 0.0], [0.6, np.nan]]):
+        with pytest.raises(InputError):
+            UnitEmbedding(vectors=bad)
+    assert UnitEmbedding(vectors=[[0.6, 0.8], [1.0, 0.0]]).n == 2
+
+
+def random_unary(rng, n, m):
+    """Unary-only instance with dyadic weights, so every weight sum is exact.
+
+    Variable 0 gets only canceling votes (L_0 = 0) and variable n - 1 none;
+    the others may repeat, cancel or go unused too."""
+    ids = rng.integers(1, n - 1, size=m)
+    cons = [((int(i),), int(rng.choice([-1, 1])), float(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])))
+            for i in ids]
+    cons += [((0,), 1, 1.25), ((0,), -1, 0.5), ((0,), -1, 0.75)]
+    return KLinInstance.from_constraints(k=2, n=n, constraints=cons)
+
+
+class TestUnaryShortcut:
+    def test_weighted_majority_is_optimal_and_ties_go_to_plus_one(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            n = int(rng.integers(3, 10))
+            inst = random_unary(rng, n, int(rng.integers(1, 3 * n)))
+            lin = merged_coefficients(inst)[1]
+            best = brute_force_best(inst)
+            for s in range(3):
+                x, w = solve_2lin(inst, TwoLinConfig(), seed=s)
+                assert w == best == evaluate(inst, x)[0]
+                assert np.array_equal(x, np.where(lin >= 0, 1, -1))
+                assert x[0] == 1 and x[n - 1] == 1
+
+    def test_tied_variable_is_plus_one_under_every_seed(self):
+        inst = KLinInstance.from_constraints(
+            k=1, n=3, constraints=(((0,), 1, 1.0), ((1,), -1, 2.0)))
+        for s in range(10):
+            x, w = solve_2lin(inst, TwoLinConfig(), seed=s)
+            assert x.tolist() == [1, -1, 1] and w == 3.0
+
+    @pytest.mark.parametrize("constraints", [(((0,), 1, 1.0),), ()], ids=["unary", "empty"])
+    def test_checks_config_like_the_relaxation_path(self, constraints):
+        inst = KLinInstance.from_constraints(k=2, n=3, constraints=constraints)
+        with pytest.raises(InputError, match="rounding trial"):
+            solve_2lin(inst, TwoLinConfig(trials=0), seed=0)
+        with pytest.raises(InputError, match="hint assignment has length 2"):
+            solve_2lin(inst, TwoLinConfig(hint=np.ones(2, dtype=np.int8)), seed=0)
+        with pytest.raises(InputError, match="hint assignment entries"):
+            solve_2lin(inst, TwoLinConfig(hint=[1, 0, 1]), seed=0)
+
+    def test_skips_matrix_relaxation_rounding_and_flips(self, monkeypatch):
+        calls = []
+        homogenize_ = twolin_sdp.homogenize
+
+        def counting(instance):
+            calls.append("homogenize")
+            return homogenize_(instance)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the unary path must not reach this")
+
+        monkeypatch.setattr(twolin_sdp, "homogenize", counting)
+        for name in ("merged_coefficients", "solve_relaxation", "hyperplane_round", "_flip_search"):
+            monkeypatch.setattr(twolin_sdp, name, forbidden)
+        inst = KLinInstance.from_constraints(
+            k=2, n=4, constraints=(((0,), 1, 1.0), ((2,), -1, 2.0), ((0,), -1, 0.5)))
+        x, w = solve_2lin(inst, TwoLinConfig(hint=np.ones(4, dtype=np.int8)), seed=3)
+        assert calls == ["homogenize"]
+        assert x.tolist() == [1, 1, -1, 1] and w == 3.0
