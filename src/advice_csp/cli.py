@@ -290,8 +290,15 @@ def cmd_bench(args) -> int:
         raise InputError(f"unknown threshold metric {metric!r}; use 'value' or 'fraction'")
     seeds = config["seeds"]
     if isinstance(seeds, dict):
-        start = seeds.get("start", 0)
-        seeds = range(start, start + _config_key(config, "seeds.count"))
+        start, count = seeds.get("start", 0), _config_key(config, "seeds.count")
+        if count < 1:
+            raise InputError(f"bench config key 'seeds.count' must be >= 1, got {count}")
+        seeds = range(start, start + count)
+    elif not seeds:
+        raise InputError("bench config key 'seeds' lists no seed")
+    pass_rate = config.get("pass_rate", 1.0)
+    if not 0.0 < pass_rate <= 1.0:
+        raise InputError(f"bench config key 'pass_rate' must lie in (0, 1], got {pass_rate}")
     maxcut = MaxCutParams(**{k: algo[k] for k in ("threshold_coeff", "slack_coeff") if k in algo})
 
     rows = []
@@ -320,14 +327,14 @@ def cmd_bench(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     pass_count = sum(r["passed"] for r in rows)
-    need = config.get("pass_rate", 1.0) * len(rows)
+    need = pass_rate * len(rows)
     summary = {
         "command": "bench",
         "name": config["name"],
         "rows": len(rows),
         "csv": csv_path,
         "pass_count": pass_count,
-        "pass_rate": pass_count / len(rows) if rows else 1.0,
+        "pass_rate": pass_count / len(rows),
         "passed": pass_count >= need - 1e-9,
         "wall_time_s": round(time.monotonic() - t0, 4),
     }

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .advice import SubsetAdvice
+from .advice import SubsetAdvice, _check_epsilon
 from .errors import BudgetError, InputError
 from .instances import KLinInstance, evaluate, _as_pm1
 
@@ -49,8 +49,7 @@ def projected_runs(n: int, epsilon: float) -> int:
     """Exact run count: sum over t <= floor(2 eps n) of C(n, t) * 2^t."""
     if n < 1:
         raise InputError("variable count must be >= 1")
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     size = min(n, math.floor(2.0 * epsilon * n))
     return sum(math.comb(n, t) * (1 << t) for t in range(size + 1))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advice import LabelAdvice
+from .advice import LabelAdvice, _check_epsilon
 from .errors import InputError
 from .instances import KLinInstance, evaluate, satisfied_mask
 from .twolin_sdp import TwoLinConfig, solve_2lin
@@ -147,8 +147,7 @@ def compute_threshold(delta: float, epsilon: float) -> int:
     """t = ceil(8 * eps^-2 * ln(1/delta)), the heavy-pair cutoff."""
     if not 0.0 < delta <= 0.5:
         raise InputError(f"delta must lie in (0, 1/2], got {delta}")
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     return max(1, math.ceil(8.0 * math.log(1.0 / delta) / (epsilon * epsilon)))
 
 
@@ -342,7 +341,6 @@ def solve_max3lin_with_advice(
     delta: float,
     epsilon: float | None = None,
     seed=0,
-    config: TwoLinConfig | None = None,
 ) -> Max3LinResult:
     """End-to-end advice pipeline for nearly satisfiable Max 3-Lin.
 
@@ -353,9 +351,7 @@ def solve_max3lin_with_advice(
     _require_arity3(phi)
     eps = advice.epsilon if epsilon is None else epsilon
     reduced = build_psi(phi, advice, delta, eps)
-    if config is None:
-        config = TwoLinConfig(hint=advice.values)
-    x_hat, _ = solve_2lin(reduced.psi, config, seed)
+    x_hat, _ = solve_2lin(reduced.psi, TwoLinConfig(hint=advice.values), seed)
     _, fraction = evaluate(phi, x_hat)
     sat_phi = satisfied_mask(phi, x_hat)
     unsat = ~sat_phi

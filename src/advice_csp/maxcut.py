@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advice import LabelAdvice
+from .advice import LabelAdvice, _check_epsilon
 from .errors import InputError
 # evaluate is unused here but stays bound: perfbench's span tests rebind it in this module.
 from .instances import GraphInstance, cut_value, evaluate  # noqa: F401
@@ -156,8 +156,7 @@ def build_lp(
     """
     if graph.regular_degree != d:
         raise InputError("the balance LP requires a d-regular graph")
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     q = split.undecided
     nq = q.shape[0]
     pos_in_q = -np.ones(graph.n, dtype=np.int64)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .advice import LabelAdvice
+from .advice import LabelAdvice, _check_epsilon
 from .errors import InputError, InternalError
 from .instances import (
     KLinInstance,
@@ -57,8 +57,7 @@ def _check_point(x, n, what="point") -> np.ndarray:
 
 def advice_objective(A: QpMatrix, x, y, epsilon: float) -> float:
     """F(x, y) = <x, Ay> - ||A(eps*x - y)||_1."""
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     n = A.n
     xv = _check_point(x, n, "x")
     yv = _check_point(y, n, "y")
@@ -91,8 +90,7 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
     Optima are memoized on the matrix (see the module docstring); every
     call returns a fresh array.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     n = A.n
     yv = _check_point(y, n, "advice labels")
     memo = A.memo.get(__name__)

@@ -57,6 +57,13 @@ class TwoLinConfig:
     trials: int = 100
     hint: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.rank is not None and self.rank < 2:
+            raise InputError("relaxation rank must be >= 2")
+        if self.sweeps < 0:
+            raise InputError(f"relaxation sweep count must be >= 0, got {self.sweeps}")
+        _check_trials(self.trials)
+
 
 def _check_arity(instance: KLinInstance, message: str) -> None:
     if (instance.arity > 2).any():
@@ -215,10 +222,9 @@ def _solve_unary(instance: KLinInstance, config: TwoLinConfig) -> tuple[np.ndarr
     L_i sums rhs * weight over the constraints on i in constraint order,
     as the homogenized pair matrix's reference column does, and x_i = +1
     where L_i >= 0.  No hint can beat this and no single flip gains, so
-    those steps are skipped; the config is checked as the relaxation
-    path checks it, in the same order.
+    those steps are skipped; the hint is checked as the relaxation path
+    checks it.
     """
-    _check_trials(config.trials)
     lin = np.bincount(instance.idx[:, 0], weights=instance.rhs * instance.w, minlength=instance.n)
     x = np.where(lin >= 0, 1, -1).astype(np.int8)
     weight, _ = evaluate(instance, x)
@@ -247,7 +253,6 @@ def solve_2lin(
         return _solve_unary(instance, config)
     coeffs = merged_coefficients(hom)
     rank = config.rank if config.rank is not None else math.ceil(math.sqrt(2 * n)) + 1
-    rank = max(2, rank)
     embedding = solve_relaxation(hom, rank, config.sweeps, seed, coeffs=coeffs)
     x_hom, _ = hyperplane_round(hom, embedding, config.trials, (seed, 1), coeffs=coeffs)
     candidates = [dehomogenize(x_hom, ref)]

@@ -176,23 +176,104 @@ def brute_force_qp_max(A: QpMatrix) -> float:
     return float(np.max(np.einsum("ij,jk,ik->i", xs, A.a, xs)))
 
 
-def _random_2lin(rng, n, m, weighted=True) -> KLinInstance:
+def random_2lin(rng, n, m) -> KLinInstance:
+    """m pair constraints, each drawing its pair, rhs, then weight in [0.1, 1.1)."""
     cons = []
     for _ in range(m):
         i, j = rng.choice(n, size=2, replace=False)
-        w = float(rng.random() + 0.1) if weighted else 1.0
-        cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), w))
+        cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), float(rng.random() + 0.1)))
     return KLinInstance.from_constraints(2, n, cons)
 
 
-def _same_columns(a: KLinInstance, b: KLinInstance) -> bool:
+def random_qp(rng, n) -> QpMatrix:
+    """A symmetric standard-normal n x n matrix with a zero diagonal."""
+    a = rng.normal(size=(n, n))
+    a = (a + a.T) / 2
+    np.fill_diagonal(a, 0.0)
+    return QpMatrix(a)
+
+
+def rank_one_qp(rng, n) -> tuple[QpMatrix, np.ndarray]:
+    """x x^T with a zero diagonal for a random +-1 vector x, and x."""
+    xs = rng.choice([-1, 1], size=n).astype(np.int8)
+    a = np.outer(xs, xs).astype(np.float64)
+    np.fill_diagonal(a, 0.0)
+    return QpMatrix(a), xs
+
+
+def same_columns(a: KLinInstance, b: KLinInstance) -> bool:
     return (a.k, a.n) == (b.k, b.n) and all(
         np.array_equal(x, y) for x, y in ((a.idx, b.idx), (a.rhs, b.rhs), (a.w, b.w))
     )
 
 
-def _binomial_band(p: float, trials: int, sigmas: float = 3.0) -> float:
-    return sigmas * math.sqrt(max(p * (1 - p), 1e-12) / trials)
+def binomial_band(p: float, trials: int, sigmas: float = 3.0) -> float:
+    return sigmas * math.sqrt(p * (1 - p) / trials)
+
+
+def qp_ceiling_violations(rng, trials: int, n_high: int) -> int:
+    """Random QPs on which qp-advice beats the exhaustive max by over 1e-9;
+    each draws n in [2, n_high), the matrix, labels, then epsilon in [0.2, 1)."""
+    violations = 0
+    for _ in range(trials):
+        n = int(rng.integers(2, n_high))
+        A = random_qp(rng, n)
+        advice = LabelAdvice(values=rng.choice([-1, 1], size=n).astype(np.int8),
+                             epsilon=float(rng.uniform(0.2, 1.0)))
+        _, value = solve_qp_with_advice(A, advice)
+        violations += value > brute_force_qp_max(A) + 1e-9
+    return violations
+
+
+def rounding_decreases(rng, trials: int, n_low: int, n_high: int) -> int:
+    """Random points whose greedy rounding lowers the form by over 1e-9; each
+    draws n in [n_low, n_high) (nothing if that is one value), the matrix, then x."""
+    decreases = 0
+    for _ in range(trials):
+        n = int(rng.integers(n_low, n_high))
+        A = random_qp(rng, n)
+        x = rng.uniform(-1, 1, size=n)
+        before = float(x @ A.a @ x)
+        decreases += A.form_value(greedy_round(A, x)) < before - 1e-9
+    return decreases
+
+
+def sides_inside_plant(split, x_star) -> bool:
+    """Committed-side containment: S inside the planted S* and T inside T*."""
+    star_s = x_star == 1
+    return bool(np.all(star_s[split.side_s]) and not np.any(star_s[split.side_t]))
+
+
+def heavy_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int, int, float]:
+    """(errors, total, exp(-eps^2 t / 8)) over the heavy pairs with under a
+    quarter of their constraints violated by x*: votes that differ from x*_i x*_j."""
+    incidence, _ = classify_constraints(phi, reduced.threshold)
+    sat_star = satisfied_mask(phi, x_star)
+    errs = total = 0
+    for g, (i, j) in enumerate(reduced.heavy_pairs.tolist()):
+        members = incidence.members((i, j))
+        viol = int(np.count_nonzero(~sat_star[members]))
+        if viol >= len(members) / 4:
+            continue
+        total += 1
+        truth = int(x_star[i]) * int(x_star[j])
+        if reduced.sigma_pair[g] != truth:
+            errs += 1
+    return errs, total, math.exp(-epsilon * epsilon * reduced.threshold / 8.0)
+
+
+def light_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int, int, float]:
+    """(errors, total, bound) over the light variables: votes that differ from
+    x*_i, and the mean of exp(-eps^4 |L_i| / 16t) (0 with no light variable)."""
+    _, lights = classify_constraints(phi, reduced.threshold)
+    errs = total = 0
+    bound_sum = 0.0
+    for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
+        total += 1
+        if reduced.sigma_var[var] != int(x_star[var]):
+            errs += 1
+        bound_sum += math.exp(-epsilon**4 * size / (16.0 * reduced.threshold))
+    return errs, total, bound_sum / max(total, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +309,7 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
 
     ok = True
     n = 12
-    inst = _random_2lin(rng, n, 30)
+    inst = random_2lin(rng, n, 30)
     qp = to_quadratic_matrix(inst)
     xs = np.array(list(itertools.product([-1, 1], repeat=n)), dtype=np.int8)
     for x in xs[rng.choice(len(xs), size=min(len(xs), 40 * seeds), replace=True)]:
@@ -244,7 +325,7 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
 
     p1 = plant_klin(50, 3, 200, 0.2, seed=77)
     p2 = plant_klin(50, 3, 200, 0.2, seed=77)
-    same = _same_columns(p1.instance, p2.instance) and np.array_equal(p1.x_star, p2.x_star)
+    same = same_columns(p1.instance, p2.instance) and np.array_equal(p1.x_star, p2.x_star)
     g1 = plant_bipartite_regular(64, 6, 0.5, seed=8)
     g2 = plant_bipartite_regular(64, 6, 0.5, seed=8)
     same = same and np.array_equal(g1.instance.edges, g2.instance.edges)
@@ -252,10 +333,10 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "roundtrip.klin")
-        inst = _random_2lin(rng, 9, 12)
+        inst = random_2lin(rng, 9, 12)
         fileio.write_instance(path, inst)
         back = fileio.read_instance(path)
-        ok = _same_columns(back, inst)
+        ok = same_columns(back, inst)
     out.append(CheckResult("instance-invariants", "instance file round-trip", ok))
     return out
 
@@ -277,14 +358,14 @@ def suite_advice_stats(seeds: int) -> list[CheckResult]:
 
     eps = 0.2
     agree = float(np.mean(gen_label_advice(x_star, eps, seed=5).values == x_star))
-    band = _binomial_band((1 + eps) / 2, n)
+    band = binomial_band((1 + eps) / 2, n)
     out.append(CheckResult("advice-stats", "agreement rate in 3-sigma band",
                            abs(agree - (1 + eps) / 2) <= band,
                            f"agree={agree:.4f} target={(1+eps)/2}"))
 
     eps = 0.25
     sub = gen_subset_advice(x_star, eps, seed=6)
-    band = _binomial_band(eps, n) * n
+    band = binomial_band(eps, n) * n
     out.append(CheckResult("advice-stats", "subset size in 3-sigma band",
                            abs(sub.size - eps * n) <= band, f"size={sub.size}"))
     out.append(CheckResult("advice-stats", "revealed values match truth",
@@ -303,7 +384,7 @@ def suite_advice_stats(seeds: int) -> list[CheckResult]:
         lab = subset_to_label(probe, seed=(9, s))
         hits += int(lab.values[0] == x_star[0])
     target = 1.0 if 0 in probe.indices.tolist() else 0.5
-    band = _binomial_band(max(target, 0.5), trials)
+    band = binomial_band(max(target, 0.5), trials)
     out.append(CheckResult("advice-stats", "conversion mixture statistics",
                            abs(hits / trials - target) <= band + 1e-9,
                            f"rate={hits/trials:.3f} target={target}"))
@@ -324,18 +405,11 @@ def suite_lp_oracle(seeds: int) -> list[CheckResult]:
 def suite_qp_lemmas(seeds: int) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20_004)
-
-    def random_qp(n):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, 0.0)
-        return QpMatrix(a)
-
     concave_ok = True
     claim_ok = True
     for _ in range(max(10, seeds // 4)):
         n = int(rng.integers(2, 9))
-        A = random_qp(n)
+        A = random_qp(rng, n)
         eps = float(rng.uniform(0.1, 1.0))
         y = rng.choice([-1.0, 1.0], size=n)
         x1, x2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
@@ -348,32 +422,20 @@ def suite_qp_lemmas(seeds: int) -> list[CheckResult]:
     out.append(CheckResult("qp-lemmas", "surrogate objective concave along chords", concave_ok))
     out.append(CheckResult("qp-lemmas", "form dominates surrogate over epsilon", claim_ok))
 
-    mono_ok = True
-    for _ in range(max(50, 10 * seeds)):
-        n = int(rng.integers(2, 21))
-        A = random_qp(n)
-        x = rng.uniform(-1, 1, size=n)
-        before = float(x @ A.a @ x)
-        xr = greedy_round(A, x)
-        if A.form_value(xr) < before - 1e-9:
-            mono_ok = False
-    out.append(CheckResult("qp-lemmas", "greedy rounding never decreases the form", mono_ok))
+    trials = max(50, 10 * seeds)
+    decreases = rounding_decreases(rng, trials, 2, 21)
+    out.append(CheckResult("qp-lemmas", "greedy rounding never decreases the form",
+                           decreases == 0, f"{decreases}/{trials} decreased"))
 
-    ceiling_ok = True
-    for _ in range(max(5, seeds // 10)):
-        n = int(rng.integers(2, 11))
-        A = random_qp(n)
-        eps = float(rng.uniform(0.2, 1.0))
-        adv = LabelAdvice(values=rng.choice([-1, 1], size=n).astype(np.int8), epsilon=eps)
-        _, val = solve_qp_with_advice(A, adv)
-        if val > brute_force_qp_max(A) + 1e-9:
-            ceiling_ok = False
-    out.append(CheckResult("qp-lemmas", "output never beats the exhaustive max", ceiling_ok))
+    trials = max(5, seeds // 10)
+    violations = qp_ceiling_violations(rng, trials, 11)
+    out.append(CheckResult("qp-lemmas", "output never beats the exhaustive max",
+                           violations == 0, f"{violations}/{trials} above"))
 
     grid_ok = True
     for _ in range(3):
         n = 4
-        A = random_qp(n)
+        A = random_qp(rng, n)
         eps = 0.5
         y = rng.choice([-1.0, 1.0], size=n)
         best = -math.inf
@@ -415,8 +477,7 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
         tail_holds = bool(np.max(np.abs(deltas - eps * delta_star)) <= tail_limit)
         tail_hits += int(tail_holds)
         split = split_vertices(deltas, d, n, params)
-        if (np.all(star_s[split.side_s]) and not np.any(star_s[split.side_t])):
-            containment += 1
+        containment += sides_inside_plant(split, plant.x_star)
         if tail_holds and np.any(np.abs(delta_star[split.undecided]) > slack + 1e-9):
             qbound_ok = False
         res = solve_maxcut_with_advice(graph, advice, params, seed=(42, s))
@@ -470,7 +531,7 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
 
     ascent_ok = True
     for _ in range(max(3, seeds // 30)):
-        inst = _random_2lin(rng, 14, 40)
+        inst = random_2lin(rng, 14, 40)
         hom, _ = homogenize(inst)
         emb = solve_relaxation(hom, rank=4, sweeps=1, seed=1)
         prev = relaxation_objective(hom, emb)
@@ -502,7 +563,7 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
     out.append(CheckResult("twolin-invariants", "dehomogenization preserves weight", dehom_ok))
 
     dominance_ok = True
-    inst = _random_2lin(rng, 12, 30)
+    inst = random_2lin(rng, 12, 30)
     hom, ref = homogenize(inst)
     emb = solve_relaxation(hom, rank=5, sweeps=50, seed=3)
     best_x, best_w = hyperplane_round(hom, emb, trials=32, seed=4)
@@ -586,34 +647,14 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     eps, delta = 0.6, 0.05
     advice = gen_label_advice(x_star, eps, seed=99)
     reduced = build_psi(phi, advice, delta, eps)
-    t = reduced.threshold
-    incidence, lights = classify_constraints(phi, t)
-    sat_star = satisfied_mask(phi, x_star)
-    errs = total = 0
-    for g, (i, j) in enumerate(reduced.heavy_pairs.tolist()):
-        members = incidence.members((i, j))
-        viol = int(np.count_nonzero(~sat_star[members]))
-        if viol >= len(members) / 4:
-            continue
-        total += 1
-        truth = int(x_star[i]) * int(x_star[j])
-        if reduced.sigma_pair[g] != truth:
-            errs += 1
-    bound = math.exp(-eps * eps * t / 8.0)
-    margin = _binomial_band(bound, max(total, 1))
+    errs, total, bound = heavy_vote_errors(phi, x_star, reduced, eps)
+    margin = binomial_band(bound, max(total, 1))
     out.append(CheckResult("threelin-lemmas", "heavy vote error rate within bound",
                            total > 0 and errs / total <= bound + margin,
                            f"errs={errs}/{total} bound={bound:.4f}"))
 
-    light_errs = light_total = 0
-    bound_sum = 0.0
-    for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
-        light_total += 1
-        if reduced.sigma_var[var] != int(x_star[var]):
-            light_errs += 1
-        bound_sum += math.exp(-eps**4 * size / (16.0 * t))
-    mean_bound = bound_sum / max(light_total, 1)
-    margin = _binomial_band(mean_bound, max(light_total, 1))
+    light_errs, light_total, mean_bound = light_vote_errors(phi, x_star, reduced, eps)
+    margin = binomial_band(mean_bound, max(light_total, 1))
     out.append(CheckResult("threelin-lemmas", "light vote error rate within bound",
                            light_total == 0 or light_errs / light_total <= mean_bound + margin,
                            f"errs={light_errs}/{light_total} bound={mean_bound:.4f}"))

@@ -13,27 +13,27 @@ import pytest
 
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.enumeration import enumerate_solve, projected_runs
-from advice_csp.instances import (
-    KLinInstance,
-    QpMatrix,
-    plant_bipartite_regular,
-    plant_klin,
-    satisfied_mask,
-)
-from advice_csp.max3lin import build_psi, classify_constraints, solve_max3lin_with_advice
+from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
+from advice_csp.max3lin import build_psi, solve_max3lin_with_advice
 from advice_csp.maxcut import (
     MaxCutParams,
     compute_deltas,
     solve_maxcut_with_advice,
     split_vertices,
 )
-from advice_csp.qp_advice import greedy_round, solve_qp_with_advice
+from advice_csp.qp_advice import solve_qp_with_advice
 from advice_csp.verify import (
+    binomial_band,
     brute_force_best,
-    brute_force_qp_max,
+    heavy_vote_errors,
+    light_vote_errors,
     lp_oracle_disagreements,
+    qp_ceiling_violations,
     qp_subset_inner,
+    rank_one_qp,
     reduction_map_failures,
+    rounding_decreases,
+    sides_inside_plant,
 )
 
 BENCH = MaxCutParams(1.0, 1.5)
@@ -47,13 +47,6 @@ def report(line):
 @pytest.fixture(scope="module")
 def a1_plants():
     return {s: plant_bipartite_regular(1024, 64, 0.0, seed=s) for s in range(10)}
-
-
-def rank_one(rng, n):
-    xs = rng.choice([-1, 1], size=n).astype(np.int8)
-    a = np.outer(xs, xs).astype(np.float64)
-    np.fill_diagonal(a, 0.0)
-    return QpMatrix(a), xs
 
 
 def test_a1_maxcut_pipeline(a1_plants):
@@ -89,7 +82,7 @@ def test_a2_quadratic_form_bound():
     # value >= n(n-1) - sqrt(n) ||A||_F / eps, under 120 s total.
     rng = np.random.default_rng(2024)
     n, eps, draws = 200, 0.5, 50
-    A, xs = rank_one(rng, n)
+    A, xs = rank_one_qp(rng, n)
     floor = n * (n - 1) - math.sqrt(n) * A.frobenius / eps
     t0 = time.monotonic()
     values = []
@@ -102,29 +95,9 @@ def test_a2_quadratic_form_bound():
     assert mean_value >= floor, f"mean {mean_value} below floor {floor}"
     assert elapsed < 120.0
     # Exhaustive ceiling on 100 random matrices with n <= 12.
-    ceiling_ok = 0
-    for s in range(100):
-        nn = int(rng.integers(2, 13))
-        a = rng.normal(size=(nn, nn))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, 0.0)
-        Arand = QpMatrix(a)
-        advice = LabelAdvice(values=rng.choice([-1, 1], size=nn).astype(np.int8),
-                             epsilon=float(rng.uniform(0.2, 1.0)))
-        _, value = solve_qp_with_advice(Arand, advice)
-        ceiling_ok += value <= brute_force_qp_max(Arand) + 1e-9
-    assert ceiling_ok == 100
+    assert qp_ceiling_violations(rng, 100, 13) == 0
     # Rounding monotonicity on 500 random fractional points.
-    mono_ok = 0
-    for _ in range(500):
-        nn = int(rng.integers(2, 21))
-        a = rng.normal(size=(nn, nn))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, 0.0)
-        Arand = QpMatrix(a)
-        x = rng.uniform(-1, 1, size=nn)
-        mono_ok += Arand.form_value(greedy_round(Arand, x)) >= float(x @ a @ x) - 1e-9
-    assert mono_ok == 500
+    assert rounding_decreases(rng, 500, 2, 21) == 0
     report(f"A2 PASS: mean {mean_value:.0f} >= {floor:.0f} ({elapsed:.0f}s), "
            f"ceiling 100/100, monotone 500/500")
 
@@ -162,25 +135,17 @@ def test_a4_heavy_vote_recovery():
     # vote error rate stays within exp(-eps^2 t / 8) plus 3 sigma.
     eps, delta = 0.6, 0.05
     errors = total = 0
-    t_used = None
     for s in range(2):
         plant = plant_klin(50, 3, 36000, 0.05, seed=(4, s))
-        phi, x_star = plant.instance, plant.x_star
-        advice = gen_label_advice(x_star, eps, seed=(4, s, 1))
-        reduced = build_psi(phi, advice, delta, eps)
-        t_used = reduced.threshold
-        incidence, _ = classify_constraints(phi, reduced.threshold)
-        sat_star = satisfied_mask(phi, x_star)
-        for g, pair in enumerate(reduced.heavy_pairs.tolist()):
-            members = incidence.members(pair)
-            if sum(0 if sat_star[p] else 1 for p in members) >= len(members) / 4:
-                continue
-            total += 1
-            truth = int(x_star[pair[0]]) * int(x_star[pair[1]])
-            errors += reduced.sigma_pair[g] != truth
-    bound = math.exp(-eps * eps * t_used / 8)
-    margin = 3 * math.sqrt(bound * (1 - bound) / total)
+        advice = gen_label_advice(plant.x_star, eps, seed=(4, s, 1))
+        reduced = build_psi(plant.instance, advice, delta, eps)
+        # both seeds share the threshold, so they share the bound
+        seed_errors, seed_total, bound = heavy_vote_errors(
+            plant.instance, plant.x_star, reduced, eps)
+        errors += seed_errors
+        total += seed_total
     assert total >= 1000, f"only {total} qualifying heavy pairs"
+    margin = binomial_band(bound, total)
     assert errors / total <= bound + margin
     report(f"A4 PASS: {errors}/{total} heavy vote errors, bound {bound:.4f}+{margin:.4f}")
 
@@ -193,16 +158,9 @@ def test_a5_light_vote_recovery():
     phi, x_star = plant.instance, plant.x_star
     advice = gen_label_advice(x_star, eps, seed=(5, 1))
     reduced = build_psi(phi, advice, delta, eps)
-    _, lights = classify_constraints(phi, reduced.threshold)
-    errors = 0
-    bounds = []
-    for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
-        errors += reduced.sigma_var[var] != int(x_star[var])
-        bounds.append(math.exp(-eps**4 * size / (16 * reduced.threshold)))
-    total = len(bounds)
-    mean_bound = float(np.mean(bounds))
-    margin = 3 * math.sqrt(mean_bound * (1 - mean_bound) / total)
+    errors, total, mean_bound = light_vote_errors(phi, x_star, reduced, eps)
     assert total >= 1000, f"only {total} light variables"
+    margin = binomial_band(mean_bound, total)
     assert errors / total <= mean_bound + margin
     report(f"A5 PASS: {errors}/{total} light vote errors, bound {mean_bound:.4f}+{margin:.4f}")
 
@@ -211,15 +169,13 @@ def test_a6_committed_side_containment(a1_plants):
     # 100 advice draws on the A1 plant: committed sides inside the planted
     # sides in at least 99 draws.
     plant = a1_plants[0]
-    star_s = plant.x_star == 1
     d = plant.instance.regular_degree
     good = 0
     for s in range(100):
         advice = gen_label_advice(plant.x_star, 0.3, seed=(6, s))
         deltas = compute_deltas(plant.instance, advice)
         split = split_vertices(deltas, d, plant.instance.n, BENCH)
-        if np.all(star_s[split.side_s]) and not np.any(star_s[split.side_t]):
-            good += 1
+        good += sides_inside_plant(split, plant.x_star)
     assert good >= 99, f"containment held in only {good}/100 draws"
     report(f"A6 PASS: containment in {good}/100 draws")
 

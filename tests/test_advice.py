@@ -12,14 +12,11 @@ from advice_csp.advice import (
     subset_to_label,
 )
 from advice_csp.errors import InputError
+from advice_csp.verify import binomial_band
 
 N = 10_000
 RNG = np.random.default_rng(999)
 X_STAR = RNG.choice([-1, 1], size=N).astype(np.int8)
-
-
-def band(p, trials, sigmas=3.0):
-    return sigmas * math.sqrt(p * (1 - p) / trials)
 
 
 class TestLabelAdvice:
@@ -112,7 +109,7 @@ class TestSubsetToLabel:
             lab = subset_to_label(sub, seed=(12, s))
             hits += int(lab.values[0] == truth[0])
         target = (1 + eps) / 2
-        assert abs(hits / trials - target) <= band(target, trials) + 1e-12
+        assert abs(hits / trials - target) <= binomial_band(target, trials) + 1e-12
 
 
 class TestEmpiricalCorrelation:

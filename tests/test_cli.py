@@ -177,6 +177,21 @@ class TestSolve:
         values = fileio.read_assignment(out)
         assert values.shape == (128,)
 
+    @pytest.mark.parametrize("algorithm", ["twolin-sdp", "qp-advice", "maxcut-lp", "max3lin"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rank", "1", "relaxation rank must be >= 2"),
+        ("--trials", "0", "at least one rounding trial is required"),
+        ("--sweeps", "-1", "relaxation sweep count must be >= 0"),
+    ])
+    def test_bad_twolin_config_exits_one(self, maxcut_files, capsys, algorithm, flag, value,
+                                         message):
+        prefix, _ = maxcut_files
+        code, _, err = run_cli(
+            capsys, "solve", algorithm, "--instance", f"{prefix}.instance",
+            "--advice", f"{prefix}.advice", "--delta", "0.1", flag, value,
+        )
+        assert code == 1 and message in err
+
     def test_parse_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.instance"
         bad.write_text("p klin 2 3 1\n0 1 2 1.0\n")
@@ -259,6 +274,12 @@ class TestBench:
         ({"algorithm": {"name": "max3lin"}}, "algorithm.delta"),
         ({"generator": {"kind": "klin-planted", "n": 30, "k": 3}}, "generator.m"),
         ({"threshold": {"metric": "ratio", "min": 0.5}}, "ratio"),
+        ({"seeds": []}, "seeds"),
+        ({"seeds": {"start": 0, "count": 0}}, "seeds.count"),
+        ({"seeds": {"count": -3}}, "seeds.count"),
+        ({"pass_rate": -1.0}, "pass_rate"),
+        ({"pass_rate": 0.0}, "pass_rate"),
+        ({"pass_rate": 1.5}, "pass_rate"),
     ])
     def test_config_error_names_key(self, tmp_path, capsys, override, named):
         path = self.config(tmp_path, **override)

@@ -5,12 +5,7 @@ from advice_csp import fileio
 from advice_csp.advice import LabelAdvice, SubsetAdvice, gen_label_advice, gen_subset_advice
 from advice_csp.errors import InputError, ParseError
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
-
-
-def same_columns(a, b):
-    return (a.k, a.n) == (b.k, b.n) and all(
-        np.array_equal(getattr(a, col), getattr(b, col)) for col in ("idx", "rhs", "w")
-    )
+from advice_csp.verify import same_columns
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from advice_csp.max3lin import (
     representative_accounting,
     solve_max3lin_with_advice,
 )
+from advice_csp.verify import binomial_band, heavy_vote_errors, light_vote_errors, same_columns
 
 
 def all_ones_advice(n, eps=1.0):
@@ -187,8 +186,7 @@ class TestBuildPsi:
         advice = gen_label_advice(plant.x_star, 0.7, seed=9)
         a = build_psi(plant.instance, advice, delta=0.1, epsilon=0.7)
         b = build_psi(plant.instance, advice, delta=0.1, epsilon=0.7)
-        for col in ("idx", "rhs", "w"):
-            assert np.array_equal(getattr(a.psi, col), getattr(b.psi, col))
+        assert same_columns(a.psi, b.psi)
         assert np.array_equal(a.source, b.source)
 
 
@@ -239,20 +237,9 @@ class TestRecoveryRates:
         eps, delta = 0.6, 0.05
         advice = gen_label_advice(x_star, eps, seed=22)
         reduced = build_psi(phi, advice, delta, eps)
-        incidence, _ = classify_constraints(phi, reduced.threshold)
-        sat_star = satisfied_mask(phi, x_star)
-        errors = total = 0
-        for g, pair in enumerate(reduced.heavy_pairs.tolist()):
-            members = incidence.members(pair)
-            if sum(0 if sat_star[p] else 1 for p in members) >= len(members) / 4:
-                continue
-            total += 1
-            truth = int(x_star[pair[0]]) * int(x_star[pair[1]])
-            errors += reduced.sigma_pair[g] != truth
-        bound = math.exp(-eps * eps * reduced.threshold / 8)
-        margin = 3 * math.sqrt(bound * (1 - bound) / max(total, 1))
+        errors, total, bound = heavy_vote_errors(phi, x_star, reduced, eps)
         assert total >= 100
-        assert errors / total <= bound + margin
+        assert errors / total <= bound + binomial_band(bound, total)
 
     def test_light_vote_error_bound(self):
         plant = plant_klin(300, 3, 21000, 0.05, seed=23)
@@ -260,14 +247,6 @@ class TestRecoveryRates:
         eps, delta = 0.8, 0.2
         advice = gen_label_advice(x_star, eps, seed=24)
         reduced = build_psi(phi, advice, delta, eps)
-        _, lights = classify_constraints(phi, reduced.threshold)
-        errors = 0
-        bounds = []
-        for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
-            errors += reduced.sigma_var[var] != int(x_star[var])
-            bounds.append(math.exp(-eps**4 * size / (16 * reduced.threshold)))
-        total = len(bounds)
-        mean_bound = float(np.mean(bounds))
-        margin = 3 * math.sqrt(mean_bound * (1 - mean_bound) / total)
+        errors, total, mean_bound = light_vote_errors(phi, x_star, reduced, eps)
         assert total >= 100
-        assert errors / total <= mean_bound + margin
+        assert errors / total <= mean_bound + binomial_band(mean_bound, total)

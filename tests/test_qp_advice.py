@@ -15,21 +15,14 @@ from advice_csp.qp_advice import (
     solve_2lin_with_advice,
     solve_qp_with_advice,
 )
-from advice_csp.verify import brute_force_best, brute_force_qp_max
-
-
-def random_qp(rng, n):
-    a = rng.normal(size=(n, n))
-    a = (a + a.T) / 2
-    np.fill_diagonal(a, 0.0)
-    return QpMatrix(a)
-
-
-def rank_one_plant(rng, n):
-    xs = rng.choice([-1, 1], size=n).astype(np.int8)
-    a = np.outer(xs, xs).astype(np.float64)
-    np.fill_diagonal(a, 0.0)
-    return QpMatrix(a), xs
+from advice_csp.verify import (
+    brute_force_best,
+    brute_force_qp_max,
+    qp_ceiling_violations,
+    random_qp,
+    rank_one_qp,
+    rounding_decreases,
+)
 
 
 class TestObjective:
@@ -112,7 +105,7 @@ class TestMaximizeConcave:
     def test_rank_one_exact_recovery(self):
         rng = np.random.default_rng(6)
         n = 6
-        A, xs = rank_one_plant(rng, n)
+        A, xs = rank_one_qp(rng, n)
         xf = maximize_concave(A, xs.astype(np.float64), 1.0)
         assert advice_objective(A, xf, xs.astype(np.float64), 1.0) == pytest.approx(
             n * (n - 1), abs=1e-6
@@ -199,12 +192,8 @@ class TestGreedyRound:
         assert np.array_equal(greedy_round(A, np.zeros(3)), [1, 1, 1])
 
     def test_never_decreases_on_random_inputs(self):
-        rng = np.random.default_rng(8)
-        for _ in range(500):
-            n = 20
-            A = random_qp(rng, n)
-            x = rng.uniform(-1, 1, size=n)
-            assert A.form_value(greedy_round(A, x)) >= float(x @ A.a @ x) - 1e-9
+        # n is always 20: a one-value range draws nothing from the rng
+        assert rounding_decreases(np.random.default_rng(8), 500, 20, 21) == 0
 
     def test_rejects_vector_outside_cube(self):
         A = QpMatrix(np.zeros((2, 2)))
@@ -219,7 +208,7 @@ class TestGreedyRound:
 class TestSolveQp:
     def test_rank_one_epsilon_one(self):
         rng = np.random.default_rng(9)
-        A, xs = rank_one_plant(rng, 4)
+        A, xs = rank_one_qp(rng, 4)
         adv = LabelAdvice(values=xs, epsilon=1.0)
         _, value = solve_qp_with_advice(A, adv)
         assert value == pytest.approx(12.0)
@@ -232,14 +221,7 @@ class TestSolveQp:
         assert value == 0.0
 
     def test_never_beats_brute_force(self):
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            n = int(rng.integers(2, 11))
-            A = random_qp(rng, n)
-            adv = LabelAdvice(values=rng.choice([-1, 1], size=n).astype(np.int8),
-                              epsilon=float(rng.uniform(0.2, 1.0)))
-            _, value = solve_qp_with_advice(A, adv)
-            assert value <= brute_force_qp_max(A) + 1e-9
+        assert qp_ceiling_violations(np.random.default_rng(10), 25, 11) == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -293,7 +275,7 @@ class TestSolve2Lin:
         # above the planted value minus sqrt(n) * frobenius / epsilon.
         rng = np.random.default_rng(13)
         n, eps, draws = 60, 0.5, 12
-        A, xs = rank_one_plant(rng, n)
+        A, xs = rank_one_qp(rng, n)
         values = []
         for s in range(draws):
             adv = gen_label_advice(xs, eps, seed=(21, s))

@@ -15,15 +15,7 @@ from advice_csp.twolin_sdp import (
     solve_2lin,
     solve_relaxation,
 )
-from advice_csp.verify import brute_force_best
-
-
-def random_2lin(rng, n, m):
-    cons = []
-    for _ in range(m):
-        i, j = rng.choice(n, size=2, replace=False)
-        cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), float(rng.random() + 0.1)))
-    return KLinInstance.from_constraints(k=2, n=n, constraints=tuple(cons))
+from advice_csp.verify import brute_force_best, random_2lin
 
 
 class TestHomogenize:
@@ -141,6 +133,22 @@ class TestSolve2Lin:
         inst = KLinInstance.from_constraints(k=2, n=4, constraints=())
         x, w = solve_2lin(inst, TwoLinConfig(), seed=0)
         assert w == 0.0 and x.shape == (4,)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rank", 1, "relaxation rank must be >= 2"),
+        ("rank", -3, "relaxation rank must be >= 2"),
+        ("sweeps", -5, "relaxation sweep count must be >= 0"),
+        ("trials", 0, "at least one rounding trial is required"),
+        ("trials", -1, "at least one rounding trial is required"),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            TwoLinConfig(**{field: value})
+
+    def test_config_accepts_the_smallest_legal_values(self):
+        inst = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), -1, 1.0),))
+        _, w = solve_2lin(inst, TwoLinConfig(rank=2, sweeps=0, trials=1), seed=0)
+        assert w == 1.0
 
     def test_near_optimal_on_small_instances(self):
         rng = np.random.default_rng(12)
