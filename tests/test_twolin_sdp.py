@@ -265,8 +265,6 @@ class TestUnaryShortcut:
     @pytest.mark.parametrize("constraints", [(((0,), 1, 1.0),), ()], ids=["unary", "empty"])
     def test_checks_config_like_the_relaxation_path(self, constraints):
         inst = KLinInstance.from_constraints(k=2, n=3, constraints=constraints)
-        with pytest.raises(InputError, match="rounding trial"):
-            solve_2lin(inst, TwoLinConfig(trials=0), seed=0)
         with pytest.raises(InputError, match="hint assignment has length 2"):
             solve_2lin(inst, TwoLinConfig(hint=np.ones(2, dtype=np.int8)), seed=0)
         with pytest.raises(InputError, match="hint assignment entries"):
