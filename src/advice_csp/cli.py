@@ -267,6 +267,14 @@ def _config_key(config: dict, path: str):
     return node
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_bench(args) -> int:
     t0 = time.monotonic()
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -288,21 +296,30 @@ def cmd_bench(args) -> int:
     metric = config["threshold"].get("metric", "value")
     if metric not in ("value", "fraction"):
         raise InputError(f"unknown threshold metric {metric!r}; use 'value' or 'fraction'")
+    if not _is_number(threshold):
+        raise InputError(f"bench config key 'threshold.min' must be a number, got {threshold!r}")
     seeds = config["seeds"]
     if isinstance(seeds, dict):
         start, count = seeds.get("start", 0), _config_key(config, "seeds.count")
-        if count < 1:
-            raise InputError(f"bench config key 'seeds.count' must be >= 1, got {count}")
+        if not _is_int(start):
+            raise InputError(f"bench config key 'seeds.start' must be an integer, got {start!r}")
+        if not _is_int(count) or count < 1:
+            raise InputError(f"bench config key 'seeds.count' must be an integer >= 1, "
+                             f"got {count!r}")
         seeds = range(start, start + count)
+    elif not isinstance(seeds, list) or not all(map(_is_int, seeds)):
+        raise InputError(f"bench config key 'seeds' must be a list of integers or "
+                         f"{{start, count}}, got {seeds!r}")
     elif not seeds:
         raise InputError("bench config key 'seeds' lists no seed")
     pass_rate = config.get("pass_rate", 1.0)
-    if not 0.0 < pass_rate <= 1.0:
-        raise InputError(f"bench config key 'pass_rate' must lie in (0, 1], got {pass_rate}")
+    if not _is_number(pass_rate) or not 0.0 < pass_rate <= 1.0:
+        raise InputError(f"bench config key 'pass_rate' must be a number in (0, 1], "
+                         f"got {pass_rate!r}")
     maxcut = MaxCutParams(**{k: algo[k] for k in ("threshold_coeff", "slack_coeff") if k in algo})
 
     rows = []
-    for seed in map(int, seeds):
+    for seed in seeds:
         plant, planted_fraction = _plant(gen, seed)
         advice = _gen_advice(config["advice"].get("model", "label"), plant.x_star,
                              adv_epsilon, seed=(seed, 1))

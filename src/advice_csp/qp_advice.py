@@ -10,17 +10,26 @@ ever decreasing <x, Ax>.  The surrogate maximization is an exact linear
 program: auxiliary variables s_r >= +-(A(eps*x - y))_r linearize the
 l1 penalty, so the optimum is certified rather than approximated.
 
+The LP starts feasible, so the simplex never runs phase 1: x starts at
+the bound y points to (+1 where y >= 0, else -1) and s at 0.  The two
+rows of s_r have slacks that sum to 0 there, so at most one of them is
+violated; making s_r basic in it sets s_r = |(A(eps*x - y))_r| and leaves
+the other row's slack at twice that.  ``solve_lp`` does this for every
+violated row in one block pivot, also when presolve dropped a row.
+
 Each QpMatrix carries this solver's memo (``QpMatrix.memo``): the variable
-box, the surrogate rows [eps A, -I; -eps A, -I] per epsilon, and the
-clipped LP optimum per (epsilon, bytes of the checked labels).
+box and start columns, the surrogate rows [eps A, -I; -eps A, -I] per
+epsilon, and the clipped LP optimum per (epsilon, bytes of the checked
+labels).
 Subset-advice enumeration solves the same label vector many times on one
 instance; a hit returns the bytes the LP gave for it without solving it
 again.  The memo is bounded: each stored array is charged its bytes plus
 _ENTRY_BYTES for the Python objects around it, and once MEMO_BYTES would
 be exceeded, new rows and optima are computed and returned but not
 stored.  In the worst case a matrix therefore holds 16 MiB (MEMO_BYTES)
-of memo besides its O(n) box, that is at most MEMO_BYTES / (16 n +
-_ENTRY_BYTES) optima, for as long as the matrix lives.  The memo takes no
+of memo besides its O(n) box and start columns, that is at most
+MEMO_BYTES / (16 n + _ENTRY_BYTES) optima, for as long as the matrix
+lives.  The memo takes no
 lock: concurrent calls on one matrix may solve one LP twice.
 """
 
@@ -40,7 +49,7 @@ from .instances import (
     quadratic_identity_value,
     to_quadratic_matrix,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, LpStart, solve_lp
 
 MEMO_BYTES = 16 << 20
 _ENTRY_BYTES = 256  # charged per stored array for the Python objects around it
@@ -70,6 +79,8 @@ class _SurrogateMemo:
     def __init__(self, n: int):
         self.lo = _readonly(np.concatenate([-np.ones(n), np.zeros(n)]), np.float64)
         self.hi = _readonly(np.concatenate([np.ones(n), np.full(n, math.inf)]), np.float64)
+        # Rows 2r and 2r + 1 name s_r, column n + r, for the start.
+        self.start_cols = _readonly(np.repeat(np.arange(n, 2 * n), 2), np.int64)
         self.rows: dict[float, np.ndarray] = {}
         self.optima: dict[tuple[float, bytes], np.ndarray] = {}
         self.charged = 0
@@ -87,6 +98,8 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
 
     Variables are (x, s); rows enforce s_r >= (A(eps*x - y))_r and
     s_r >= -(A(eps*x - y))_r, and the objective is <x, Ay> - sum(s).
+    The simplex starts from the feasible basis the module docstring
+    describes.
     Optima are memoized on the matrix (see the module docstring); every
     call returns a fresh array.
     """
@@ -114,7 +127,9 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
         lo=memo.lo,
         hi=memo.hi,
     )
-    out = solve_lp(lp)
+    start = LpStart(at_hi=np.concatenate([yv >= 0.0, np.zeros(n, dtype=bool)]),
+                    basic=memo.start_cols)
+    out = solve_lp(lp, start=start)
     if not out.is_optimal:
         raise InternalError(f"concave surrogate LP ended {out.status}")
     x = np.clip(out.x[:n], -1.0, 1.0)

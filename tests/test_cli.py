@@ -280,6 +280,12 @@ class TestBench:
         ({"pass_rate": -1.0}, "pass_rate"),
         ({"pass_rate": 0.0}, "pass_rate"),
         ({"pass_rate": 1.5}, "pass_rate"),
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": "ab"}, "seeds"),
+        ({"seeds": {"count": 1.5}}, "seeds.count"),
+        ({"seeds": {"start": "0", "count": 2}}, "seeds.start"),
+        ({"pass_rate": "x"}, "pass_rate"),
+        ({"threshold": {"metric": "value", "min": "high"}}, "threshold.min"),
     ])
     def test_config_error_names_key(self, tmp_path, capsys, override, named):
         path = self.config(tmp_path, **override)

@@ -8,6 +8,7 @@ from advice_csp import qp_advice
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, QpMatrix
+from advice_csp.lp import _expand_rows, solve_lp
 from advice_csp.qp_advice import (
     advice_objective,
     greedy_round,
@@ -117,9 +118,9 @@ class TestSurrogateMemo:
     def lps_solved(monkeypatch):
         lps, solve_lp = [], qp_advice.solve_lp
 
-        def recording(lp):
+        def recording(lp, start=None):
             lps.append(lp)
-            return solve_lp(lp)
+            return solve_lp(lp, start=start)
 
         monkeypatch.setattr(qp_advice, "solve_lp", recording)
         return lps
@@ -166,6 +167,53 @@ class TestSurrogateMemo:
         memo = A.memo[qp_advice.__name__]
         assert len(memo.rows) == 1 and len(memo.optima) == 2
         assert memo.charged <= qp_advice.MEMO_BYTES
+
+
+class TestSurrogateStart:
+    @staticmethod
+    def built(monkeypatch):
+        """(lp, start) of each surrogate LP ``maximize_concave`` solves."""
+        built, solve = [], qp_advice.solve_lp
+
+        def capture(lp, start=None):
+            built.append((lp, start))
+            return solve(lp, start=start)
+
+        monkeypatch.setattr(qp_advice, "solve_lp", capture)
+        return built
+
+    def test_started_solve_matches_two_phase_without_phase_one(self, monkeypatch):
+        # Sparse rows, isolated vertices and fractional labels make presolve
+        # drop one or both rows of many pairs.
+        built = self.built(monkeypatch)
+        rng = np.random.default_rng(40)
+        for _ in range(240):
+            n = int(rng.integers(2, 41))
+            a = random_qp(rng, n).a * (rng.random((n, n)) < rng.choice([0.1, 0.5, 1.0]))
+            a = np.triu(a, 1) + np.triu(a, 1).T
+            isolated = rng.random(n) < 0.2
+            a[isolated], a[:, isolated] = 0.0, 0.0
+            y = (rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5
+                 else rng.uniform(-1.0, 1.0, size=n))
+            maximize_concave(QpMatrix(a), y, float(1.0 - rng.random()))  # eps in (0, 1]
+        zero_rows = dropped = 0
+        for lp, start in built:
+            started, plain = solve_lp(lp, start=start), solve_lp(lp)
+            assert started.is_optimal and plain.is_optimal
+            assert not started.phase1_used
+            assert abs(started.value - plain.value) <= 1e-9 * max(1.0, abs(plain.value))
+            zero_rows += bool(np.any(np.all(lp.rows[:, :lp.p // 2] == 0.0, axis=1)))
+            dropped += _expand_rows(lp)[0].shape[0] < lp.rows.shape[0]
+        assert len(built) == 240 and zero_rows >= 100 and dropped >= 200
+
+    def test_start_saves_phase_one_and_pivots(self, monkeypatch):
+        built = self.built(monkeypatch)
+        A, xs = rank_one_qp(np.random.default_rng(41), 30)
+        maximize_concave(A, gen_label_advice(xs, 0.5, seed=41).values.astype(np.float64), 0.5)
+        lp, start = built[0]
+        started, plain = solve_lp(lp, start=start), solve_lp(lp)
+        assert plain.phase1_used and not started.phase1_used
+        assert started.pivots < plain.pivots
 
 
 class TestGreedyRound:
