@@ -31,7 +31,7 @@ from .instances import (
     satisfied_mask,
     to_quadratic_matrix,
 )
-from .lp import LinearProgram, LpOutcome, LpStart, solve_lp
+from .lp import LinearProgram, LpOutcome, solve_lp
 from .max3lin import (
     Max3LinResult,
     ReducedInstance,

@@ -255,6 +255,8 @@ def cmd_solve(args) -> int:
 
 
 _REQUIRED_BENCH_KEYS = ("name", "generator", "advice", "algorithm", "seeds", "threshold")
+_BENCH_SECTIONS = ("generator", "advice", "algorithm", "threshold")
+_REQUIRED = object()
 
 
 def _config_key(config: dict, path: str):
@@ -275,35 +277,56 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _config_number(config: dict, path: str, integer: bool = False, default=_REQUIRED):
+    """The number, or with ``integer`` the integer, at a dotted key path;
+    a missing key gives ``default`` when one is passed."""
+    parent, _, last = path.rpartition(".")
+    node = _config_key(config, parent) if parent else config
+    if last not in node and default is not _REQUIRED:
+        return default
+    value = _config_key(config, path)
+    if not (_is_int(value) if integer else _is_number(value)):
+        kind = "an integer" if integer else "a number"
+        raise InputError(f"bench config key {path!r} must be {kind}, got {value!r}")
+    return value
+
+
 def cmd_bench(args) -> int:
     t0 = time.monotonic()
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     for key in _REQUIRED_BENCH_KEYS:
         _config_key(config, key)
+    for key in _BENCH_SECTIONS:
+        if not isinstance(config[key], dict):
+            raise InputError(f"bench config key {key!r} must be an object, got {config[key]!r}")
+    if not isinstance(config["name"], str):
+        raise InputError(f"bench config key 'name' must be a string, got {config['name']!r}")
     csv_path = args.csv or f"{config['name']}.csv"
     _refuse_existing([csv_path], args.force)
 
     gen, algo = config["generator"], config["algorithm"]
-    if gen.get("kind") not in GENERATORS:
+    if not isinstance(gen.get("kind"), str) or gen["kind"] not in GENERATORS:
         raise InputError(f"unknown generator kind {gen.get('kind')!r}")
     for key in GENERATORS[gen["kind"]]:
-        _config_key(config, f"generator.{key}")
+        _config_number(config, f"generator.{key}", integer=True)
+    for key in ("gamma", "delta"):
+        _config_number(config, f"generator.{key}", default=0.0)
     name = algo.get("name")
-    delta = _config_key(config, "algorithm.delta") if name == "max3lin" else None
-    adv_epsilon = _config_key(config, "advice.epsilon")
-    threshold = _config_key(config, "threshold.min")
+    delta = _config_number(config, "algorithm.delta") if name == "max3lin" else None
+    algo_epsilon = _config_number(config, "algorithm.epsilon", default=None)
+    maxcut = MaxCutParams(**{key: _config_number(config, f"algorithm.{key}")
+                             for key in ("threshold_coeff", "slack_coeff") if key in algo})
+    adv_epsilon = _config_number(config, "advice.epsilon")
+    threshold = _config_number(config, "threshold.min")
     metric = config["threshold"].get("metric", "value")
     if metric not in ("value", "fraction"):
         raise InputError(f"unknown threshold metric {metric!r}; use 'value' or 'fraction'")
-    if not _is_number(threshold):
-        raise InputError(f"bench config key 'threshold.min' must be a number, got {threshold!r}")
     seeds = config["seeds"]
     if isinstance(seeds, dict):
-        start, count = seeds.get("start", 0), _config_key(config, "seeds.count")
-        if not _is_int(start):
-            raise InputError(f"bench config key 'seeds.start' must be an integer, got {start!r}")
-        if not _is_int(count) or count < 1:
+        start = _config_number(config, "seeds.start", integer=True, default=0)
+        count = _config_number(config, "seeds.count", integer=True)
+        if count < 1:
             raise InputError(f"bench config key 'seeds.count' must be an integer >= 1, "
                              f"got {count!r}")
         seeds = range(start, start + count)
@@ -312,11 +335,10 @@ def cmd_bench(args) -> int:
                          f"{{start, count}}, got {seeds!r}")
     elif not seeds:
         raise InputError("bench config key 'seeds' lists no seed")
-    pass_rate = config.get("pass_rate", 1.0)
-    if not _is_number(pass_rate) or not 0.0 < pass_rate <= 1.0:
+    pass_rate = _config_number(config, "pass_rate", default=1.0)
+    if not 0.0 < pass_rate <= 1.0:
         raise InputError(f"bench config key 'pass_rate' must be a number in (0, 1], "
                          f"got {pass_rate!r}")
-    maxcut = MaxCutParams(**{k: algo[k] for k in ("threshold_coeff", "slack_coeff") if k in algo})
 
     rows = []
     for seed in seeds:
@@ -327,7 +349,7 @@ def cmd_bench(args) -> int:
             advice = subset_to_label(advice, seed=(seed, 1, 1))
         value, fraction, _, _ = _run_algorithm(
             name, plant.instance, advice, seed,
-            maxcut=maxcut, delta=delta, epsilon=algo.get("epsilon"),
+            maxcut=maxcut, delta=delta, epsilon=algo_epsilon,
         )
         rows.append({
             "seed": seed,

@@ -234,7 +234,7 @@ class QpMatrix:
 
     ``a`` is a read-only array the matrix owns, so one matrix can be
     shared; ``memo`` holds state that solvers derive from ``a`` and keep
-    with it (``qp_advice`` keeps its surrogate LP rows and optima there).
+    with it (``qp_advice`` keeps its surrogate LP box and optima there).
     """
 
     a: np.ndarray

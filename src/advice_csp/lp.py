@@ -8,14 +8,13 @@ implies.  The core is a dense tableau simplex over bounded variables
 (with bound flips); pricing is steepest-coefficient and switches to
 Bland's anti-cycling rule when the objective stalls.
 
-The simplex starts from the slack basis with every variable at a finite
-bound, or from an optional ``LpStart``: each variable's starting bound,
-and per row a column to make basic in that row's inequality where the
-start violates it, applied in one block pivot.  Phase 1 runs only when
-an inequality is still violated after that, and only with artificials on
-those inequalities; a start whose block is singular, whose columns
-repeat or which would push a column out of its box is dropped, and phase 1
-runs from the slack basis.  The whole pipeline is deterministic.
+The simplex starts from the slack basis with every variable at its lower
+bound, or at its upper bound where the lower one is infinite.  Phase 1
+runs only when that start violates an inequality, and only with
+artificials on the violated ones.  There is no other start: a caller
+that wants no phase 1 states its program so that this start is feasible
+(``qp_advice`` splits each l1 penalty by the sign it has there).  The
+whole pipeline is deterministic.
 """
 
 from __future__ import annotations
@@ -100,21 +99,9 @@ class LinearProgram:
 
 
 @dataclass(frozen=True, eq=False)
-class LpStart:
-    """A starting basis for ``solve_lp``.
-
-    ``at_hi[j]`` starts variable j at its upper bound instead of its lower
-    one; ``basic[r]`` names a variable to make basic in row r's inequality
-    if the start violates it, or is -1 for none."""
-
-    at_hi: np.ndarray
-    basic: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class LpOutcome:
-    """A solve's result; ``pivots`` counts simplex pivots (a start's block
-    pivot is not one) and ``phase1_used`` says whether phase 1 ran."""
+    """A solve's result; ``pivots`` counts simplex pivots and
+    ``phase1_used`` says whether phase 1 ran."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
@@ -142,10 +129,9 @@ def _row_extremes(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return extremes
 
 
-def _expand_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _expand_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray] | None:
     """Presolve and expand ranged rows to G x <= h; None means infeasible.
-    Each row's upper then lower inequality is kept unless the box implies it;
-    the third item is the row each kept inequality comes from."""
+    Each row's upper then lower inequality is kept unless the box implies it."""
     A, r_lo, r_hi = lp.rows, lp.row_lo, lp.row_hi
     # Blocks of rows bound the presolve's temporaries to a few times _BLOCK.
     step = max(1, _BLOCK // lp.p)
@@ -164,69 +150,34 @@ def _expand_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     G = A[kept // 2]
     np.negative(G, out=G, where=~upper[:, None])
     h = np.where(upper, r_hi[kept // 2], -r_lo[kept // 2])
-    return G, h, kept // 2
+    return G, h
 
 
 class _Simplex:
     """Tableau state shared by both phases."""
 
-    def __init__(self, G, h, lo, hi, p, at_hi=None):
+    def __init__(self, G, h, lo, hi, p):
         m = G.shape[0]
         self.m, self.p = m, p
         self.ncols = p + m
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.hi = np.concatenate([hi, np.full(m, math.inf)])
         self.D = np.hstack([G, np.eye(m), h.reshape(-1, 1)])
-        if at_hi is None:
-            finite_lo = np.isfinite(lo)
-            if not np.all(finite_lo | np.isfinite(hi)):
-                raise InputError("variables without any finite bound are unsupported")
-            at_hi = ~finite_lo
+        finite_lo = np.isfinite(lo)
+        if not np.all(finite_lo | np.isfinite(hi)):
+            raise InputError("variables without any finite bound are unsupported")
         self.status = np.full(self.ncols, _BASIC, dtype=np.int8)
-        self.status[:p] = np.where(at_hi, _HI, _LO)
+        self.status[:p] = np.where(finite_lo, _LO, _HI)
         self.xval = np.zeros(self.ncols)
-        self.xval[:p] = np.where(at_hi, hi, lo)
+        self.xval[:p] = np.where(finite_lo, lo, hi)
         self.basis = np.arange(p, p + m)
         self.xval[self.basis] = h - G @ self.xval[:p]
         self.n_art = 0
         self.pivots = 0
 
-    def violated(self) -> np.ndarray:
-        """Rows whose basic variable lies below its lower bound."""
-        bvars = self.basis
-        return np.flatnonzero(self.xval[bvars] < self.lo[bvars] - FEAS_TOL)
-
-    def block_pivot(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Make nonbasic ``cols`` basic in slack-basic ``rows``, all at once.
-
-        Solves the k x k block of the tableau and updates the other rows
-        with one matrix product.  Leaves the tableau as it was when the
-        block is singular or a column would leave its box.
-        """
-        try:
-            top = np.linalg.solve(self.D[np.ix_(rows, cols)], self.D[rows])
-        except np.linalg.LinAlgError:
-            return
-        vals = self.xval.copy()
-        vals[self.basis] = 0.0
-        vals[cols] = 0.0
-        x_cols = top[:, -1] - top[:, :-1] @ vals
-        if not (np.all(x_cols >= self.lo[cols] - FEAS_TOL)
-                and np.all(x_cols <= self.hi[cols] + FEAS_TOL)):
-            return  # also when x_cols has a NaN
-        others = np.ones(self.m, dtype=bool)
-        others[rows] = False
-        self.D[others] -= self.D[others][:, cols] @ top
-        self.D[rows] = top
-        leaving = self.basis[rows]
-        self.status[leaving], self.xval[leaving] = _LO, 0.0
-        self.basis[rows] = cols
-        self.status[cols] = _BASIC
-        self._refresh_values()
-
     def add_artificials(self):
         """One artificial column per infeasible slack; returns phase-1 costs."""
-        viol = self.violated()
+        viol = np.flatnonzero(self.xval[self.basis] < -FEAS_TOL)
         self.n_art = viol.size
         if self.n_art == 0:
             return None
@@ -385,30 +336,8 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
         raise InternalError("solver returned a point violating a constraint row")
 
 
-def _check_start(lp: LinearProgram, start: LpStart) -> tuple[np.ndarray, np.ndarray]:
-    """The start's (at_hi, basic) as arrays; InputError when they do not fit lp."""
-    at_hi, basic = np.asarray(start.at_hi), np.asarray(start.basic)
-    if at_hi.shape != (lp.p,) or at_hi.dtype != np.bool_:
-        raise InputError("start bounds must be one bool per variable")
-    if basic.shape != (lp.rows.shape[0],) or not np.issubdtype(basic.dtype, np.integer):
-        raise InputError("start columns must be one integer per row")
-    if np.any(np.isinf(np.where(at_hi, lp.hi, lp.lo))):
-        raise InputError("a start bound must be finite")
-    if np.any((basic < -1) | (basic >= lp.p)):
-        raise InputError("a start column is out of range")
-    return at_hi, basic
-
-
-def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpOutcome:
-    """Maximize the program; outcomes are optimal, infeasible, or unbounded.
-
-    With a ``start``, the simplex begins from it (see the module docstring);
-    the optimum value is the same, though a degenerate program may return
-    another optimal point.
-    """
-    at_hi = basic = None
-    if start is not None:
-        at_hi, basic = _check_start(lp, start)
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Maximize the program; outcomes are optimal, infeasible, or unbounded."""
     p = lp.p
     if p == 0:
         if _violates_rows(lp, np.zeros(0)):
@@ -417,14 +346,8 @@ def solve_lp(lp: LinearProgram, start: LpStart | None = None) -> LpOutcome:
     expanded = _expand_rows(lp)
     if expanded is None:
         return LpOutcome(status="infeasible")
-    G, h, source = expanded
-    sx = _Simplex(G, h, lp.lo.copy(), lp.hi.copy(), p, at_hi)
-    if basic is not None:
-        rows = sx.violated()
-        rows = rows[basic[source[rows]] >= 0]
-        cols = basic[source[rows]]
-        if rows.size and np.unique(cols).size == cols.size:
-            sx.block_pivot(rows, cols)
+    G, h = expanded
+    sx = _Simplex(G, h, lp.lo.copy(), lp.hi.copy(), p)
     max_iter = 2000 + 200 * (sx.m + sx.ncols)
     phase1_cost = sx.add_artificials()
     phase1_used = phase1_cost is not None

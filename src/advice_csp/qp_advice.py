@@ -7,30 +7,38 @@ correlation epsilon, the solver maximizes the concave surrogate
 
 then rounds the fractional optimizer coordinate-by-coordinate without
 ever decreasing <x, Ax>.  The surrogate maximization is an exact linear
-program: auxiliary variables s_r >= +-(A(eps*x - y))_r linearize the
-l1 penalty, so the optimum is certified rather than approximated.
+program, so the optimum is certified rather than approximated.
 
-The LP starts feasible, so the simplex never runs phase 1: x starts at
-the bound y points to (+1 where y >= 0, else -1) and s at 0.  The two
-rows of s_r have slacks that sum to 0 there, so at most one of them is
-violated; making s_r basic in it sets s_r = |(A(eps*x - y))_r| and leaves
-the other row's slack at twice that.  ``solve_lp`` does this for every
-violated row in one block pivot, also when presolve dropped a row.
+The l1 penalty is split by sign (the form l1 simplex methods use,
+Barrodale & Roberts 1973).  With b = Ay and u = eps*Ax - b, let sigma_r
+be the sign of u_r at x = -1 (ties +1) and write the penalty variable
+s_r >= |u_r| as s_r = sigma_r u_r + w_r.  Then s_r >= sigma_r u_r is the
+bound w_r >= 0, s_r >= -sigma_r u_r is one row, 2 sigma_r u_r + w_r >= 0,
+and the program over (x, w) is
+
+    maximize (b - eps A^T sigma).x - sum(w) + sigma.b
+    s.t.     2 eps sigma_r A_r.x + w_r >= 2 sigma_r b_r   for each r,
+             x in [-1, 1]^n,  w >= 0,
+
+with the same optimum value as F.  It has n rows, and ``solve_lp``
+starts every variable at its lower bound: x = -1 and w = 0, where row r
+holds with slack 2|u_r|.  The slack basis is therefore feasible and
+phase 1 never runs.
 
 Each QpMatrix carries this solver's memo (``QpMatrix.memo``): the variable
-box and start columns, the surrogate rows [eps A, -I; -eps A, -I] per
-epsilon, and the clipped LP optimum per (epsilon, bytes of the checked
-labels).
+box, and the clipped LP optimum per (epsilon, bytes of the checked
+labels).  The rows depend on the labels through sigma, so they are built
+per call.
 Subset-advice enumeration solves the same label vector many times on one
 instance; a hit returns the bytes the LP gave for it without solving it
-again.  The memo is bounded: each stored array is charged its bytes plus
-_ENTRY_BYTES for the Python objects around it, and once MEMO_BYTES would
-be exceeded, new rows and optima are computed and returned but not
-stored.  In the worst case a matrix therefore holds 16 MiB (MEMO_BYTES)
-of memo besides its O(n) box and start columns, that is at most
+again.  The memo is bounded: each stored optimum is charged its bytes,
+its key's bytes and _ENTRY_BYTES for the Python objects around it, and
+once MEMO_BYTES would be exceeded, new optima are computed and returned
+but not stored.  In the worst case a matrix therefore holds 16 MiB
+(MEMO_BYTES) of memo besides its O(n) box, that is at most
 MEMO_BYTES / (16 n + _ENTRY_BYTES) optima, for as long as the matrix
-lives.  The memo takes no
-lock: concurrent calls on one matrix may solve one LP twice.
+lives.  The memo takes no lock: concurrent calls on one matrix may solve
+one LP twice.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .instances import (
     quadratic_identity_value,
     to_quadratic_matrix,
 )
-from .lp import LinearProgram, LpStart, solve_lp
+from .lp import LinearProgram, solve_lp
 
 MEMO_BYTES = 16 << 20
 _ENTRY_BYTES = 256  # charged per stored array for the Python objects around it
@@ -74,32 +82,27 @@ def advice_objective(A: QpMatrix, x, y, epsilon: float) -> float:
 
 
 class _SurrogateMemo:
-    """One matrix's surrogate rows by epsilon and optima by (epsilon, y bytes)."""
+    """One matrix's surrogate LP box, and its optima by (epsilon, y bytes)."""
 
     def __init__(self, n: int):
         self.lo = _readonly(np.concatenate([-np.ones(n), np.zeros(n)]), np.float64)
         self.hi = _readonly(np.concatenate([np.ones(n), np.full(n, math.inf)]), np.float64)
-        # Rows 2r and 2r + 1 name s_r, column n + r, for the start.
-        self.start_cols = _readonly(np.repeat(np.arange(n, 2 * n), 2), np.int64)
-        self.rows: dict[float, np.ndarray] = {}
         self.optima: dict[tuple[float, bytes], np.ndarray] = {}
         self.charged = 0
 
-    def keep(self, table: dict, key, value: np.ndarray, key_bytes: int = 0) -> None:
-        """Store a read-only copy of value under key if the budget allows."""
-        cost = key_bytes + value.nbytes + _ENTRY_BYTES
+    def keep(self, key: tuple[float, bytes], x: np.ndarray) -> None:
+        """Store a read-only copy of the optimum x under key if the budget allows."""
+        cost = len(key[1]) + x.nbytes + _ENTRY_BYTES
         if self.charged + cost <= MEMO_BYTES:
-            table[key] = _readonly(value, np.float64)
+            self.optima[key] = _readonly(x, np.float64)
             self.charged += cost
 
 
 def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
     """Exact maximizer of F(., y) over the solid cube, via LP reformulation.
 
-    Variables are (x, s); rows enforce s_r >= (A(eps*x - y))_r and
-    s_r >= -(A(eps*x - y))_r, and the objective is <x, Ay> - sum(s).
-    The simplex starts from the feasible basis the module docstring
-    describes.
+    Variables are (x, w), one row per coordinate of A(eps*x - y); the
+    module docstring derives the program and why it starts feasible.
     Optima are memoized on the matrix (see the module docstring); every
     call returns a fresh array.
     """
@@ -113,27 +116,22 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
     key = (eps, yv.tobytes())
     if key in memo.optima:
         return memo.optima[key].copy()
-    rows = memo.rows.get(eps)
-    if rows is None:
-        eye = np.eye(n)
-        # Row 2r is [eps A_r, -e_r] (the upper family), row 2r + 1 [-eps A_r, -e_r].
-        rows = np.hstack([eps * A.a, -eye, -eps * A.a, -eye]).reshape(2 * n, 2 * n)
-        memo.keep(memo.rows, eps, rows)
     b = A.a @ yv
+    # The sign of u = eps*Ax - b at x = -1, where the simplex starts x.
+    sigma = np.where(A.a @ np.full(n, -eps) - b >= 0.0, 1.0, -1.0)
     lp = LinearProgram(
-        c=np.concatenate([b, -np.ones(n)]),
-        rows=rows,
-        row_hi=np.column_stack([b, -b]).ravel(),
+        c=np.concatenate([b - eps * (sigma @ A.a), -np.ones(n)]),
+        rows=np.hstack([(2.0 * eps) * sigma[:, None] * A.a, np.eye(n)]),
+        row_lo=2.0 * sigma * b,
         lo=memo.lo,
         hi=memo.hi,
+        offset=float(sigma @ b),
     )
-    start = LpStart(at_hi=np.concatenate([yv >= 0.0, np.zeros(n, dtype=bool)]),
-                    basic=memo.start_cols)
-    out = solve_lp(lp, start=start)
+    out = solve_lp(lp)
     if not out.is_optimal:
         raise InternalError(f"concave surrogate LP ended {out.status}")
     x = np.clip(out.x[:n], -1.0, 1.0)
-    memo.keep(memo.optima, key, x, len(key[1]))
+    memo.keep(key, x)
     return x
 
 

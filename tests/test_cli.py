@@ -286,6 +286,12 @@ class TestBench:
         ({"seeds": {"start": "0", "count": 2}}, "seeds.start"),
         ({"pass_rate": "x"}, "pass_rate"),
         ({"threshold": {"metric": "value", "min": "high"}}, "threshold.min"),
+        ({"advice": {"model": "label", "epsilon": "x"}}, "advice.epsilon"),
+        ({"generator": {"kind": "maxcut-planted", "n": "64", "d": 8}}, "generator.n"),
+        ({"algorithm": {"name": "maxcut-lp", "threshold_coeff": "a"}},
+         "algorithm.threshold_coeff"),
+        ({"advice": "label"}, "advice"),
+        ({"name": 7}, "name"),
     ])
     def test_config_error_names_key(self, tmp_path, capsys, override, named):
         path = self.config(tmp_path, **override)

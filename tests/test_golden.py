@@ -3,10 +3,8 @@
 Each case runs a small seeded pipeline and digests its int8 answer (and,
 for the reduction, every column of the reduced instance) with sha256.
 The digests were recorded before the constraint store became columnar
-(the LP digests before the LP went to matrix form, the planted-graph
-digests while edges were still tuples; the enumeration digest when the
-surrogate LP began from a feasible start, which picks other optima on 6
-of its 201 degenerate inner LPs), so a
+(the LP and enumeration digests before the LP went to matrix form, the
+planted-graph digests while edges were still tuples), so a
 refactor that changes any answer, vote, emission order, weight sum or
 LP float on these seeds fails here.
 """
@@ -106,7 +104,7 @@ GOLDEN = {
     "weighted-2lin.weight": "55.13704858052644",
     "weighted-2lin.total": "72.46257225788403",
     "lp.random": "4bcf04b593e583a2d22f13be9b94ada1df8eaa3c6d854d0906e110103abba01c",
-    "enumerate.inner": "18e92a1ef986c5ce5e7177e71c38a35aadde9f5ea5c305a8437b0cd3e211cb94",
+    "enumerate.inner": "a613a00cd00ecd05d29474ca9bb867039d7cba209e6b19595545217d274cb1e5",
     "graph.1024-64-0.0": "78e1a47636b4f301b44648bbf48d422fbaf89cc049e11c989bc1f9c35fc7f7b4",
     "graph.256-16-0.2": "36df6c1ab4b07cb97b4922e797fe378c2fea3f156fd1a6c7dbb108694e617421",
     "graph.64-6-0.5": "a419e93eaf128cb6de8b820089b0c50ba5daacdc2127213fb3cbd6a9abf51838",
@@ -225,9 +223,9 @@ def test_enumeration_solves_each_label_vector_once(monkeypatch):
     labels, solved = set(), []
     solve = qp_advice.solve_lp
 
-    def counting(lp, start=None):
+    def counting(lp):
         solved.append(lp)
-        return solve(lp, start=start)
+        return solve(lp)
 
     monkeypatch.setattr(qp_advice, "solve_lp", counting)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from advice_csp.errors import InputError
-from advice_csp.lp import LinearProgram, LpStart, _expand_rows, solve_lp
+from advice_csp.lp import LinearProgram, _expand_rows, solve_lp
 from advice_csp.verify import lp_oracle_disagreements, lp_vertex_optimum, random_lp
 
 
@@ -234,7 +234,7 @@ def test_zero_rows_and_infinite_ends():
     rows = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
     lp = lp_with_rows(rows, np.array([-1.0, -math.inf, -math.inf, 0.5]),
                       np.array([1.0, math.inf, 1.5, math.inf]))
-    G, h, _ = _expand_rows(lp)
+    G, h = _expand_rows(lp)
     # the zero rows hold on the whole box; x0 + x1 <= 1.5 and x0 - x1 >= 0.5 bind
     assert np.array_equal(G, [[1.0, 1.0], [-1.0, 1.0]]) and np.array_equal(h, [1.5, -0.5])
     # a zero row whose range excludes 0 makes the program infeasible
@@ -272,78 +272,12 @@ def box_lp(rows, row_lo, p=2):
                          lo=np.zeros(p), hi=np.ones(p))
 
 
-def lower_start(lp, basic):
-    return LpStart(at_hi=np.zeros(lp.p, dtype=bool), basic=np.asarray(basic))
-
-
-@pytest.mark.parametrize("rows, row_lo, basic", [
-    ([[1.0, 1.0], [2.0, 2.0]], [0.5, 1.2], [0, 1]),  # singular block
-    ([[1.0, 1.0]], [1.5], [0]),  # x0 alone would have to reach 1.5 > 1
-    ([[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5], [1, 1]),  # one column named twice
-])
-def test_rejected_start_falls_back_to_phase_one(rows, row_lo, basic):
-    lp = box_lp(rows, row_lo)
-    started, plain = solve_lp(lp, start=lower_start(lp, basic)), solve_lp(lp)
-    assert started.phase1_used and plain.phase1_used
-    assert np.array_equal(started.x, plain.x) and started.value == plain.value
-    assert started.pivots == plain.pivots
-
-
-def test_partial_start_leaves_phase_one_the_rest():
-    lp = box_lp([[1.0, 0.5], [0.5, 1.0]], [0.5, 0.75])
-    named = solve_lp(lp, start=lower_start(lp, [0, 1]))
-    one = solve_lp(lp, start=lower_start(lp, [0, -1]))
-    plain = solve_lp(lp)
-    assert not named.phase1_used and one.phase1_used and plain.phase1_used
-    for out in (named, one):
-        assert out.value == pytest.approx(plain.value, abs=1e-12)
-
-
-def test_start_on_infeasible_program():
-    lp = box_lp([[1.0, 1.0]], [2.5])
-    assert _expand_rows(lp) is None
-    assert solve_lp(lp, start=lower_start(lp, [0])).status == "infeasible"
-    lp = box_lp([[1.0, 1.0], [-1.0, -1.0]], [1.5, -1.0])
-    assert solve_lp(lp, start=lower_start(lp, [0, 1])).status == "infeasible"
-
-
-def test_random_starts_reach_the_same_optimum():
-    # any start, feasible or not, gives the no-start status and value
-    rng = np.random.default_rng(14)
-    for _ in range(300):
-        lp = random_lp(rng)
-        m = lp.rows.shape[0]
-        start = LpStart(at_hi=rng.random(lp.p) < 0.5,
-                        basic=rng.integers(-1, lp.p, size=m))
-        started, plain = solve_lp(lp, start=start), solve_lp(lp)
-        assert started.status == plain.status
-        if plain.is_optimal:
-            assert abs(started.value - plain.value) <= 1e-9 * max(1.0, abs(plain.value))
-
-
 def test_outcome_counts_pivots_and_phase_one():
     lp = box_lp([[1.0, 0.5]], [0.5])
     plain = solve_lp(lp)
     assert plain.phase1_used and plain.pivots >= 1
-    assert solve_lp(lp, start=lower_start(lp, [0])).pivots < plain.pivots
     free = solve_lp(LinearProgram(c=np.ones(2), lo=np.zeros(2), hi=np.ones(2)))
     assert not free.phase1_used and free.pivots == 0
-
-
-@pytest.mark.parametrize("at_hi, basic, message", [
-    (np.zeros(3, dtype=bool), [0], "one bool per variable"),
-    (np.zeros(2), [0], "one bool per variable"),
-    (np.zeros(2, dtype=bool), [0, 1], "one integer per row"),
-    (np.zeros(2, dtype=bool), [0.0], "one integer per row"),
-    (np.array([False, True]), [0], "must be finite"),
-    (np.zeros(2, dtype=bool), [2], "out of range"),
-    (np.zeros(2, dtype=bool), [-2], "out of range"),
-])
-def test_malformed_start_rejected(at_hi, basic, message):
-    lp = LinearProgram(c=np.ones(2), rows=np.ones((1, 2)), row_hi=np.ones(1),
-                       lo=np.zeros(2), hi=np.array([1.0, math.inf]))
-    with pytest.raises(InputError, match=message):
-        solve_lp(lp, start=LpStart(at_hi=at_hi, basic=np.asarray(basic)))
 
 
 def vertex_optimum_by_loop(lp, tol=1e-7):

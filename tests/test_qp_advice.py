@@ -8,7 +8,7 @@ from advice_csp import qp_advice
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, QpMatrix
-from advice_csp.lp import _expand_rows, solve_lp
+from advice_csp.lp import LinearProgram, _expand_rows, solve_lp
 from advice_csp.qp_advice import (
     advice_objective,
     greedy_round,
@@ -118,9 +118,9 @@ class TestSurrogateMemo:
     def lps_solved(monkeypatch):
         lps, solve_lp = [], qp_advice.solve_lp
 
-        def recording(lp, start=None):
+        def recording(lp):
             lps.append(lp)
-            return solve_lp(lp, start=start)
+            return solve_lp(lp)
 
         monkeypatch.setattr(qp_advice, "solve_lp", recording)
         return lps
@@ -139,14 +139,13 @@ class TestSurrogateMemo:
         maximize_concave(A, y, 0.5)  # another epsilon is another key
         assert len(lps) == 2
 
-    def test_cached_rows_and_box_are_read_only(self, monkeypatch):
+    def test_cached_box_is_read_only(self, monkeypatch):
         lps = self.lps_solved(monkeypatch)
         A = random_qp(np.random.default_rng(31), 4)
         for y in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])):
             maximize_concave(A, y, 0.5)
-        assert lps[1].rows is lps[2].rows
-        assert lps[0].rows.tobytes() == lps[1].rows.tobytes()
-        for arr in (lps[1].rows, lps[1].lo, lps[1].hi):
+        assert lps[1].lo is lps[2].lo and lps[1].hi is lps[2].hi
+        for arr in (lps[1].lo, lps[1].hi):
             with pytest.raises(ValueError):
                 arr[0] = 9.0
 
@@ -156,38 +155,48 @@ class TestSurrogateMemo:
         a = random_qp(rng, n).a
         ys = [rng.choice([-1.0, 1.0], size=n) for _ in range(12)]
         want = [maximize_concave(QpMatrix(a), y, 0.3) for y in ys]
-        # room for the rows and two optima
-        rows_cost = (2 * n) ** 2 * 8 + qp_advice._ENTRY_BYTES
+        # room for two optima
         optimum_cost = 2 * 8 * n + qp_advice._ENTRY_BYTES
-        monkeypatch.setattr(qp_advice, "MEMO_BYTES", rows_cost + 2 * optimum_cost)
+        monkeypatch.setattr(qp_advice, "MEMO_BYTES", 2 * optimum_cost)
         A = QpMatrix(a)
         for _ in range(2):
             got = [maximize_concave(A, y, 0.3) for y in ys]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         memo = A.memo[qp_advice.__name__]
-        assert len(memo.rows) == 1 and len(memo.optima) == 2
+        assert len(memo.optima) == 2
         assert memo.charged <= qp_advice.MEMO_BYTES
 
 
-class TestSurrogateStart:
-    @staticmethod
-    def built(monkeypatch):
-        """(lp, start) of each surrogate LP ``maximize_concave`` solves."""
-        built, solve = [], qp_advice.solve_lp
+def two_row_lp(A, y, eps):
+    """The surrogate LP with s_r >= +-(A(eps*x - y))_r as two rows each."""
+    n, b = A.n, A.a @ y
+    return LinearProgram(c=np.concatenate([b, -np.ones(n)]),
+                         rows=np.block([[eps * A.a, -np.eye(n)], [-eps * A.a, -np.eye(n)]]),
+                         row_hi=np.concatenate([b, -b]),
+                         lo=np.concatenate([-np.ones(n), np.zeros(n)]),
+                         hi=np.concatenate([np.ones(n), np.full(n, math.inf)]))
 
-        def capture(lp, start=None):
-            built.append((lp, start))
-            return solve(lp, start=start)
+
+class TestSurrogateFormulation:
+    @staticmethod
+    def solved(monkeypatch):
+        """(lp, outcome) of each surrogate LP ``maximize_concave`` solves."""
+        solved, solve = [], qp_advice.solve_lp
+
+        def capture(lp):
+            solved.append((lp, solve(lp)))
+            return solved[-1][1]
 
         monkeypatch.setattr(qp_advice, "solve_lp", capture)
-        return built
+        return solved
 
-    def test_started_solve_matches_two_phase_without_phase_one(self, monkeypatch):
+    def test_matches_the_two_row_lp_without_phase_one(self, monkeypatch):
         # Sparse rows, isolated vertices and fractional labels make presolve
-        # drop one or both rows of many pairs.
-        built = self.built(monkeypatch)
+        # drop many rows.
+        solved = self.solved(monkeypatch)
         rng = np.random.default_rng(40)
-        for _ in range(240):
+        zero_rows = dropped = 0
+        for k in range(240):
             n = int(rng.integers(2, 41))
             a = random_qp(rng, n).a * (rng.random((n, n)) < rng.choice([0.1, 0.5, 1.0]))
             a = np.triu(a, 1) + np.triu(a, 1).T
@@ -195,25 +204,27 @@ class TestSurrogateStart:
             a[isolated], a[:, isolated] = 0.0, 0.0
             y = (rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5
                  else rng.uniform(-1.0, 1.0, size=n))
-            maximize_concave(QpMatrix(a), y, float(1.0 - rng.random()))  # eps in (0, 1]
-        zero_rows = dropped = 0
-        for lp, start in built:
-            started, plain = solve_lp(lp, start=start), solve_lp(lp)
-            assert started.is_optimal and plain.is_optimal
-            assert not started.phase1_used
-            assert abs(started.value - plain.value) <= 1e-9 * max(1.0, abs(plain.value))
-            zero_rows += bool(np.any(np.all(lp.rows[:, :lp.p // 2] == 0.0, axis=1)))
-            dropped += _expand_rows(lp)[0].shape[0] < lp.rows.shape[0]
-        assert len(built) == 240 and zero_rows >= 100 and dropped >= 200
+            A, eps = QpMatrix(a), float(1.0 - rng.random())  # eps in (0, 1]
+            maximize_concave(A, y, eps)
+            lp, out = solved[k]
+            reference = solve_lp(two_row_lp(A, y, eps))
+            assert out.is_optimal and reference.is_optimal
+            assert not out.phase1_used and lp.rows.shape[0] == n
+            assert abs(out.value - reference.value) <= 1e-9 * max(1.0, abs(reference.value))
+            zero_rows += bool(np.any(np.all(lp.rows[:, :n] == 0.0, axis=1)))
+            dropped += _expand_rows(lp)[0].shape[0] < n
+        assert len(solved) == 240 and zero_rows >= 100 and dropped >= 200
 
-    def test_start_saves_phase_one_and_pivots(self, monkeypatch):
-        built = self.built(monkeypatch)
+    def test_rank_one_runs_without_phase_one(self, monkeypatch):
+        solved = self.solved(monkeypatch)
         A, xs = rank_one_qp(np.random.default_rng(41), 30)
-        maximize_concave(A, gen_label_advice(xs, 0.5, seed=41).values.astype(np.float64), 0.5)
-        lp, start = built[0]
-        started, plain = solve_lp(lp, start=start), solve_lp(lp)
-        assert plain.phase1_used and not started.phase1_used
-        assert started.pivots < plain.pivots
+        y = gen_label_advice(xs, 0.5, seed=41).values.astype(np.float64)
+        maximize_concave(A, y, 0.5)
+        (lp, out), = solved
+        assert not out.phase1_used and lp.rows.shape[0] == 30
+        reference = solve_lp(two_row_lp(A, y, 0.5))
+        assert reference.phase1_used
+        assert abs(out.value - reference.value) <= 1e-9 * max(1.0, abs(reference.value))
 
 
 class TestGreedyRound:
