@@ -53,9 +53,12 @@ class SubsetAdvice:
     def __post_init__(self):
         if self.n < 0:
             raise InputError(f"advice length must be >= 0, got {self.n}")
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1:
             raise InputError("revealed index set must be one-dimensional")
+        if idx.size and idx.dtype.kind not in "iu":
+            raise InputError("revealed indices must be integers")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise InputError("revealed index out of range")
         if np.unique(idx).size != idx.size:

@@ -70,7 +70,7 @@ class KLinInstance:
     a < k (mixed unary/binary instances arise from the 3-Lin reduction)
     fills the first a columns of its row and pads the rest with -1.  The
     arrays are read-only copies the instance owns, so the values derived
-    from them and cached here (arity, total weight, quadratic matrix) stay
+    from them and cached here (arity, total weight, pair coefficients) stay
     valid; duplicates are kept verbatim.  Literal instances are built with
     ``from_constraints``.
     """
@@ -88,6 +88,10 @@ class KLinInstance:
         m = rhs.size
         if idx.size == 0:
             idx = idx.reshape(0, self.k)
+        elif idx.dtype.kind not in "iu":
+            raise InputError("constraint indices must be integers")
+        elif idx.dtype.kind == "u" and idx.max() >= self.n:  # as int64 it could wrap to -1
+            raise InputError(f"index {idx.max()} out of range")
         if idx.shape != (m, self.k) or rhs.shape != (m,) or w.shape != (m,):
             raise InputError(f"constraint columns must have shapes (m, {self.k}), (m,), (m,)")
         object.__setattr__(self, "idx", _readonly(idx, np.int64))
@@ -124,6 +128,8 @@ class KLinInstance:
                 raise InputError(f"constraint arity {len(ids)} outside 1..{k}")
             if -1 in ids:  # would read as padding
                 raise InputError(f"index out of range in constraint {tuple(ids)}")
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids):
+                raise InputError(f"constraint indices must be integers, got {tuple(ids)}")
             idx[r, : len(ids)] = ids
         return cls(k, n, idx, [c[1] for c in cons], [c[2] for c in cons])
 
@@ -149,9 +155,29 @@ class KLinInstance:
         return float(np.cumsum(np.append(0.0, self.w))[-1])
 
     @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """Read-only n x n matrix A: a_ij = a_ji sums rhs * weight over the
+        arity-2 constraints on {i, j}, in constraint order."""
+        n, two = self.n, self.arity == 2
+        i, j = self.idx[two, 0], self.idx[two, 1]
+        flat = np.stack([i * n + j, j * n + i], axis=1).ravel()
+        a = np.bincount(flat, weights=np.repeat((self.rhs * self.w)[two], 2), minlength=n * n)
+        a = a.astype(np.float64, copy=False)  # bincount gives integers when nothing is counted
+        a.resize((n, n))  # in place, so A owns its memory and QpMatrix can share it
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def unary_vector(self) -> np.ndarray:
+        """Read-only L: L_i sums rhs * weight over the unary constraints on i, in row order."""
+        one = self.arity == 1
+        lin = np.bincount(self.idx[one, 0], weights=(self.rhs * self.w)[one], minlength=self.n)
+        return _readonly(lin, np.float64)
+
+    @cached_property
     def _quadratic_matrix(self) -> QpMatrix:
         """Built on first use by ``to_quadratic_matrix``, which checks arities."""
-        return QpMatrix(pair_coefficients(self)[0])
+        return QpMatrix(self.pair_matrix)
 
     @cached_property
     def _arity_rows(self) -> list:
@@ -314,32 +340,13 @@ def graph_to_klin(graph: GraphInstance) -> KLinInstance:
                         rhs=np.full(m, -1, dtype=np.int8), w=np.ones(m))
 
 
-def pair_coefficients(instance: KLinInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Dense symmetric pair matrix A and unary vector L of an arity<=2 instance.
-
-    a_ij = a_ji sums rhs * weight over the arity-2 constraints on {i, j},
-    and L_i over the unary constraints on i, each in constraint order.
-    The caller checks arities; rows of arity above 2 are ignored.
-    """
-    n = instance.n
-    val = instance.rhs * instance.w
-    two = instance.arity == 2
-    i, j = instance.idx[two, 0], instance.idx[two, 1]
-    flat = np.stack([i * n + j, j * n + i], axis=1).ravel()
-    a = np.bincount(flat, weights=np.repeat(val[two], 2), minlength=n * n)
-    one = instance.arity == 1
-    lin = np.bincount(instance.idx[one, 0], weights=val[one], minlength=n)
-    # bincount returns integers when there is nothing to count
-    return a.astype(np.float64, copy=False).reshape(n, n), lin.astype(np.float64, copy=False)
-
-
 def to_quadratic_matrix(instance: KLinInstance) -> QpMatrix:
     """Coefficient matrix of the satisfied-weight identity for arity-2 instances.
 
     Parallel constraints merge additively: a_ij = a_ji = sum of rhs * weight
     over constraints on {i, j}.  For any assignment x the satisfied weight
     equals W/2 + <x, A x>/4, with the form summed over ordered pairs.  The
-    matrix is built once per instance and shared by every call.
+    matrix wraps the instance's cached ``pair_matrix`` with no copy.
     """
     if (instance.arity != 2).any():
         raise InputError("quadratic matrix requires every constraint to have arity 2")

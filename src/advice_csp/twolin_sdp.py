@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError
-from .instances import KLinInstance, evaluate, pair_coefficients, _as_pm1
+from .instances import KLinInstance, evaluate, _as_pm1
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +99,17 @@ def dehomogenize(x_full, ref: int) -> np.ndarray:
 
 
 def merged_coefficients(instance: KLinInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Dense symmetric pair matrix M and unary vector L of an arity<=2 instance.
+    """The instance's cached pair matrix M and unary vector L, arity <= 2 only.
 
     Satisfied weight of x equals W/2 + (L.x)/2 + (x.Mx)/4, with parallel
     constraints merged additively.
     """
     _check_arity(instance, "merged coefficients require arity <= 2")
-    return pair_coefficients(instance)
+    return instance.pair_matrix, instance.unary_vector
+
+
+def _relaxation_value(total_weight: float, m: np.ndarray, v: np.ndarray) -> float:
+    return float(total_weight / 2.0 + 0.25 * np.sum(v * (m @ v)))
 
 
 def relaxation_objective(instance: KLinInstance, embedding: UnitEmbedding) -> float:
@@ -113,8 +117,7 @@ def relaxation_objective(instance: KLinInstance, embedding: UnitEmbedding) -> fl
     m, lin = merged_coefficients(instance)
     if np.any(lin):
         raise InputError("relaxation objective expects a homogenized instance")
-    v = embedding.vectors
-    return float(instance.total_weight / 2.0 + 0.25 * np.sum(v * (m @ v)))
+    return _relaxation_value(instance.total_weight, m, embedding.vectors)
 
 
 def solve_relaxation(
@@ -123,20 +126,18 @@ def solve_relaxation(
     sweeps: int,
     seed,
     init: UnitEmbedding | None = None,
-    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> UnitEmbedding:
     """Block-coordinate ascent on the unit-vector relaxation.
 
     Each variable in turn moves to the normalized gradient direction
     g_i = sum_j rhs_ij w_ij v_j; zero gradients leave the vector frozen.
     The objective never decreases; ascent stops after the sweep budget or
-    when a full sweep improves by less than 1e-9 * W.  ``coeffs`` passes
-    the instance's ``merged_coefficients`` when the caller already has them.
+    when a full sweep improves by less than 1e-9 * W.
     """
     if rank < 2:
         raise InputError("relaxation rank must be >= 2")
     n = instance.n
-    m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
+    m, lin = merged_coefficients(instance)
     if np.any(lin):
         raise InputError("solve_relaxation expects a homogenized instance")
     rng = np.random.default_rng(seed)
@@ -148,14 +149,14 @@ def solve_relaxation(
         v = rng.standard_normal((n, rank))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     w_total = max(instance.total_weight, 1.0)
-    prev = instance.total_weight / 2.0 + 0.25 * float(np.sum(v * (m @ v)))
+    prev = _relaxation_value(instance.total_weight, m, v)
     for _ in range(sweeps):
         for i in range(n):
             g = m[i] @ v
             norm = np.linalg.norm(g)
             if norm > 0.0:
                 v[i] = g / norm
-        cur = instance.total_weight / 2.0 + 0.25 * float(np.sum(v * (m @ v)))
+        cur = _relaxation_value(instance.total_weight, m, v)
         if cur < prev - 1e-9 * w_total:
             raise InternalError("relaxation ascent decreased the objective")
         if cur - prev < 1e-9 * w_total:
@@ -170,7 +171,6 @@ def hyperplane_round(
     embedding: UnitEmbedding,
     trials: int,
     seed,
-    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Sign the vectors against random Gaussian directions; keep the best trial.
 
@@ -180,7 +180,7 @@ def hyperplane_round(
     _check_trials(trials)
     if embedding.n != instance.n:
         raise InputError("embedding size does not match the instance")
-    m, lin = coeffs if coeffs is not None else merged_coefficients(instance)
+    m, lin = merged_coefficients(instance)
     v = embedding.vectors
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((trials, embedding.rank))
@@ -225,8 +225,7 @@ def _solve_unary(instance: KLinInstance, config: TwoLinConfig) -> tuple[np.ndarr
     those steps are skipped; the hint is checked as the relaxation path
     checks it.
     """
-    lin = np.bincount(instance.idx[:, 0], weights=instance.rhs * instance.w, minlength=instance.n)
-    x = np.where(lin >= 0, 1, -1).astype(np.int8)
+    x = np.where(instance.unary_vector >= 0, 1, -1).astype(np.int8)
     weight, _ = evaluate(instance, x)
     if config.hint is not None:
         _as_pm1(config.hint, instance.n, what="hint assignment")
@@ -240,9 +239,9 @@ def solve_2lin(
 ) -> tuple[np.ndarray, float]:
     """Homogenize, relax, round, then polish; returns (assignment, weight).
 
-    The homogenized pair matrix is built once: the relaxation and the
-    rounding use it whole, and the flip search reads the original pair
-    matrix and unary vector off its top-left block and last column.  When
+    The homogenized instance builds its pair matrix once: the relaxation
+    and the rounding use it whole, and the flip search reads the original
+    pair matrix and unary vector off its top-left block and last column.  When
     every homogenized pair touches the reference, ``_solve_unary`` answers
     exactly instead.
     """
@@ -251,10 +250,9 @@ def solve_2lin(
     hom, ref = homogenize(instance)
     if (hom.idx[:, 1] == ref).all():  # also an empty instance: all +1, weight 0
         return _solve_unary(instance, config)
-    coeffs = merged_coefficients(hom)
     rank = config.rank if config.rank is not None else math.ceil(math.sqrt(2 * n)) + 1
-    embedding = solve_relaxation(hom, rank, config.sweeps, seed, coeffs=coeffs)
-    x_hom, _ = hyperplane_round(hom, embedding, config.trials, (seed, 1), coeffs=coeffs)
+    embedding = solve_relaxation(hom, rank, config.sweeps, seed)
+    x_hom, _ = hyperplane_round(hom, embedding, config.trials, (seed, 1))
     candidates = [dehomogenize(x_hom, ref)]
     if config.hint is not None:
         candidates.append(_as_pm1(config.hint, n, what="hint assignment"))
@@ -263,8 +261,7 @@ def solve_2lin(
         w, _ = evaluate(instance, cand)
         if w > best_w:
             best_x, best_w = cand, w
-    hom_m = coeffs[0]
-    polished = _flip_search(instance, best_x, hom_m[:n, :n], hom_m[:n, ref])
+    polished = _flip_search(instance, best_x, hom.pair_matrix[:n, :n], hom.pair_matrix[:n, ref])
     w, _ = evaluate(instance, polished)
     if w >= best_w:
         best_x, best_w = polished, w

@@ -71,6 +71,10 @@ class TestSubsetAdvice:
             SubsetAdvice(n=5, indices=np.array([1, 1]), values=np.array([1, -1]), epsilon=0.5)
         with pytest.raises(InputError):
             SubsetAdvice(n=5, indices=np.array([7]), values=np.array([1]), epsilon=0.5)
+        for indices in ([0.5, 1.7], [0.0, 1.0], [True, False]):
+            with pytest.raises(InputError, match="revealed indices must be integers"):
+                SubsetAdvice(n=3, indices=indices, values=[1, -1], epsilon=0.5)
+        assert SubsetAdvice(n=3, indices=[], values=[], epsilon=0.5).size == 0
 
     def test_negative_length_rejected(self):
         with pytest.raises(InputError, match="advice length must be >= 0, got -5"):

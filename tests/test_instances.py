@@ -124,6 +124,20 @@ def test_columnar_validation_messages():
         KLinInstance.from_constraints(2, 3, [((0, 1, 2), 1, 1.0)])
     with pytest.raises(InputError, match="arity and variable count"):
         KLinInstance.from_constraints(0, 3, [])
+    # indices are never truncated to integers
+    for idx in ([[0.5, 1.9]], [[0.0, 1.0]], [[True, False]]):
+        with pytest.raises(InputError, match="constraint indices must be integers"):
+            KLinInstance(k=2, n=3, idx=np.array(idx), rhs=one, w=[1.0])
+    for ids in ((0.5, 1.9), (True, 2), (0, np.float64(1.0))):
+        with pytest.raises(InputError, match="constraint indices must be integers"):
+            KLinInstance.from_constraints(2, 3, [(ids, 1, 1.0)])
+    assert KLinInstance(k=2, n=3, idx=np.zeros(0), rhs=[], w=[]).m == 0
+    with pytest.raises(InputError, match="index 18446744073709551615 out of range"):
+        KLinInstance(k=2, n=3, idx=np.array([[0, 2**64 - 1]], dtype=np.uint64), rhs=one, w=[1.0])
+    unsigned = KLinInstance(k=2, n=3, idx=np.array([[2, 0]], dtype=np.uint8), rhs=one, w=[1.0])
+    assert unsigned.idx.tolist() == [[2, 0]]
+    numpy_ids = KLinInstance.from_constraints(2, 3, [((np.int64(0), 2), 1, 1.0)])
+    assert numpy_ids.idx.tolist() == [[0, 2]]
 
 
 def test_validation_names_first_faulty_row():

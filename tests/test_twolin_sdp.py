@@ -3,7 +3,7 @@ import pytest
 
 from advice_csp import twolin_sdp
 from advice_csp.errors import InputError
-from advice_csp.instances import KLinInstance, evaluate, plant_klin
+from advice_csp.instances import KLinInstance, evaluate, plant_klin, to_quadratic_matrix
 from advice_csp.twolin_sdp import (
     TwoLinConfig,
     UnitEmbedding,
@@ -207,18 +207,30 @@ def test_merged_coefficients_identity():
 
 def test_solve_2lin_builds_coefficients_once(monkeypatch):
     # relaxation, rounding and flip search all read one homogenized matrix
-    calls = []
-    build = twolin_sdp.merged_coefficients
+    builds = []
+    prop = KLinInstance.__dict__["pair_matrix"]
+    build = prop.func
 
     def counting(instance):
-        calls.append(instance.n)
+        builds.append(instance.n)
         return build(instance)
 
-    monkeypatch.setattr(twolin_sdp, "merged_coefficients", counting)
+    monkeypatch.setattr(prop, "func", counting)
     inst = KLinInstance.from_constraints(
         k=2, n=4, constraints=(((0,), 1, 1.0), ((1, 2), -1, 1.0), ((2, 3), 1, 2.0)))
     solve_2lin(inst, TwoLinConfig(), seed=3)
-    assert calls == [inst.n + 1]
+    assert builds == [inst.n + 1]
+
+
+def test_coefficients_are_cached_read_only_and_shared_with_the_quadratic_matrix():
+    inst = random_2lin(np.random.default_rng(22), 6, 15)
+    m, lin = merged_coefficients(inst)
+    assert to_quadratic_matrix(inst).a is m
+    assert merged_coefficients(inst)[1] is lin
+    with pytest.raises(ValueError):
+        m[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        lin[0] = 1.0
 
 
 def test_embedding_rejects_nan_and_infinite_rows():
