@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -90,12 +90,7 @@ def _plant(gen: dict, seed: int):
     return plant, plant.planted_value / total if total else 1.0
 
 
-def _gen_advice(kind: str, x_star, epsilon: float, seed):
-    if kind == "label":
-        return gen_label_advice(x_star, epsilon, seed)
-    if kind == "subset":
-        return gen_subset_advice(x_star, epsilon, seed)
-    raise InputError(f"unknown advice model {kind!r}")
+ADVICE_MODELS = {"label": gen_label_advice, "subset": gen_subset_advice}
 
 
 def cmd_gen(args) -> int:
@@ -110,7 +105,7 @@ def cmd_gen(args) -> int:
     plant, planted_fraction = _plant(vars(args), args.seed)
     # Draw the advice before writing anything, so invalid advice leaves no files.
     advice = (None if args.advice is None
-              else _gen_advice(args.advice, plant.x_star, args.epsilon, seed=(args.seed, 1)))
+              else ADVICE_MODELS[args.advice](plant.x_star, args.epsilon, seed=(args.seed, 1)))
     fileio.write_instance(paths["instance"], plant.instance)
     fileio.write_assignment(paths["assignment"], plant.x_star)
     report = {
@@ -142,11 +137,22 @@ def _load_label_advice(path, n, seed) -> LabelAdvice:
     return advice
 
 
+def _record(diagnostics, assignment) -> dict:
+    """A run's record: ``fallback``, then every field of the solver's
+    diagnostics dataclass (None for a solver without one) with a NaN or
+    infinite float as None, then the assignment."""
+    fields = {} if diagnostics is None else asdict(diagnostics)
+    return {"fallback": False,
+            **{key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in fields.items()},
+            "assignment": assignment}
+
+
 def _run_algorithm(name, instance, advice, seed, maxcut=MaxCutParams(),
                    twolin=TwoLinConfig(), delta=None, epsilon=None):
     """Run one solver on a graph or k-Lin instance with label advice.
 
-    Returns (value, fraction, diagnostics dict, routed_to or None).
+    Returns (value, fraction, ``_record`` of the run, routed_to or None).
     ``maxcut-lp`` on an instance that is not a regular graph runs
     ``qp-advice`` instead.  Algorithm randomness uses stream (seed, 2).
     """
@@ -161,51 +167,24 @@ def _run_algorithm(name, instance, advice, seed, maxcut=MaxCutParams(),
             value, fraction, diag, _ = _run_algorithm("qp-advice", instance, advice, seed)
             return value, fraction, diag, "qp-advice"
         res = solve_maxcut_with_advice(graph, advice, maxcut, seed=(seed, 2))
-        d = res.diagnostics
-        diag = {
-            "lp_status": d.lp_status,
-            "lp_value": None if math.isnan(d.lp_value) else d.lp_value,
-            "f_y": d.f_y,
-            "balance_violations": d.balance_violations,
-            "fallback": d.fallback,
-            "committed": int(res.split.committed.size),
-            "undecided": int(res.split.undecided.size),
-            "assignment": res.assignment,
-        }
         total = len(graph.edges)
-        return res.cut_weight, res.cut_weight / total if total else 1.0, diag, None
-    if name not in ALGORITHMS:
-        raise InputError(f"unknown algorithm {name!r}")
+        return (res.cut_weight, res.cut_weight / total if total else 1.0,
+                _record(res.diagnostics, res.assignment), None)
     if not isinstance(instance, KLinInstance):
         instance = graph_to_klin(instance)
     if name == "max3lin":
         res = solve_max3lin_with_advice(
             instance, advice, delta=delta, epsilon=epsilon, seed=(seed, 2)
         )
-        d = res.diagnostics
-        diag = {
-            "threshold": d.threshold,
-            "heavy_pair_count": d.heavy_pair_count,
-            "heavy_constraint_count": d.heavy_constraint_count,
-            "light_constraint_count": d.light_constraint_count,
-            "psi_size": d.psi_size,
-            "sigma_zero_count": d.sigma_zero_count,
-            "psi_fraction": d.psi_fraction,
-            "unsat_total": d.unsat_total,
-            "heavy_implication_violations": d.heavy_implication_violations,
-            "in_guarantee": d.in_guarantee,
-            "fallback": False,
-            "assignment": res.assignment,
-        }
-        weight = res.satisfied_fraction * instance.total_weight
-        return weight, res.satisfied_fraction, diag, None
+        return (res.satisfied_weight, res.satisfied_fraction,
+                _record(res.diagnostics, res.assignment), None)
     if name == "qp-advice":
         x, weight = solve_2lin_with_advice(instance, advice)
     else:
         hint = advice.values if advice is not None else None
         x, weight = solve_2lin(instance, replace(twolin, hint=hint), seed=(seed, 2))
     _, fraction = evaluate(instance, x)
-    return weight, fraction, {"assignment": x, "fallback": False}, None
+    return weight, fraction, _record(None, x), None
 
 
 def cmd_solve(args) -> int:
@@ -223,7 +202,7 @@ def cmd_solve(args) -> int:
         twolin=TwoLinConfig(rank=args.rank, sweeps=args.sweeps, trials=args.trials),
         delta=args.delta, epsilon=args.epsilon,
     )
-    assignment = diag.pop("assignment", None)
+    assignment = diag.pop("assignment")
     if args.out is not None:
         fileio.write_assignment(args.out, assignment)
     report = {
@@ -313,6 +292,11 @@ def cmd_bench(args) -> int:
     for key in ("gamma", "delta"):
         _config_number(config, f"generator.{key}", default=0.0)
     name = algo.get("name")
+    if not isinstance(name, str) or name not in ALGORITHMS:
+        raise InputError(f"unknown algorithm {name!r}")
+    model = config["advice"].get("model", "label")
+    if not isinstance(model, str) or model not in ADVICE_MODELS:
+        raise InputError(f"unknown advice model {model!r}")
     delta = _config_number(config, "algorithm.delta") if name == "max3lin" else None
     algo_epsilon = _config_number(config, "algorithm.epsilon", default=None)
     maxcut = MaxCutParams(**{key: _config_number(config, f"algorithm.{key}")
@@ -343,14 +327,14 @@ def cmd_bench(args) -> int:
     rows = []
     for seed in seeds:
         plant, planted_fraction = _plant(gen, seed)
-        advice = _gen_advice(config["advice"].get("model", "label"), plant.x_star,
-                             adv_epsilon, seed=(seed, 1))
+        advice = ADVICE_MODELS[model](plant.x_star, adv_epsilon, seed=(seed, 1))
         if isinstance(advice, SubsetAdvice):
             advice = subset_to_label(advice, seed=(seed, 1, 1))
-        value, fraction, _, _ = _run_algorithm(
+        value, fraction, diag, _ = _run_algorithm(
             name, plant.instance, advice, seed,
             maxcut=maxcut, delta=delta, epsilon=algo_epsilon,
         )
+        del diag["assignment"]
         rows.append({
             "seed": seed,
             "value": value,
@@ -358,11 +342,11 @@ def cmd_bench(args) -> int:
             "planted_value": plant.planted_value,
             "planted_fraction": planted_fraction,
             "passed": bool((value if metric == "value" else fraction) >= threshold),
+            **diag,
         })
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["seed", "value", "fraction", "planted_value",
-                            "planted_fraction", "passed"])
+        # maxcut-lp may route a seed to qp-advice, whose row has fewer keys.
+        writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(k for r in rows for k in r)))
         writer.writeheader()
         writer.writerows(rows)
     pass_count = sum(r["passed"] for r in rows)
@@ -471,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0, help="noise rate (klin-planted)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--advice", choices=["label", "subset"], help="also write advice")
+    p.add_argument("--advice", choices=sorted(ADVICE_MODELS), help="also write advice")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen)

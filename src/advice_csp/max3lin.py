@@ -301,11 +301,8 @@ class Max3LinDiagnostics:
     light_constraint_count: int
     psi_size: int
     sigma_zero_count: int
-    psi_value: float
     psi_fraction: float
     unsat_total: int
-    unsat_heavy: int
-    unsat_light: int
     heavy_implication_violations: int
     in_guarantee: bool
 
@@ -313,6 +310,7 @@ class Max3LinDiagnostics:
 @dataclass(eq=False)
 class Max3LinResult:
     assignment: np.ndarray
+    satisfied_weight: float
     satisfied_fraction: float
     diagnostics: Max3LinDiagnostics
 
@@ -352,11 +350,8 @@ def solve_max3lin_with_advice(
     eps = advice.epsilon if epsilon is None else epsilon
     reduced = build_psi(phi, advice, delta, eps)
     x_hat, _ = solve_2lin(reduced.psi, TwoLinConfig(hint=advice.values), seed)
-    _, fraction = evaluate(phi, x_hat)
-    sat_phi = satisfied_mask(phi, x_hat)
-    unsat = ~sat_phi
+    weight, fraction = evaluate(phi, x_hat)
     psi_value = conservative_psi_value(reduced, x_hat)
-    psi_total = reduced.psi.total_weight if reduced.m else 1.0
     floor = math.log(1.0 / delta) / delta / eps**6 * phi.n
     diag = Max3LinDiagnostics(
         threshold=reduced.threshold,
@@ -365,15 +360,13 @@ def solve_max3lin_with_advice(
         light_constraint_count=int((~reduced.heavy_mask).sum()),
         psi_size=reduced.m,
         sigma_zero_count=int(reduced.flagged.sum()),
-        psi_value=psi_value,
-        psi_fraction=psi_value / psi_total if reduced.m else 1.0,
-        unsat_total=int(unsat.sum()),
-        unsat_heavy=int((unsat & reduced.heavy_mask).sum()),
-        unsat_light=int((unsat & ~reduced.heavy_mask).sum()),
+        psi_fraction=psi_value / reduced.psi.total_weight if reduced.m else 1.0,
+        unsat_total=int(np.count_nonzero(~satisfied_mask(phi, x_hat))),
         heavy_implication_violations=_heavy_implication_violations(phi, reduced, x_hat),
         in_guarantee=phi.m >= floor,
     )
-    return Max3LinResult(assignment=x_hat, satisfied_fraction=fraction, diagnostics=diag)
+    return Max3LinResult(assignment=x_hat, satisfied_weight=weight, satisfied_fraction=fraction,
+                         diagnostics=diag)
 
 
 def representative_accounting(

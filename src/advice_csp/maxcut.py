@@ -55,33 +55,29 @@ BENCH_PARAMS = MaxCutParams(1.0, 1.5)
 class LandscapeSplit:
     """Vertex partition into committed sides and the undecided pool."""
 
-    deltas: np.ndarray
-    threshold: float
     side_s: np.ndarray      # committed to S (score <= 0)
     side_t: np.ndarray      # committed to T
     undecided: np.ndarray   # Q, everything below threshold
 
-    @property
-    def committed(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.side_s, self.side_t]))
-
 
 @dataclass(eq=False)
 class CutDiagnostics:
-    """Per-run audit quantities for the rounding analysis."""
+    """Per-run audit quantities for the rounding analysis.
+
+    ``lp_value`` is NaN when the LP was not solved to optimality and the
+    sign fallback placed the undecided pool.
+    """
 
     lp_status: str
     lp_value: float
     f_y: float
     f_y_recount: float
-    d_s: np.ndarray
-    d_t: np.ndarray
-    d_out: np.ndarray
     balance_violations: int
     q_cut_direct: int
     q_cut_identity_twice: int
     fallback: bool
-    slack: float
+    committed: int
+    undecided: int
 
 
 @dataclass(eq=False)
@@ -113,13 +109,7 @@ def split_at_threshold(deltas: np.ndarray, threshold: float) -> LandscapeSplit:
     confident = np.abs(deltas) >= threshold
     side_s = np.flatnonzero(confident & (deltas <= 0))
     side_t = np.flatnonzero(confident & (deltas > 0))
-    return LandscapeSplit(
-        deltas=deltas,
-        threshold=float(threshold),
-        side_s=side_s,
-        side_t=side_t,
-        undecided=np.flatnonzero(~confident),
-    )
+    return LandscapeSplit(side_s=side_s, side_t=side_t, undecided=np.flatnonzero(~confident))
 
 
 def split_vertices(deltas: np.ndarray, d: int, n: int, params: MaxCutParams) -> LandscapeSplit:
@@ -276,12 +266,10 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
         lp_value=lp_value,
         f_y=f_y,
         f_y_recount=float(qs_tl + qt_sl),
-        d_s=d_s[q],
-        d_t=d_t[q],
-        d_out=d_out[q],
         balance_violations=balance_violations,
         q_cut_direct=int(q_cut_direct),
         q_cut_identity_twice=q_cut_identity_twice,
         fallback=fallback,
-        slack=float(slack),
+        committed=int(split.side_s.size + split.side_t.size),
+        undecided=int(q.size),
     )

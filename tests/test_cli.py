@@ -1,19 +1,28 @@
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from advice_csp import fileio
+from advice_csp import cli, fileio, maxcut
 from advice_csp.cli import main
 from advice_csp.instances import KLinInstance
+from advice_csp.lp import LpOutcome
+from advice_csp.max3lin import Max3LinDiagnostics
+from advice_csp.maxcut import CutDiagnostics
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
+    report = (json.loads(captured.out, parse_constant=_reject_constant)
+              if captured.out.strip() else None)
     return code, report, captured.err
 
 
@@ -98,6 +107,20 @@ class TestSolve:
             "optimal", "degenerate-uniform", "infeasible",
         )
         assert report["seeds"]["master"] == 3
+        assert set(report["output"]["diagnostics"]) == (
+            {"fallback"} | {f.name for f in fields(CutDiagnostics)})
+
+    def test_maxcut_lp_fallback_report(self, maxcut_files, capsys, monkeypatch):
+        monkeypatch.setattr(maxcut, "solve_lp", lambda lp: LpOutcome("infeasible"))
+        prefix, _ = maxcut_files
+        code, report, _ = run_cli(
+            capsys, "solve", "maxcut-lp", "--instance", f"{prefix}.instance",
+            "--advice", f"{prefix}.advice", "--c1", "1", "--c2", "1.5", "--seed", "3",
+        )
+        assert code == 0
+        diag = report["output"]["diagnostics"]
+        assert diag["lp_status"] == "infeasible"
+        assert diag["lp_value"] is None and diag["fallback"] is True
 
     def test_report_reproducible_from_seed_ledger(self, maxcut_files, capsys):
         prefix, _ = maxcut_files
@@ -165,6 +188,23 @@ class TestSolve:
         assert code == 0
         assert report["output"]["fraction"] >= 0.7
         assert report["output"]["diagnostics"]["heavy_implication_violations"] == 0
+        assert set(report["output"]["diagnostics"]) == (
+            {"fallback"} | {f.name for f in fields(Max3LinDiagnostics)})
+
+    def test_max3lin_value_is_the_satisfied_weight(self, tmp_path, capsys):
+        # 230 of 300 unit-weight constraints are satisfied; rebuilding the
+        # weight as fraction * total gives 230.00000000000003.
+        prefix = str(tmp_path / "kl")
+        run_cli(capsys, "gen", "klin-planted", "--n", "30", "--k", "3", "--m", "300",
+                "--delta", "0.1", "--seed", "27", "--out", prefix, "--advice", "label",
+                "--epsilon", "0.8")
+        code, report, _ = run_cli(
+            capsys, "solve", "max3lin", "--instance", f"{prefix}.instance",
+            "--advice", f"{prefix}.advice", "--delta", "0.1", "--seed", "27",
+        )
+        assert code == 0
+        assert report["output"]["value"] == 230.0
+        assert report["output"]["fraction"] == 230 / 300
 
     def test_solution_file_written(self, maxcut_files, tmp_path, capsys):
         prefix, _ = maxcut_files
@@ -234,10 +274,27 @@ class TestBench:
         assert summary["rows"] == 4
         with open(summary["csv"]) as fh:
             lines = fh.read().strip().splitlines()
-        assert lines[0] == "seed,value,fraction,planted_value,planted_fraction,passed"
+        assert lines[0] == (
+            "seed,value,fraction,planted_value,planted_fraction,passed,"
+            "fallback,lp_status,lp_value,f_y,f_y_recount,balance_violations,"
+            "q_cut_direct,q_cut_identity_twice,committed,undecided")
         assert len(lines) == 5
-        recount = sum(1 for line in lines[1:] if line.endswith("True"))
+        with open(summary["csv"]) as fh:
+            recount = sum(row["passed"] == "True" for row in csv.DictReader(fh))
         assert recount == summary["pass_count"]
+
+    @pytest.mark.parametrize("override, message", [
+        ({"algorithm": {"name": "max3lni"}}, "unknown algorithm 'max3lni'"),
+        ({"algorithm": {}}, "unknown algorithm None"),
+        ({"advice": {"model": "labels", "epsilon": 0.6}}, "unknown advice model 'labels'"),
+    ])
+    def test_unknown_name_fails_before_planting(self, tmp_path, capsys, monkeypatch,
+                                                override, message):
+        planted = []
+        monkeypatch.setattr(cli, "_plant", lambda gen, seed: planted.append(seed))
+        code, _, err = run_cli(capsys, "bench", self.config(tmp_path, **override))
+        assert code == 1 and message in err
+        assert planted == []
 
     def test_unmet_threshold_exits_one(self, tmp_path, capsys):
         path = self.config(tmp_path, threshold={"metric": "fraction", "min": 1.5})
