@@ -8,7 +8,7 @@ from .advice import (
     gen_subset_advice,
     subset_to_label,
 )
-from .enumeration import EnumerationBudget, enumerate_solve, projected_runs
+from .enumeration import INNER_SOLVERS, enumerate_solve, projected_runs
 from .errors import (
     AdviceCspError,
     BudgetError,

@@ -6,9 +6,10 @@ solver fallbacks), 1 input error, 2 budget refusal, 3 internal
 consistency failure.
 
 Seed scheme: a run's master seed s derives component streams as tuples
-(s, 1) for advice and (s, 2) for algorithm randomness, so a bench row
-for seed s and a ``solve --seed s`` run on the files ``gen --seed s``
-writes (label advice) give the same answer.
+(s, 1) for advice, (s, 1, 1) for converting subset advice to labels and
+(s, 2) for algorithm randomness, so a bench row for seed s and a
+``solve --seed s`` run on the files ``gen --seed s`` writes give the
+same answer.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import fileio, verify
 from .advice import LabelAdvice, SubsetAdvice, gen_label_advice, gen_subset_advice, subset_to_label
-from .enumeration import DEFAULT_CAP, enumerate_solve
+from .enumeration import DEFAULT_CAP, INNER_SOLVERS, enumerate_solve
 from .errors import AdviceCspError, BudgetError, InputError, InternalError
 from .instances import (
     KLinInstance,
@@ -45,18 +44,8 @@ ALGORITHMS = ("maxcut-lp", "qp-advice", "max3lin", "twolin-sdp")
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2, default=_json_default)
+    json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _log(msg: str) -> None:
@@ -94,6 +83,9 @@ ADVICE_MODELS = {"label": gen_label_advice, "subset": gen_subset_advice}
 
 
 def cmd_gen(args) -> int:
+    for key in GENERATORS[args.kind]:
+        if getattr(args, key) is None:
+            raise InputError(f"{args.kind} requires --{key}")
     prefix = args.out
     paths = {
         "instance": f"{prefix}.instance",
@@ -128,31 +120,29 @@ def cmd_gen(args) -> int:
 # solve
 
 
-def _load_label_advice(path, n, seed) -> LabelAdvice:
-    advice = fileio.read_advice(path)
+def _label_advice(advice, seed) -> LabelAdvice:
+    """Label advice as given; subset advice converted on stream (seed, 1, 1)."""
     if isinstance(advice, SubsetAdvice):
-        advice = subset_to_label(advice, seed)
-    if advice.n != n:
-        raise InputError(f"advice length {advice.n} does not match instance n={n}")
+        return subset_to_label(advice, seed=(seed, 1, 1))
     return advice
 
 
-def _record(diagnostics, assignment) -> dict:
+def _record(diagnostics) -> dict:
     """A run's record: ``fallback``, then every field of the solver's
     diagnostics dataclass (None for a solver without one) with a NaN or
-    infinite float as None, then the assignment."""
+    infinite float as None."""
     fields = {} if diagnostics is None else asdict(diagnostics)
     return {"fallback": False,
             **{key: None if isinstance(value, float) and not math.isfinite(value) else value
-               for key, value in fields.items()},
-            "assignment": assignment}
+               for key, value in fields.items()}}
 
 
 def _run_algorithm(name, instance, advice, seed, maxcut=MaxCutParams(),
                    twolin=TwoLinConfig(), delta=None, epsilon=None):
     """Run one solver on a graph or k-Lin instance with label advice.
 
-    Returns (value, fraction, ``_record`` of the run, routed_to or None).
+    Returns (value, fraction, assignment, ``_record`` of the run, routed_to
+    or None).
     ``maxcut-lp`` on an instance that is not a regular graph runs
     ``qp-advice`` instead.  Algorithm randomness uses stream (seed, 2).
     """
@@ -164,12 +154,12 @@ def _run_algorithm(name, instance, advice, seed, maxcut=MaxCutParams(),
             except AdviceCspError:
                 graph = None
         if graph is None or graph.regular_degree is None:
-            value, fraction, diag, _ = _run_algorithm("qp-advice", instance, advice, seed)
-            return value, fraction, diag, "qp-advice"
+            *run, _ = _run_algorithm("qp-advice", instance, advice, seed)
+            return (*run, "qp-advice")
         res = solve_maxcut_with_advice(graph, advice, maxcut, seed=(seed, 2))
         total = len(graph.edges)
         return (res.cut_weight, res.cut_weight / total if total else 1.0,
-                _record(res.diagnostics, res.assignment), None)
+                res.assignment, _record(res.diagnostics), None)
     if not isinstance(instance, KLinInstance):
         instance = graph_to_klin(instance)
     if name == "max3lin":
@@ -177,32 +167,35 @@ def _run_algorithm(name, instance, advice, seed, maxcut=MaxCutParams(),
             instance, advice, delta=delta, epsilon=epsilon, seed=(seed, 2)
         )
         return (res.satisfied_weight, res.satisfied_fraction,
-                _record(res.diagnostics, res.assignment), None)
+                res.assignment, _record(res.diagnostics), None)
     if name == "qp-advice":
         x, weight = solve_2lin_with_advice(instance, advice)
     else:
         hint = advice.values if advice is not None else None
         x, weight = solve_2lin(instance, replace(twolin, hint=hint), seed=(seed, 2))
     _, fraction = evaluate(instance, x)
-    return weight, fraction, _record(None, x), None
+    return weight, fraction, x, _record(None), None
 
 
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
+    if args.algorithm == "max3lin" and args.delta is None:
+        raise InputError("max3lin requires --delta")
     _refuse_existing([args.out], args.force)
     instance = fileio.read_instance(args.instance)
     advice = None
     if args.advice is not None:
-        advice = _load_label_advice(args.advice, instance.n, seed=(args.seed, 1))
+        advice = _label_advice(fileio.read_advice(args.advice), args.seed)
+        if advice.n != instance.n:
+            raise InputError(f"advice length {advice.n} does not match instance n={instance.n}")
     elif args.algorithm != "twolin-sdp":
         raise InputError(f"algorithm {args.algorithm} requires --advice")
-    value, fraction, diag, routed = _run_algorithm(
+    value, fraction, assignment, diag, routed = _run_algorithm(
         args.algorithm, instance, advice, args.seed,
         maxcut=MaxCutParams(args.c1, args.c2),
         twolin=TwoLinConfig(rank=args.rank, sweeps=args.sweeps, trials=args.trials),
         delta=args.delta, epsilon=args.epsilon,
     )
-    assignment = diag.pop("assignment")
     if args.out is not None:
         fileio.write_assignment(args.out, assignment)
     report = {
@@ -327,14 +320,12 @@ def cmd_bench(args) -> int:
     rows = []
     for seed in seeds:
         plant, planted_fraction = _plant(gen, seed)
-        advice = ADVICE_MODELS[model](plant.x_star, adv_epsilon, seed=(seed, 1))
-        if isinstance(advice, SubsetAdvice):
-            advice = subset_to_label(advice, seed=(seed, 1, 1))
-        value, fraction, diag, _ = _run_algorithm(
+        advice = _label_advice(ADVICE_MODELS[model](plant.x_star, adv_epsilon, seed=(seed, 1)),
+                               seed)
+        value, fraction, _, diag, _ = _run_algorithm(
             name, plant.instance, advice, seed,
             maxcut=maxcut, delta=delta, epsilon=algo_epsilon,
         )
-        del diag["assignment"]
         rows.append({
             "seed": seed,
             "value": value,
@@ -373,15 +364,8 @@ def cmd_enumerate(args) -> int:
     t0 = time.monotonic()
     _refuse_existing([args.out], args.force)
     instance = fileio.read_instance(args.instance)
-
-    if args.inner == "qp-advice":
-        inner = verify.qp_subset_inner
-    else:
-        def inner(inst, sub, seed):
-            return solve_2lin(inst, TwoLinConfig(hint=subset_to_label(sub, seed).values),
-                              seed=seed)[0]
-
-    result = enumerate_solve(instance, args.epsilon, inner, seed=args.seed, cap=args.cap)
+    result = enumerate_solve(instance, args.epsilon, INNER_SOLVERS[args.inner],
+                             seed=args.seed, cap=args.cap)
     _, fraction = evaluate(instance, result.assignment)
     report = {
         "command": "enumerate",
@@ -446,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted instance (plus advice)")
-    p.add_argument("kind", choices=["maxcut-planted", "klin-planted"])
+    p.add_argument("kind", choices=list(GENERATORS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, help="degree (maxcut-planted)")
     p.add_argument("--gamma", type=float, default=0.0, help="intra-side fraction")
@@ -487,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="deterministic subset-advice enumeration")
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--inner", choices=["qp-advice", "twolin-sdp"], default="qp-advice")
+    p.add_argument("--inner", choices=list(INNER_SOLVERS), default="qp-advice")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--out", help="write the best assignment here")
@@ -511,14 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve" and args.algorithm == "max3lin" and args.delta is None:
-        _log("error: max3lin requires --delta")
-        return 1
-    if args.command == "gen":
-        for key in GENERATORS[args.kind]:
-            if getattr(args, key) is None:
-                _log(f"error: {args.kind} requires --{key}")
-                return 1
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -16,24 +16,34 @@ from typing import Callable
 
 import numpy as np
 
-from .advice import SubsetAdvice, _check_epsilon
+from .advice import SubsetAdvice, _check_epsilon, subset_to_label
 from .errors import BudgetError, InputError
 from .instances import KLinInstance, evaluate, _as_pm1
+from .qp_advice import solve_2lin_with_advice
+from .twolin_sdp import TwoLinConfig, solve_2lin
 
 DEFAULT_CAP = 10_000_000
 
 InnerSolver = Callable[[KLinInstance, SubsetAdvice, object], np.ndarray]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_subset_size: int
-    projected: int
-    cap: int = DEFAULT_CAP
+def qp_subset_inner(instance: KLinInstance, subset, seed) -> np.ndarray:
+    """Enumeration inner solver: qp-advice on ``subset_to_label(subset, seed)``."""
+    return solve_2lin_with_advice(instance, subset_to_label(subset, seed))[0]
 
-    @property
-    def within_cap(self) -> bool:
-        return self.projected <= self.cap
+
+def twolin_subset_inner(instance: KLinInstance, subset, seed) -> np.ndarray:
+    """Enumeration inner solver: twolin-sdp hinted with ``subset_to_label(subset, seed)``,
+    its own randomness on ``seed``."""
+    return solve_2lin(instance, TwoLinConfig(hint=subset_to_label(subset, seed).values),
+                      seed=seed)[0]
+
+
+# The ``enumerate --inner`` choices.
+INNER_SOLVERS: dict[str, InnerSolver] = {
+    "qp-advice": qp_subset_inner,
+    "twolin-sdp": twolin_subset_inner,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +60,11 @@ def projected_runs(n: int, epsilon: float) -> int:
     if n < 1:
         raise InputError("variable count must be >= 1")
     _check_epsilon(epsilon)
-    size = min(n, math.floor(2.0 * epsilon * n))
-    return sum(math.comb(n, t) * (1 << t) for t in range(size + 1))
+    return sum(math.comb(n, t) * (1 << t) for t in range(_max_subset_size(n, epsilon) + 1))
 
 
-def budget_for(n: int, epsilon: float, cap: int = DEFAULT_CAP) -> EnumerationBudget:
-    size = min(n, math.floor(2.0 * epsilon * n))
-    return EnumerationBudget(max_subset_size=size, projected=projected_runs(n, epsilon), cap=cap)
+def _max_subset_size(n: int, epsilon: float) -> int:
+    return min(n, math.floor(2.0 * epsilon * n))
 
 
 def enumerate_solve(
@@ -75,14 +83,12 @@ def enumerate_solve(
     wins; ties keep the earliest run.
     """
     n = instance.n
-    budget = budget_for(n, epsilon, cap)
-    if not budget.within_cap:
-        raise BudgetError(
-            f"enumeration needs {budget.projected} runs, over the cap of {cap}"
-        )
+    projected = projected_runs(n, epsilon)
+    if projected > cap:
+        raise BudgetError(f"enumeration needs {projected} runs, over the cap of {cap}")
     best_x, best_value, best_subset, best_pattern = None, -math.inf, (), ()
     ordinal = 0
-    for size in range(budget.max_subset_size + 1):
+    for size in range(_max_subset_size(n, epsilon) + 1):
         for subset in itertools.combinations(range(n), size):
             idx = np.array(subset, dtype=np.int64)
             for pattern in itertools.product((-1, 1), repeat=size):

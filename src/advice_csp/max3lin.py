@@ -316,16 +316,16 @@ class Max3LinResult:
 
 
 def _heavy_implication_violations(
-    phi: KLinInstance, reduced: ReducedInstance, x_hat: np.ndarray
+    reduced: ReducedInstance, sat_phi: np.ndarray, sat_psi: np.ndarray
 ) -> int:
     """Count heavy sources where a satisfied representative couple fails to
     imply the source; algebraically this must always be zero.
 
+    ``sat_phi`` and ``sat_psi`` are one assignment's satisfied masks over
+    phi and over psi, the latter with flagged rows counted as violated.
     Heavy representatives are emitted in adjacent (pair, unary) couples
     sharing a heavy source; a couple starts at each such pair row.
     """
-    sat_psi = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged
-    sat_phi = satisfied_mask(phi, x_hat)
     src = reduced.source
     start = np.flatnonzero(
         (reduced.psi.arity[:-1] == 2) & (src[1:] == src[:-1]) & reduced.heavy_mask[src[:-1]]
@@ -351,7 +351,8 @@ def solve_max3lin_with_advice(
     reduced = build_psi(phi, advice, delta, eps)
     x_hat, _ = solve_2lin(reduced.psi, TwoLinConfig(hint=advice.values), seed)
     weight, fraction = evaluate(phi, x_hat)
-    psi_value = conservative_psi_value(reduced, x_hat)
+    sat_phi = satisfied_mask(phi, x_hat)
+    sat_psi = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged
     floor = math.log(1.0 / delta) / delta / eps**6 * phi.n
     diag = Max3LinDiagnostics(
         threshold=reduced.threshold,
@@ -360,9 +361,10 @@ def solve_max3lin_with_advice(
         light_constraint_count=int((~reduced.heavy_mask).sum()),
         psi_size=reduced.m,
         sigma_zero_count=int(reduced.flagged.sum()),
-        psi_fraction=psi_value / reduced.psi.total_weight if reduced.m else 1.0,
-        unsat_total=int(np.count_nonzero(~satisfied_mask(phi, x_hat))),
-        heavy_implication_violations=_heavy_implication_violations(phi, reduced, x_hat),
+        psi_fraction=(float(reduced.psi.w[sat_psi].sum()) / reduced.psi.total_weight
+                      if reduced.m else 1.0),
+        unsat_total=int(np.count_nonzero(~sat_phi)),
+        heavy_implication_violations=_heavy_implication_violations(reduced, sat_phi, sat_psi),
         in_guarantee=phi.m >= floor,
     )
     return Max3LinResult(assignment=x_hat, satisfied_weight=weight, satisfied_fraction=fraction,

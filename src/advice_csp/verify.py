@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .advice import LabelAdvice, gen_label_advice, gen_subset_advice, subset_to_label
-from .enumeration import enumerate_solve, projected_runs
+from .enumeration import enumerate_solve, projected_runs, qp_subset_inner
 from .errors import InputError
 from .instances import (
     KLinInstance,
@@ -50,7 +50,6 @@ from .qp_advice import (
     advice_objective,
     greedy_round,
     maximize_concave,
-    solve_2lin_with_advice,
     solve_qp_with_advice,
 )
 from .reduce4lin import lift_assignment, project_assignment, three_to_four_lin
@@ -158,11 +157,6 @@ def lp_oracle_disagreements(rng, trials: int) -> tuple[int, int]:
         ):
             nondet += 1
     return mismatches, nondet
-
-
-def qp_subset_inner(instance: KLinInstance, subset, seed) -> np.ndarray:
-    """Enumeration inner solver: qp-advice on ``subset_to_label(subset, seed)``."""
-    return solve_2lin_with_advice(instance, subset_to_label(subset, seed))[0]
 
 
 def brute_force_best(instance: KLinInstance) -> float:

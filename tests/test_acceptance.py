@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from advice_csp.advice import LabelAdvice, gen_label_advice
-from advice_csp.enumeration import enumerate_solve, projected_runs
+from advice_csp.enumeration import enumerate_solve, projected_runs, qp_subset_inner
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 from advice_csp.max3lin import build_psi, solve_max3lin_with_advice
 from advice_csp.maxcut import (
@@ -29,7 +29,6 @@ from advice_csp.verify import (
     light_vote_errors,
     lp_oracle_disagreements,
     qp_ceiling_violations,
-    qp_subset_inner,
     rank_one_qp,
     reduction_map_failures,
     rounding_decreases,

@@ -8,7 +8,7 @@ import pytest
 
 from advice_csp import cli, fileio, maxcut
 from advice_csp.cli import main
-from advice_csp.instances import KLinInstance
+from advice_csp.instances import KLinInstance, evaluate, plant_klin
 from advice_csp.lp import LpOutcome
 from advice_csp.max3lin import Max3LinDiagnostics
 from advice_csp.maxcut import CutDiagnostics
@@ -91,6 +91,15 @@ class TestGen:
             "--seed", "0", "--out", str(tmp_path / "bad"),
         )
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("kind, size_args, missing", [
+        ("maxcut-planted", ("--n", "64"), "--d"),
+        ("klin-planted", ("--n", "20"), "--m"),
+    ])
+    def test_missing_size_flag_exit_one(self, tmp_path, capsys, kind, size_args, missing):
+        code, _, err = run_cli(capsys, "gen", kind, *size_args, "--out", str(tmp_path / "p"))
+        assert code == 1 and f"error: {kind} requires {missing}" in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestSolve:
@@ -349,12 +358,32 @@ class TestBench:
          "algorithm.threshold_coeff"),
         ({"advice": "label"}, "advice"),
         ({"name": 7}, "name"),
+        ({"generator": {"kind": "maxcut-plant", "n": 64, "d": 8}}, "maxcut-plant"),
     ])
     def test_config_error_names_key(self, tmp_path, capsys, override, named):
         path = self.config(tmp_path, **override)
         code, _, err = run_cli(capsys, "bench", path)
         assert code == 1 and f"'{named}'" in err
         assert not os.path.exists(tmp_path / "bench-test.csv")
+
+    def test_seed_range_runs_start_to_start_plus_count(self, tmp_path, capsys):
+        path = self.config(tmp_path, seeds={"start": 3, "count": 2})
+        code, summary, _ = run_cli(capsys, "bench", path)
+        assert code == 0 and summary["rows"] == 2
+        with open(summary["csv"]) as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == ["3", "4"]
+
+    def test_qp_advice_on_a_graph(self, tmp_path, capsys):
+        # the bench solves a planted graph as its Max-Cut 2-Lin instance
+        path = self.config(tmp_path, algorithm={"name": "qp-advice"}, seeds=[0, 1])
+        code, summary, _ = run_cli(capsys, "bench", path)
+        assert code == 0 and summary["rows"] == 2
+        with open(summary["csv"]) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["seed", "value", "fraction", "planted_value",
+                                 "planted_fraction", "passed", "fallback"]
+        # 64 vertices of degree 8 give 256 edges
+        assert all(float(r["value"]) == float(r["fraction"]) * 256 for r in rows)
 
     @pytest.mark.parametrize("generator, algorithm, gen_args, solve_args", [
         ({"kind": "klin-planted", "n": 30, "k": 3, "m": 400, "delta": 0.1},
@@ -368,23 +397,26 @@ class TestBench:
     ])
     def test_solve_matches_bench_row(self, tmp_path, capsys, generator, algorithm,
                                      gen_args, solve_args):
+        # both advice models; subset advice becomes labels on (seed, 1, 1) in each
         seed = 5
-        path = self.config(tmp_path, generator=generator, algorithm=algorithm,
-                           advice={"model": "label", "epsilon": 0.8}, seeds=[4, seed])
-        _, summary, _ = run_cli(capsys, "bench", path)
-        with open(summary["csv"]) as fh:
-            row = next(r for r in csv.DictReader(fh) if r["seed"] == str(seed))
-        prefix = str(tmp_path / "planted")
-        code, _, _ = run_cli(capsys, "gen", *gen_args, "--seed", str(seed), "--out", prefix,
-                             "--advice", "label", "--epsilon", "0.8")
-        assert code == 0
-        code, report, _ = run_cli(
-            capsys, "solve", *solve_args, "--instance", f"{prefix}.instance",
-            "--advice", f"{prefix}.advice", "--seed", str(seed),
-        )
-        assert code == 0
-        assert report["output"]["value"] == float(row["value"])
-        assert report["output"]["fraction"] == float(row["fraction"])
+        for model in ("label", "subset"):
+            path = self.config(tmp_path, name=str(tmp_path / f"bench-{model}"),
+                               generator=generator, algorithm=algorithm,
+                               advice={"model": model, "epsilon": 0.8}, seeds=[4, seed])
+            _, summary, _ = run_cli(capsys, "bench", path)
+            with open(summary["csv"]) as fh:
+                row = next(r for r in csv.DictReader(fh) if r["seed"] == str(seed))
+            prefix = str(tmp_path / f"planted-{model}")
+            code, _, _ = run_cli(capsys, "gen", *gen_args, "--seed", str(seed), "--out", prefix,
+                                 "--advice", model, "--epsilon", "0.8")
+            assert code == 0
+            code, report, _ = run_cli(
+                capsys, "solve", *solve_args, "--instance", f"{prefix}.instance",
+                "--advice", f"{prefix}.advice", "--seed", str(seed),
+            )
+            assert code == 0
+            assert (model, report["output"]["value"]) == (model, float(row["value"]))
+            assert report["output"]["fraction"] == float(row["fraction"])
 
 
 class TestEnumerateReduceVerify:
@@ -402,6 +434,18 @@ class TestEnumerateReduceVerify:
 
         assert report["runs"] == projected_runs(5, 0.2)
         assert report["output"]["value"] == 4.0
+
+    def test_enumerate_writes_best_assignment(self, tmp_path, capsys):
+        plant = plant_klin(8, 2, 20, 0.2, seed=3)
+        path, out = str(tmp_path / "p.instance"), str(tmp_path / "best.assignment")
+        fileio.write_instance(path, plant.instance)
+        code, report, _ = run_cli(
+            capsys, "enumerate", "--instance", path, "--epsilon", "0.2", "--seed", "1",
+            "--out", out,
+        )
+        assert code == 0
+        value, fraction = evaluate(plant.instance, fileio.read_assignment(out))
+        assert report["output"] == {"value": value, "fraction": fraction}
 
     def test_enumerate_twolin_sdp_inner(self, tmp_path, capsys):
         inst = KLinInstance.from_constraints(
@@ -448,8 +492,6 @@ class TestEnumerateReduceVerify:
         assert taken.read_text() == "keep\n"
 
     def test_reduce_round_trip_counts(self, tmp_path, capsys):
-        from advice_csp.instances import plant_klin
-
         plant = plant_klin(9, 3, 15, 0.1, seed=0)
         path = str(tmp_path / "phi.instance")
         fileio.write_instance(path, plant.instance)

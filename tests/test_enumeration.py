@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from advice_csp.enumeration import budget_for, enumerate_solve, projected_runs
+from advice_csp.enumeration import enumerate_solve, projected_runs, qp_subset_inner as qp_inner
 from advice_csp.errors import BudgetError, InputError
 from advice_csp.instances import KLinInstance
-from advice_csp.verify import brute_force_best, qp_subset_inner as qp_inner
+from advice_csp.verify import brute_force_best
 
 
 def chain(n):
@@ -28,9 +28,13 @@ class TestProjectedRuns:
         with pytest.raises(InputError):
             projected_runs(10, 0.0)
 
-    def test_budget_cap_marking(self):
-        assert not budget_for(40, 0.5, cap=10_000).within_cap
-        assert budget_for(6, 0.2).within_cap
+    def test_cap_boundary(self):
+        inst, eps = chain(5), 0.2
+        cap = projected_runs(5, eps)
+        assert enumerate_solve(inst, eps, qp_inner, seed=0, cap=cap).runs == cap
+        with pytest.raises(BudgetError) as err:
+            enumerate_solve(inst, eps, qp_inner, seed=0, cap=cap - 1)
+        assert str(err.value) == f"enumeration needs {cap} runs, over the cap of {cap - 1}"
 
 
 class TestEnumerateSolve:

@@ -17,14 +17,14 @@ import pytest
 from advice_csp import lp as lp_module
 from advice_csp import maxcut, qp_advice
 from advice_csp.advice import gen_label_advice, subset_to_label
-from advice_csp.enumeration import enumerate_solve
+from advice_csp.enumeration import enumerate_solve, qp_subset_inner
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 from advice_csp.lp import solve_lp
 from advice_csp.max3lin import build_psi, solve_max3lin_with_advice
 from advice_csp.maxcut import MaxCutParams, solve_maxcut_with_advice
 from advice_csp.qp_advice import solve_2lin_with_advice
 from advice_csp.twolin_sdp import TwoLinConfig, solve_2lin
-from advice_csp.verify import qp_subset_inner, random_lp
+from advice_csp.verify import random_lp
 
 
 def digest(*arrays) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from advice_csp import max3lin
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, plant_klin, satisfied_mask
@@ -206,6 +207,27 @@ class TestSolve:
             advice = gen_label_advice(plant.x_star, 0.7, seed=(13, s))
             res = solve_max3lin_with_advice(plant.instance, advice, delta=0.1, seed=(14, s))
             assert res.diagnostics.heavy_implication_violations == 0
+
+    def test_one_satisfied_mask_per_instance(self, monkeypatch):
+        # phi's and psi's masks of the answer serve unsat_total, psi_fraction
+        # and the implication audit alike.
+        plant = plant_klin(20, 3, 1500, 0.1, seed=(12, 0))
+        advice = gen_label_advice(plant.x_star, 0.8, seed=(13, 0))
+        masked = []
+
+        def counting(instance, x):
+            masked.append(instance)
+            return satisfied_mask(instance, x)
+
+        monkeypatch.setattr(max3lin, "satisfied_mask", counting)
+        res = solve_max3lin_with_advice(plant.instance, advice, delta=0.1, seed=(14, 0))
+        reduced = build_psi(plant.instance, advice, 0.1, 0.8)
+        assert len(masked) == 2
+        diag, x = res.diagnostics, res.assignment
+        assert diag.heavy_pair_count > 0
+        assert diag.unsat_total == np.count_nonzero(~satisfied_mask(plant.instance, x))
+        assert diag.psi_fraction == (conservative_psi_value(reduced, x)
+                                     / reduced.psi.total_weight)
 
     def test_representative_accounting_bound(self):
         for s in range(5):
