@@ -183,9 +183,14 @@ def cmd_solve(args) -> int:
         raise InputError("max3lin requires --delta")
     _refuse_existing([args.out], args.force)
     instance = fileio.read_instance(args.instance)
+    seeds = {"master": args.seed, "advice_stream": [args.seed, 1],
+             "algorithm_stream": [args.seed, 2]}
     advice = None
     if args.advice is not None:
-        advice = _label_advice(fileio.read_advice(args.advice), args.seed)
+        given = fileio.read_advice(args.advice)
+        if isinstance(given, SubsetAdvice):
+            seeds["conversion_stream"] = [args.seed, 1, 1]
+        advice = _label_advice(given, args.seed)
         if advice.n != instance.n:
             raise InputError(f"advice length {advice.n} does not match instance n={instance.n}")
     elif args.algorithm != "twolin-sdp":
@@ -207,8 +212,7 @@ def cmd_solve(args) -> int:
         "advice": None if advice is None else {
             "path": args.advice, "epsilon": advice.epsilon,
         },
-        "seeds": {"master": args.seed, "advice_stream": [args.seed, 1],
-                  "algorithm_stream": [args.seed, 2]},
+        "seeds": seeds,
         "output": {"value": value, "fraction": fraction, "diagnostics": diag},
         "wall_time_s": round(time.monotonic() - t0, 4),
     }

@@ -23,8 +23,6 @@ from .errors import InputError
 from .instances import KLinInstance, evaluate, satisfied_mask
 from .twolin_sdp import TwoLinConfig, solve_2lin
 
-Pair = tuple[int, int]
-
 
 @dataclass(frozen=True, eq=False)
 class Groups:
@@ -61,12 +59,6 @@ class Groups:
         """Group index of every entry of ``members``."""
         return np.repeat(np.arange(self.keys.size), self.sizes)
 
-    def members_of(self, key: int) -> np.ndarray:
-        g = int(np.searchsorted(self.keys, key))
-        if g == self.keys.size or self.keys[g] != key:
-            return self.members[:0]
-        return self.members[self.offsets[g]:self.offsets[g + 1]]
-
 
 @dataclass(frozen=True, eq=False)
 class PairIncidence:
@@ -75,30 +67,16 @@ class PairIncidence:
     Pair (i, j), i < j, has key i * n + j, so key order is pair order.
     """
 
-    threshold: int
     n: int
     by_pair: Groups
-    heavy: np.ndarray  # per group: covered by at least ``threshold`` constraints
-
-    def members(self, pair: Pair) -> np.ndarray:
-        return self.by_pair.members_of(min(pair) * self.n + max(pair))
-
-    def is_heavy(self, pair: Pair) -> bool:
-        return self.members(pair).size >= self.threshold
+    heavy: np.ndarray  # per group: covered by at least t constraints
+    heavy_mask: np.ndarray  # per constraint: some pair of it is heavy
 
     @property
     def heavy_pairs(self) -> np.ndarray:
         """(h, 2) array of the heavy pairs, ascending."""
         keys = self.by_pair.keys[self.heavy]
         return np.stack([keys // self.n, keys % self.n], axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class LightSets:
-    """Light-constraint positions per variable (constraints containing it)."""
-
-    by_var: Groups
-    light_mask: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +99,22 @@ class Representatives:
 class ReducedInstance:
     """The reduced 2-Lin instance with its bookkeeping.
 
-    ``source[r]`` is the index of the original constraint represented by
-    reduced constraint r; ``flagged[r]`` marks zero-vote constraints that
-    count as violated no matter the assignment.  ``sigma_pair`` holds the
-    vote of each heavy pair (aligned with ``heavy_pairs``) and
-    ``sigma_var`` the light vote of each variable; a vote that summed to
-    zero, or a variable without light constraints, reads 0.
+    The first ``heavy_rows`` rows of psi are the heavy representatives, in
+    adjacent (pair, unary) couples that share a source; the rest are the
+    light representatives.  ``source[r]`` is the index of the original
+    constraint represented by reduced constraint r; ``flagged[r]`` marks
+    zero-vote constraints that count as violated no matter the assignment.
+    ``sigma_pair`` holds the vote of each heavy pair (aligned with
+    ``heavy_pairs``) and ``sigma_var`` the light vote of each variable; a
+    vote that summed to zero, or a variable without light constraints,
+    reads 0.
     """
 
     psi: KLinInstance
     source: np.ndarray
     flagged: np.ndarray
     threshold: int
+    heavy_rows: int
     heavy_pairs: np.ndarray
     heavy_mask: np.ndarray
     sigma_pair: np.ndarray
@@ -156,11 +138,12 @@ def _require_arity3(phi: KLinInstance):
         raise InputError("this pipeline requires arity-3 constraints")
 
 
-def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, LightSets]:
+def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Groups]:
     """Split constraints into heavy and light by pair coverage.
 
     A pair is heavy when it appears in at least t constraints; a
-    constraint is heavy when any of its three pairs is heavy.
+    constraint is heavy when any of its three pairs is heavy.  Returns the
+    pair incidence and the light constraints grouped by variable.
     """
     _require_arity3(phi)
     if t < 1:
@@ -175,8 +158,7 @@ def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Ligh
     heavy_mask[by_pair.members[np.repeat(heavy, by_pair.sizes)]] = True
     light = np.flatnonzero(~heavy_mask)
     by_var = Groups.of(idx[light].ravel(), np.repeat(light, 3))
-    incidence = PairIncidence(threshold=t, n=n, by_pair=by_pair, heavy=heavy)
-    return incidence, LightSets(by_var=by_var, light_mask=~heavy_mask)
+    return PairIncidence(n=n, by_pair=by_pair, heavy=heavy, heavy_mask=heavy_mask), by_var
 
 
 def _signs(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +202,7 @@ def create_h_constraints(
 
 
 def create_l_constraints(
-    lights: LightSets, advice: LabelAdvice, phi: KLinInstance
+    by_var: Groups, advice: LabelAdvice, phi: KLinInstance
 ) -> Representatives:
     """Representatives of every variable's light constraints, variables ascending.
 
@@ -229,17 +211,16 @@ def create_l_constraints(
     x_v = sigma.  ``sigma`` is indexed by variable.
     """
     labels = advice.values.astype(np.int64)
-    groups = lights.by_var
-    pos = groups.members
-    group = groups.group_of()
-    var = groups.keys[group]
+    pos = by_var.members
+    group = by_var.group_of()
+    var = by_var.keys[group]
     # The other two labels' product is the constraint's product times label[var].
     prod = labels[phi.idx[pos, 0]] * labels[phi.idx[pos, 1]] * labels[phi.idx[pos, 2]]
     contrib = phi.rhs[pos].astype(np.int64) * prod * labels[var]
-    votes = np.bincount(group, weights=contrib, minlength=groups.keys.size)
+    votes = np.bincount(group, weights=contrib, minlength=by_var.keys.size)
     sigma, zero = _signs(votes)
     sigma_var = np.zeros(phi.n, dtype=np.int8)
-    sigma_var[groups.keys] = np.where(zero, 0, sigma)
+    sigma_var[by_var.keys] = np.where(zero, 0, sigma)
     return Representatives(
         idx=np.stack([var, np.full(pos.size, -1, dtype=np.int64)], axis=1),
         rhs=sigma[group],
@@ -262,9 +243,9 @@ def build_psi(
     if advice.n != phi.n:
         raise InputError(f"advice length {advice.n} does not match n={phi.n}")
     t = compute_threshold(delta, epsilon)
-    incidence, lights = classify_constraints(phi, t)
+    incidence, by_var = classify_constraints(phi, t)
     heavy = create_h_constraints(incidence, advice, phi)
-    light = create_l_constraints(lights, advice, phi)
+    light = create_l_constraints(by_var, advice, phi)
     m = heavy.source.size + light.source.size
     psi = KLinInstance(
         k=2,
@@ -278,8 +259,9 @@ def build_psi(
         source=np.concatenate([heavy.source, light.source]),
         flagged=np.concatenate([heavy.flagged, light.flagged]),
         threshold=t,
+        heavy_rows=heavy.source.size,
         heavy_pairs=incidence.heavy_pairs,
-        heavy_mask=~lights.light_mask,
+        heavy_mask=incidence.heavy_mask,
         sigma_pair=heavy.sigma,
         sigma_var=light.sigma,
     )
@@ -323,14 +305,10 @@ def _heavy_implication_violations(
 
     ``sat_phi`` and ``sat_psi`` are one assignment's satisfied masks over
     phi and over psi, the latter with flagged rows counted as violated.
-    Heavy representatives are emitted in adjacent (pair, unary) couples
-    sharing a heavy source; a couple starts at each such pair row.
     """
-    src = reduced.source
-    start = np.flatnonzero(
-        (reduced.psi.arity[:-1] == 2) & (src[1:] == src[:-1]) & reduced.heavy_mask[src[:-1]]
-    )
-    return int(np.count_nonzero(sat_psi[start] & sat_psi[start + 1] & ~sat_phi[src[start]]))
+    start = np.arange(0, reduced.heavy_rows, 2)
+    return int(np.count_nonzero(
+        sat_psi[start] & sat_psi[start + 1] & ~sat_phi[reduced.source[start]]))
 
 
 def solve_max3lin_with_advice(
@@ -387,11 +365,11 @@ def representative_accounting(
     sat_phi_star = satisfied_mask(phi, x_star)
     sat_psi_hat = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged
     sat_psi_star = satisfied_mask(reduced.psi, x_star) & ~reduced.flagged
-    heavy_rep = reduced.heavy_mask[reduced.source]
+    h = reduced.heavy_rows
     lhs = int((~sat_phi_hat).sum())
-    heavy_reps_unsat = int((heavy_rep & ~sat_psi_hat).sum())
+    heavy_reps_unsat = int((~sat_psi_hat[:h]).sum())
     light_sources_unsat_star = int((~sat_phi_star & ~reduced.heavy_mask).sum())
-    light_reps_unsat = int((~heavy_rep & ~(sat_psi_star & sat_psi_hat)).sum())
+    light_reps_unsat = int((~(sat_psi_star[h:] & sat_psi_hat[h:])).sum())
     return {
         "unsat_phi": lhs,
         "heavy_reps_unsat_hat": heavy_reps_unsat,

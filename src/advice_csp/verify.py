@@ -249,27 +249,24 @@ def heavy_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int,
     """(errors, total, exp(-eps^2 t / 8)) over the heavy pairs with under a
     quarter of their constraints violated by x*: votes that differ from x*_i x*_j."""
     incidence, _ = classify_constraints(phi, reduced.threshold)
-    sat_star = satisfied_mask(phi, x_star)
-    errs = total = 0
-    for g, (i, j) in enumerate(reduced.heavy_pairs.tolist()):
-        members = incidence.members((i, j))
-        viol = int(np.count_nonzero(~sat_star[members]))
-        if viol >= len(members) / 4:
-            continue
-        total += 1
-        truth = int(x_star[i]) * int(x_star[j])
-        if reduced.sigma_pair[g] != truth:
-            errs += 1
-    return errs, total, math.exp(-epsilon * epsilon * reduced.threshold / 8.0)
+    by_pair = incidence.by_pair
+    violated = ~satisfied_mask(phi, x_star)[by_pair.members]
+    viol = np.bincount(by_pair.group_of(), weights=violated, minlength=by_pair.keys.size)
+    counted = (viol < by_pair.sizes / 4)[incidence.heavy]
+    i, j = reduced.heavy_pairs.T
+    truth = x_star[i].astype(np.int64) * x_star[j]
+    errs = int(np.count_nonzero(counted & (reduced.sigma_pair != truth)))
+    bound = math.exp(-epsilon * epsilon * reduced.threshold / 8.0)
+    return errs, int(np.count_nonzero(counted)), bound
 
 
 def light_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int, int, float]:
     """(errors, total, bound) over the light variables: votes that differ from
     x*_i, and the mean of exp(-eps^4 |L_i| / 16t) (0 with no light variable)."""
-    _, lights = classify_constraints(phi, reduced.threshold)
+    _, by_var = classify_constraints(phi, reduced.threshold)
     errs = total = 0
     bound_sum = 0.0
-    for var, size in zip(lights.by_var.keys.tolist(), lights.by_var.sizes.tolist()):
+    for var, size in zip(by_var.keys.tolist(), by_var.sizes.tolist()):
         total += 1
         if reduced.sigma_var[var] != int(x_star[var]):
             errs += 1
@@ -601,7 +598,7 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     for s in range(max(3, seeds // 30)):
         plant = plant_klin(30, 3, 400, 0.1, seed=700 + s)
         phi = plant.instance
-        incidence, lights = classify_constraints(phi, t=4)
+        incidence, _ = classify_constraints(phi, t=4)
         if incidence.by_pair.offsets[-1] != 3 * phi.m:
             counting_ok = False
         advice = gen_label_advice(plant.x_star, 0.8, seed=(71, s))
@@ -609,10 +606,9 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
         reps = np.bincount(reduced.source, minlength=phi.m)
         if np.any(reps < 2) or np.any(reps > 6) or np.any(~np.isin(reps, (2, 3, 4, 6))):
             reps_ok = False
-        inc_t, lights_t = classify_constraints(phi, reduced.threshold)
+        inc_t, by_var = classify_constraints(phi, reduced.threshold)
         heavy_total = 2 * int(inc_t.by_pair.sizes[inc_t.heavy].sum())
-        light_total = int(lights_t.by_var.offsets[-1])
-        if reduced.m != heavy_total + light_total:
+        if reduced.heavy_rows != heavy_total or reduced.m != heavy_total + by_var.offsets[-1]:
             counting_ok = False
     out.append(CheckResult("threelin-lemmas", "pair lists cover each constraint thrice", counting_ok))
     out.append(CheckResult("threelin-lemmas", "each source has 2..6 representatives", reps_ok))

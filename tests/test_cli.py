@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from advice_csp import cli, fileio, maxcut
+from advice_csp.advice import LabelAdvice
 from advice_csp.cli import main
 from advice_csp.instances import KLinInstance, evaluate, plant_klin
 from advice_csp.lp import LpOutcome
@@ -141,20 +142,28 @@ class TestSolve:
         assert first["output"]["value"] == second["output"]["value"]
         assert first["output"]["fraction"] == second["output"]["fraction"]
 
-    def test_irregular_routes_to_qp(self, tmp_path, capsys):
-        inst = KLinInstance.from_constraints(
-            k=2, n=3, constraints=(((0, 1), -1, 1.0), ((1, 2), -1, 1.0))
-        )
+    @staticmethod
+    def solve_maxcut_lp(tmp_path, capsys, constraints, labels):
+        inst = KLinInstance.from_constraints(k=2, n=3, constraints=constraints)
         path = str(tmp_path / "irr.instance")
         fileio.write_instance(path, inst)
         adv_path = str(tmp_path / "irr.advice")
-        from advice_csp.advice import LabelAdvice
-
-        fileio.write_advice(adv_path, LabelAdvice(values=np.array([1, -1, 1], dtype=np.int8),
+        fileio.write_advice(adv_path, LabelAdvice(values=np.array(labels, dtype=np.int8),
                                                   epsilon=0.5))
-        code, report, _ = run_cli(
-            capsys, "solve", "maxcut-lp", "--instance", path, "--advice", adv_path,
-        )
+        return run_cli(capsys, "solve", "maxcut-lp", "--instance", path, "--advice", adv_path)
+
+    def test_irregular_routes_to_qp(self, tmp_path, capsys):
+        # a path: a graph, but not a regular one
+        code, report, _ = self.solve_maxcut_lp(
+            tmp_path, capsys, (((0, 1), -1, 1.0), ((1, 2), -1, 1.0)), [1, -1, 1])
+        assert code == 0
+        assert report["routed_to"] == "qp-advice"
+        assert report["output"]["value"] == 2.0
+
+    def test_non_graph_routes_to_qp(self, tmp_path, capsys):
+        # an rhs +1 constraint has no graph form at all
+        code, report, _ = self.solve_maxcut_lp(
+            tmp_path, capsys, (((0, 1), 1, 1.0), ((1, 2), -1, 1.0)), [1, 1, -1])
         assert code == 0
         assert report["routed_to"] == "qp-advice"
         assert report["output"]["value"] == 2.0
@@ -166,8 +175,6 @@ class TestSolve:
         )
         path = str(tmp_path / "w.instance")
         fileio.write_instance(path, inst)
-        from advice_csp.advice import LabelAdvice
-
         adv_path = str(tmp_path / "w.advice")
         fileio.write_advice(adv_path, LabelAdvice(values=np.ones(4, dtype=np.int8),
                                                   epsilon=1.0))
@@ -249,6 +256,24 @@ class TestSolve:
         )
         assert code == 1 and "rhs" in err
 
+    def test_advice_length_mismatch_exits_one(self, maxcut_files, tmp_path, capsys):
+        prefix, _ = maxcut_files
+        short = str(tmp_path / "short.advice")
+        fileio.write_advice(short, LabelAdvice(values=np.ones(64, dtype=np.int8), epsilon=0.5))
+        code, report, err = run_cli(
+            capsys, "solve", "maxcut-lp", "--instance", f"{prefix}.instance", "--advice", short,
+        )
+        assert code == 1 and report is None
+        assert "advice length 64 does not match instance n=128" in err
+
+    def test_qp_advice_requires_advice(self, maxcut_files, capsys):
+        prefix, _ = maxcut_files
+        code, report, err = run_cli(
+            capsys, "solve", "qp-advice", "--instance", f"{prefix}.instance",
+        )
+        assert code == 1 and report is None
+        assert "algorithm qp-advice requires --advice" in err
+
     def test_advice_fault_names_line_and_exits_one(self, maxcut_files, tmp_path, capsys):
         prefix, _ = maxcut_files
         bad = tmp_path / "bad.advice"
@@ -322,9 +347,8 @@ class TestBench:
         _, a, _ = run_cli(capsys, "bench", path)
         path_b = self.config(tmp_path, name=str(tmp_path / "bench-b"))
         _, b, _ = run_cli(capsys, "bench", path_b)
-        rows_a = open(a["csv"]).read().splitlines()[1:]
-        rows_b = open(b["csv"]).read().splitlines()[1:]
-        assert rows_a == rows_b
+        with open(a["csv"]) as fa, open(b["csv"]) as fb:
+            assert fa.read().splitlines()[1:] == fb.read().splitlines()[1:]
 
     def test_existing_csv_refused_before_running(self, tmp_path, capsys):
         path = self.config(tmp_path, algorithm={"name": "nope"})
@@ -397,7 +421,8 @@ class TestBench:
     ])
     def test_solve_matches_bench_row(self, tmp_path, capsys, generator, algorithm,
                                      gen_args, solve_args):
-        # both advice models; subset advice becomes labels on (seed, 1, 1) in each
+        # both advice models; subset advice becomes labels on (seed, 1, 1) in
+        # each, and the solve ledger names that stream
         seed = 5
         for model in ("label", "subset"):
             path = self.config(tmp_path, name=str(tmp_path / f"bench-{model}"),
@@ -417,6 +442,10 @@ class TestBench:
             assert code == 0
             assert (model, report["output"]["value"]) == (model, float(row["value"]))
             assert report["output"]["fraction"] == float(row["fraction"])
+            ledger = {"master": seed, "advice_stream": [seed, 1], "algorithm_stream": [seed, 2]}
+            if model == "subset":
+                ledger["conversion_stream"] = [seed, 1, 1]
+            assert report["seeds"] == ledger
 
 
 class TestEnumerateReduceVerify:

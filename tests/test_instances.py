@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,17 @@ class TestBipartitePlant:
         with pytest.raises(ConstructionError):
             plant_bipartite_regular(10, 3, 1.0, seed=0)  # odd intra stub parity
 
+    @pytest.mark.parametrize("n, d, gamma, message", [
+        (7, 2, 0.0, "vertex count must be even and >= 2"),
+        (0, 2, 0.0, "vertex count must be even and >= 2"),
+        (8, 0, 0.0, "degree must be >= 1"),
+        (8, 2, -0.1, "intra-side fraction must lie in [0, 1]"),
+        (8, 2, 1.5, "intra-side fraction must lie in [0, 1]"),
+    ])
+    def test_rejects_bad_arguments(self, n, d, gamma, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            plant_bipartite_regular(n, d, gamma, seed=0)
+
 
 class TestKLinPlant:
     def test_fraction_concentrates(self):
@@ -279,6 +291,24 @@ class TestKLinPlant:
     def test_arity_exceeds_n(self):
         with pytest.raises(InputError):
             plant_klin(2, 3, 5, 0.0, seed=0)
+
+    @pytest.mark.parametrize("m, delta, message", [
+        (0, 0.0, "constraint count must be >= 1"),
+        (5, -0.5, "noise rate must lie in [0, 1]"),
+        (5, 1.01, "noise rate must lie in [0, 1]"),
+    ])
+    def test_rejects_bad_arguments(self, m, delta, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            plant_klin(6, 3, m, delta, seed=0)
+
+    def test_arity_one(self):
+        # unary constraints need no distinct-index redraw
+        plant = plant_klin(5, 1, 40, 0.0, seed=3)
+        idx = plant.instance.idx[:, 0]
+        assert plant.instance.k == 1 and idx.min() >= 0 and idx.max() < 5
+        assert np.array_equal(plant.instance.rhs, plant.x_star[idx])
+        assert plant.planted_value == 40.0
+        assert evaluate(plant.instance, plant.x_star)[0] == 40.0
 
     def test_distinct_indices_per_constraint(self):
         plant = plant_klin(6, 3, 300, 0.5, seed=2)

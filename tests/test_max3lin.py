@@ -42,18 +42,17 @@ class TestClassify:
         cons = (((0, 1, 2), 1, 1.0), ((0, 1, 3), 1, 1.0), ((0, 1, 4), 1, 1.0),
                 ((2, 3, 4), 1, 1.0))
         phi = KLinInstance.from_constraints(k=3, n=5, constraints=cons)
-        incidence, lights = classify_constraints(phi, t=3)
-        assert incidence.is_heavy((0, 1))
-        assert not incidence.is_heavy((2, 3))
+        incidence, by_var = classify_constraints(phi, t=3)
         assert incidence.heavy_pairs.tolist() == [[0, 1]]
         # the lone (2,3,4) constraint stays light
-        assert lights.by_var.keys.tolist() == [2, 3, 4]
+        assert incidence.heavy_mask.tolist() == [True, True, True, False]
+        assert by_var.keys.tolist() == [2, 3, 4]
 
     def test_threshold_one_makes_everything_heavy(self):
         plant = plant_klin(10, 3, 15, 0.0, seed=0)
-        incidence, lights = classify_constraints(plant.instance, t=1)
-        assert lights.by_var.keys.size == 0
-        assert np.all(incidence.by_pair.sizes >= 1)
+        incidence, by_var = classify_constraints(plant.instance, t=1)
+        assert by_var.keys.size == 0
+        assert np.all(incidence.by_pair.sizes >= 1) and incidence.heavy_mask.all()
 
     def test_counting_identity(self):
         plant = plant_klin(25, 3, 300, 0.2, seed=1)
@@ -62,8 +61,8 @@ class TestClassify:
 
     def test_light_membership_three_sets(self):
         plant = plant_klin(25, 3, 100, 0.2, seed=2)
-        incidence, lights = classify_constraints(plant.instance, t=50)
-        counts = np.bincount(lights.by_var.members, minlength=100)
+        incidence, by_var = classify_constraints(plant.instance, t=50)
+        counts = np.bincount(by_var.members, minlength=100)
         assert np.all(counts == 3)
         assert counts.size == 100
 
@@ -85,9 +84,10 @@ class TestGroups:
         assert np.array_equal(big.keys - 2**61, small.keys)
         assert np.array_equal(big.offsets, small.offsets)
         assert np.array_equal(big.members, small.members)
-        for key in small.keys:
-            assert small.members_of(key).tolist() == np.flatnonzero(keys == key).tolist()
-        assert small.members_of(7).size == 0
+        assert small.keys.tolist() == np.unique(keys).tolist()
+        for g, key in enumerate(small.keys):
+            members = small.members[small.offsets[g]:small.offsets[g + 1]]
+            assert members.tolist() == np.flatnonzero(keys == key).tolist()
         assert Groups.of(keys[:0], positions[:0]).offsets.tolist() == [0]
 
 
@@ -131,8 +131,8 @@ class TestCreateL:
         phi = KLinInstance.from_constraints(k=3, n=4, constraints=(((1, 2, 3), 1, 1.0),))
         labels = np.array([1, 1, 1, -1], dtype=np.int8)
         advice = LabelAdvice(values=labels, epsilon=0.5)
-        _, lights = classify_constraints(phi, t=2)
-        reps = create_l_constraints(lights, advice, phi)
+        _, by_var = classify_constraints(phi, t=2)
+        reps = create_l_constraints(by_var, advice, phi)
         assert reps.sigma[1] == -1 and not reps.flagged.any()
         # variables 1, 2, 3 each emit their one light representative
         assert reps.idx.tolist() == [[1, -1], [2, -1], [3, -1]]
@@ -141,16 +141,16 @@ class TestCreateL:
     def test_noiseless_vote_recovers_value(self):
         plant = plant_klin(15, 3, 60, 0.0, seed=4)
         advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
-        _, lights = classify_constraints(plant.instance, t=1000)
-        reps = create_l_constraints(lights, advice, plant.instance)
-        voters = lights.by_var.keys
+        _, by_var = classify_constraints(plant.instance, t=1000)
+        reps = create_l_constraints(by_var, advice, plant.instance)
+        voters = by_var.keys
         assert not reps.flagged.any()
         assert np.array_equal(reps.sigma[voters], plant.x_star[voters])
 
     def test_empty_members(self):
         phi = KLinInstance.from_constraints(k=3, n=4, constraints=(((0, 1, 2), 1, 1.0),))
-        _, lights = classify_constraints(phi, t=2)
-        reps = create_l_constraints(lights, all_ones_advice(4), phi)
+        _, by_var = classify_constraints(phi, t=2)
+        reps = create_l_constraints(by_var, all_ones_advice(4), phi)
         # variable 3 has no light members: it emits nothing and records no vote
         assert 3 not in reps.idx[:, 0].tolist() and reps.sigma[3] == 0
 
@@ -160,10 +160,10 @@ class TestBuildPsi:
         plant = plant_klin(20, 3, 250, 0.1, seed=5)
         advice = gen_label_advice(plant.x_star, 0.8, seed=6)
         reduced = build_psi(plant.instance, advice, delta=0.1, epsilon=0.8)
-        incidence, lights = classify_constraints(plant.instance, reduced.threshold)
-        expected = 2 * int(incidence.by_pair.sizes[incidence.heavy].sum())
-        expected += int(lights.by_var.offsets[-1])
-        assert reduced.m == expected
+        incidence, by_var = classify_constraints(plant.instance, reduced.threshold)
+        heavy_rows = 2 * int(incidence.by_pair.sizes[incidence.heavy].sum())
+        assert reduced.heavy_rows == heavy_rows
+        assert reduced.m == heavy_rows + int(by_var.offsets[-1])
         reps = np.bincount(reduced.source, minlength=plant.instance.m)
         assert set(np.unique(reps)).issubset({2, 3, 4, 6})
 
@@ -177,10 +177,23 @@ class TestBuildPsi:
             (~reduced.flagged).sum()
         )
 
+    def test_heavy_rows_lead_as_couples(self):
+        # Rows below heavy_rows are (pair, unary) couples sharing a heavy
+        # source; every row after them is a light unary representative.
+        plant = plant_klin(20, 3, 1500, 0.1, seed=(12, 0))
+        advice = gen_label_advice(plant.x_star, 0.8, seed=(13, 0))
+        reduced = build_psi(plant.instance, advice, delta=0.1, epsilon=0.8)
+        h, arity, src = reduced.heavy_rows, reduced.psi.arity, reduced.source
+        assert 0 < h < reduced.m and h % 2 == 0
+        assert np.all(arity[:h:2] == 2) and np.all(arity[1:h:2] == 1)
+        assert np.array_equal(src[:h:2], src[1:h:2])
+        assert np.all(reduced.heavy_mask[src[:h]]) and not reduced.heavy_mask[src[h:]].any()
+        assert np.all(arity[h:] == 1)
+
     def test_empty_instance(self):
         phi = KLinInstance.from_constraints(k=3, n=5, constraints=())
         reduced = build_psi(phi, all_ones_advice(5), delta=0.1, epsilon=0.5)
-        assert reduced.m == 0
+        assert reduced.m == 0 and reduced.heavy_rows == 0
 
     def test_deterministic(self):
         plant = plant_klin(18, 3, 200, 0.1, seed=8)
@@ -272,3 +285,56 @@ class TestRecoveryRates:
         errors, total, mean_bound = light_vote_errors(phi, x_star, reduced, eps)
         assert total >= 100
         assert errors / total <= mean_bound + binomial_band(mean_bound, total)
+
+
+class TestAuditOutputs:
+    """The audits' exact outputs on pinned fixtures, so a refactor of the
+    reduction's bookkeeping cannot move them while the bounds still hold."""
+
+    @pytest.mark.parametrize("s, expected", [(0, (0, 1214, 0.04904583548701675)),
+                                             (1, (0, 1216, 0.04904583548701675))])
+    def test_heavy_votes_on_a4_fixtures(self, s, expected):
+        eps, delta = 0.6, 0.05
+        plant = plant_klin(50, 3, 36000, 0.05, seed=(4, s))
+        advice = gen_label_advice(plant.x_star, eps, seed=(4, s, 1))
+        reduced = build_psi(plant.instance, advice, delta, eps)
+        assert heavy_vote_errors(plant.instance, plant.x_star, reduced, eps) == expected
+
+    def test_heavy_votes_with_errors_and_skipped_pairs(self):
+        # 82 of the 108 heavy pairs have under a quarter of their members
+        # violated by x*, and two of those votes are wrong.
+        eps = 0.4
+        plant = plant_klin(30, 3, 6000, 0.2, seed=21)
+        advice = gen_label_advice(plant.x_star, eps, seed=22)
+        reduced = build_psi(plant.instance, advice, 0.4, eps)
+        assert len(reduced.heavy_pairs) == 108
+        assert heavy_vote_errors(plant.instance, plant.x_star, reduced, eps) == (
+            2, 82, 0.39851904108451414)
+
+    def test_light_votes_on_a5_fixture(self):
+        eps, delta = 0.95, 0.3
+        plant = plant_klin(1000, 3, 80000, 0.05, seed=5)
+        advice = gen_label_advice(plant.x_star, eps, seed=(5, 1))
+        reduced = build_psi(plant.instance, advice, delta, eps)
+        assert light_vote_errors(plant.instance, plant.x_star, reduced, eps) == (
+            0, 1000, 0.3302312106028317)
+
+    @pytest.mark.parametrize("shape, seeds, expected", [
+        # seed 3 of test_representative_accounting_bound: no heavy pair
+        ((30, 500, 0.75), (15, 3), dict(unsat_phi=87, heavy_reps_unsat_hat=0,
+                                        light_sources_unsat_star=53,
+                                        light_reps_unsat_either=50, bound=103)),
+        # 29 heavy pairs covering 721 of the 1500 constraints
+        ((20, 1500, 0.8), (12, 0), dict(unsat_phi=155, heavy_reps_unsat_hat=92,
+                                        light_sources_unsat_star=82,
+                                        light_reps_unsat_either=0, bound=174)),
+    ])
+    def test_representative_accounting(self, shape, seeds, expected):
+        n, m, eps = shape
+        a, s = seeds
+        plant = plant_klin(n, 3, m, 0.1, seed=(a, s))
+        advice = gen_label_advice(plant.x_star, eps, seed=(a + 1, s))
+        reduced = build_psi(plant.instance, advice, delta=0.1, epsilon=eps)
+        res = solve_max3lin_with_advice(plant.instance, advice, delta=0.1, seed=(a + 2, s))
+        assert representative_accounting(
+            plant.instance, reduced, res.assignment, plant.x_star) == expected

@@ -194,6 +194,16 @@ class TestPipeline:
         assert res.cut_weight >= 0.4 * len(plant.instance.edges)
         assert not res.diagnostics.fallback
 
+    def test_empty_undecided_pool(self):
+        # Exact advice commits every vertex, so no LP is built.
+        plant = plant_bipartite_regular(128, 8, 0.0, seed=1)
+        adv = LabelAdvice(values=plant.x_star, epsilon=1.0)
+        res = solve_maxcut_with_advice(plant.instance, adv, BENCH_PARAMS, seed=2)
+        d = res.diagnostics
+        assert (d.committed, d.undecided) == (128, 0)
+        assert (d.lp_status, d.lp_value, d.fallback) == ("optimal", 0.0, False)
+        assert res.cut_weight == len(plant.instance.edges) == 512
+
     def test_irregular_graph_rejected(self):
         graph = GraphInstance(n=3, edges=((0, 1), (1, 2)))
         adv = LabelAdvice(values=np.ones(3, dtype=np.int8), epsilon=0.5)
