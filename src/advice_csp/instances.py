@@ -305,19 +305,18 @@ def _products(instance: KLinInstance, xv: np.ndarray) -> np.ndarray:
 def evaluate(instance: KLinInstance, x) -> tuple[float, float]:
     """Satisfied weight and satisfied fraction of an assignment.
 
-    The fraction is satisfied weight over total weight; an instance with
-    no constraints evaluates to (0.0, 1.0).
+    The fraction is satisfied weight over total weight; an instance of
+    zero total weight, such as one with no constraints, evaluates to
+    (0.0, 1.0).
     """
     xv = _as_pm1(x, instance.n)
-    if instance.m == 0:
+    total = instance.total_weight
+    if total == 0.0:
         return 0.0, 1.0
     sat_mask = _products(instance, xv) == instance.rhs
     sat = 0.0
     for rows in instance._arity_rows:
         sat += float(instance.w[rows][sat_mask[rows]].sum())
-    total = instance.total_weight
-    if total <= 0:
-        raise InputError("total weight must be positive for a nonempty instance")
     return sat, sat / total
 
 

@@ -84,16 +84,7 @@ class CutDiagnostics:
 class MaxCutResult:
     assignment: np.ndarray   # +1 for S, -1 for T
     cut_weight: float
-    split: LandscapeSplit
     diagnostics: CutDiagnostics
-
-    @property
-    def side_s(self) -> np.ndarray:
-        return np.flatnonzero(self.assignment == 1)
-
-    @property
-    def side_t(self) -> np.ndarray:
-        return np.flatnonzero(self.assignment == -1)
 
 
 def compute_deltas(graph: GraphInstance, advice: LabelAdvice) -> np.ndarray:
@@ -232,8 +223,7 @@ def solve_maxcut_with_advice(
     cut_weight = float(cut_value(graph, assignment))
     diag = _diagnostics(graph, split, assignment, y, d_s, d_t,
                         lp_status, lp_value, fallback, d, slack)
-    return MaxCutResult(assignment=assignment, cut_weight=cut_weight,
-                        split=split, diagnostics=diag)
+    return MaxCutResult(assignment=assignment, cut_weight=cut_weight, diagnostics=diag)
 
 
 def _diagnostics(graph, split, assignment, y, d_s, d_t,

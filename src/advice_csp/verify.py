@@ -73,7 +73,7 @@ class CheckResult:
     detail: str = ""
 
 
-def lp_vertex_optimum(lp: LinearProgram, tol: float = FEAS_TOL) -> LpOutcome:
+def lp_vertex_optimum(lp: LinearProgram) -> LpOutcome:
     """Brute-force LP oracle: enumerate basic points of the feasible polytope.
 
     Every active-set choice of p constraints (row bounds and box faces)
@@ -104,8 +104,8 @@ def lp_vertex_optimum(lp: LinearProgram, tol: float = FEAS_TOL) -> LpOutcome:
         x = np.linalg.solve(A[solvable], b[solvable, :, None])[:, :, 0]
         v = x @ lp.rows.T
         ok = (np.all(np.isfinite(x), axis=1)
-              & np.all((x >= lp.lo - tol) & (x <= lp.hi + tol), axis=1)
-              & np.all((v >= lp.row_lo - tol) & (v <= lp.row_hi + tol), axis=1))
+              & np.all((x >= lp.lo - FEAS_TOL) & (x <= lp.hi + FEAS_TOL), axis=1)
+              & np.all((v >= lp.row_lo - FEAS_TOL) & (v <= lp.row_hi + FEAS_TOL), axis=1))
         if not ok.any():
             continue
         x = x[ok]
@@ -274,6 +274,135 @@ def light_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int,
     return errs, total, bound_sum / max(total, 1)
 
 
+def negation_failures(instance: KLinInstance, xs) -> int:
+    """Assignments x whose negation does not act as negating each odd-arity
+    rhs: the mask at -x differs from the rhs-negated instance's mask at x."""
+    rhs = np.where(instance.arity % 2 == 1, -instance.rhs, instance.rhs)
+    flipped = KLinInstance(instance.k, instance.n, instance.idx, rhs, instance.w)
+    return sum(not np.array_equal(satisfied_mask(instance, -np.asarray(x)),
+                                  satisfied_mask(flipped, x)) for x in xs)
+
+
+def identity_failures(instance: KLinInstance, xs) -> int:
+    """Assignments of an arity-2 instance at which W/2 + <x, Ax>/4 is not
+    within 1e-9 of the satisfied weight."""
+    qp = to_quadratic_matrix(instance)
+    gaps = (quadratic_identity_value(instance, qp, x) - evaluate(instance, x)[0] for x in xs)
+    return sum(not abs(gap) <= 1e-9 for gap in gaps)
+
+
+def concavity_failures(rng, trials: int, n_high: int) -> int:
+    """Random chords whose midpoint F(., y) puts more than 1e-9 below the
+    mean of the ends; each draws n in [2, n_high), the matrix, epsilon in
+    [0.1, 1), y in {-1, 1}^n, then both ends in [-1, 1]^n."""
+    failures = 0
+    for _ in range(trials):
+        n = int(rng.integers(2, n_high))
+        A, eps = random_qp(rng, n), float(rng.uniform(0.1, 1.0))
+        y = rng.choice([-1.0, 1.0], size=n)
+        x1, x2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+        ends = advice_objective(A, x1, y, eps) + advice_objective(A, x2, y, eps)
+        failures += not advice_objective(A, (x1 + x2) / 2, y, eps) >= ends / 2 - 1e-9
+    return failures
+
+
+def form_dominance_failures(rng, trials: int, n_high: int) -> int:
+    """Random points with <x, Ax> more than 1e-9 below F(x, y) / eps; each
+    draws n in [2, n_high), the matrix, epsilon in [0.1, 1), x, then y in [-1, 1]^n."""
+    failures = 0
+    for _ in range(trials):
+        n = int(rng.integers(2, n_high))
+        A, eps = random_qp(rng, n), float(rng.uniform(0.1, 1.0))
+        x, y = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+        failures += not A.form_value(x) >= advice_objective(A, x, y, eps) / eps - 1e-9
+    return failures
+
+
+def grid_sandwich_failures(rng, trials: int) -> int:
+    """Random n = 4, eps = 0.5 surrogates whose ``maximize_concave`` value is
+    not between the best of the grid {-1, -1/2, 0, 1/2, 1}^4 and that plus a
+    quarter of F's Lipschitz bound (to 1e-9); each draws the matrix, then y."""
+    failures = 0
+    for _ in range(trials):
+        A, eps = random_qp(rng, 4), 0.5
+        y = rng.choice([-1.0, 1.0], size=4)
+        best = max(advice_objective(A, np.array(point), y, eps)
+                   for point in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=4))
+        got = advice_objective(A, maximize_concave(A, y, eps), y, eps)
+        lip = float(np.abs(A.a @ y).sum() + eps * np.abs(A.a).sum())
+        failures += not best - 1e-9 <= got <= best + 0.25 * lip + 1e-9
+    return failures
+
+
+def witness_check(graph, split, lp: LinearProgram, x_star) -> tuple[int, int]:
+    """(rows, value) failures of the planted witness theta_i = 1(i in S*) of
+    the balance LP: the rows it violates by over 1e-9; a witness value other
+    than |E[Q & S*, T_L]| + |E[Q & T*, S_L]|, and no LP optimum within 1e-6
+    above it, one failure each."""
+    star = np.asarray(x_star) == 1
+    theta = star[split.undecided].astype(np.float64)
+    val = lp.rows @ theta
+    rows = int(np.count_nonzero(~((val >= lp.row_lo - 1e-9) & (val <= lp.row_hi + 1e-9))))
+    witness = float(lp.c @ theta) + lp.offset
+    in_q, in_s, in_t = (np.bincount(part, minlength=graph.n) > 0
+                        for part in (split.undecided, split.side_s, split.side_t))
+    u, v = graph.edges.T
+    recount = sum(np.count_nonzero((a[u] & b[v]) | (a[v] & b[u]))
+                  for a, b in ((in_q & star, in_t), (in_q & ~star, in_s)))
+    out = solve_lp(lp)
+    return rows, int(not abs(witness - recount) <= 1e-9) + int(
+        not (out.is_optimal and out.value >= witness - 1e-6))
+
+
+def ascent_decreases(instance: KLinInstance, rank: int, seed, steps: int) -> int:
+    """Warm-started single sweeps of ``solve_relaxation`` on an instance with
+    no unary constraint, one from ``seed`` then ``steps`` more, after which
+    the relaxation value falls by more than 1e-9 W."""
+    emb = solve_relaxation(instance, rank=rank, sweeps=1, seed=seed)
+    prev, decreases = relaxation_objective(instance, emb), 0
+    for _ in range(steps):
+        emb = solve_relaxation(instance, rank=rank, sweeps=1, seed=seed, init=emb)
+        cur = relaxation_objective(instance, emb)
+        decreases += not cur >= prev - 1e-9 * instance.total_weight
+        prev = cur
+    return decreases
+
+
+def dehomogenization_failures(instance: KLinInstance, xs, tol: float = 0.0) -> int:
+    """Assignments x of the homogenized instance whose weight is more than
+    ``tol`` from the instance's at ``dehomogenize(x)``, plus one if the total
+    weight changes.  The two sum weights in different orders."""
+    hom, ref = homogenize(instance)
+    return int(hom.total_weight != instance.total_weight) + sum(
+        not abs(evaluate(hom, x)[0] - evaluate(instance, dehomogenize(x, ref))[0]) <= tol
+        for x in xs)
+
+
+def rounding_dominance_failures(hom: KLinInstance, emb, trials: int, seed) -> int:
+    """Failures of best-of-``trials`` hyperplane rounding: trials, recounted
+    with the directions ``seed`` derives, that beat the kept weight; a kept
+    weight that is not their max, or more than 1e-6 above the relaxation."""
+    _, best = hyperplane_round(hom, emb, trials=trials, seed=seed)
+    dirs = np.random.default_rng(seed).standard_normal((trials, emb.rank))
+    signs = np.where(emb.vectors @ dirs.T >= 0.0, 1, -1).astype(np.int8)
+    weights = [evaluate(hom, signs[:, t])[0] for t in range(trials)]
+    return (sum(best < w for w in weights) + int(best != max(weights))
+            + int(not relaxation_objective(hom, emb) >= best - 1e-6))
+
+
+def reduction_counting_failures(phi: KLinInstance, reduced) -> tuple[int, int]:
+    """(counts, sources) failing in the reduction ``reduced`` of phi: pair
+    lists of 3m members, ``heavy_rows`` twice the heavy pairs' members, psi
+    those rows plus the light members; sources without 2, 3, 4 or 6 rows."""
+    incidence, by_var = classify_constraints(phi, reduced.threshold)
+    heavy_rows = 2 * int(incidence.by_pair.sizes[incidence.heavy].sum())
+    counts = sum(map(int, (incidence.by_pair.offsets[-1] != 3 * phi.m,
+                           reduced.heavy_rows != heavy_rows,
+                           reduced.m != heavy_rows + by_var.offsets[-1])))
+    reps = np.bincount(reduced.source, minlength=phi.m)
+    return counts, int(np.count_nonzero(~np.isin(reps, (2, 3, 4, 6))))
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -282,39 +411,20 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20_001)
 
-    ok = True
-    for _ in range(max(4, seeds // 8)):
-        n = int(rng.integers(4, 11))
-        plant = plant_klin(n, 2, 3 * n, 0.3, seed=int(rng.integers(1 << 30)))
-        inst = plant.instance
-        for _ in range(8):
-            x = rng.choice([-1, 1], size=n)
-            if evaluate(inst, x)[0] != evaluate(inst, -x)[0]:
-                ok = False
-    out.append(CheckResult("instance-invariants", "even-arity negation invariance", ok))
+    for k, name in ((2, "even-arity negation invariance"), (3, "odd-arity negation flips rhs")):
+        failures = 0
+        for _ in range(max(4, seeds // 8)):
+            n = int(rng.integers(4, 11))
+            plant = plant_klin(n, k, 3 * n, 0.3, seed=int(rng.integers(1 << 30)))
+            failures += negation_failures(plant.instance,
+                                          [rng.choice([-1, 1], size=n) for _ in range(8)])
+        out.append(CheckResult("instance-invariants", name, failures == 0, f"{failures} failures"))
 
-    ok = True
-    for _ in range(max(4, seeds // 8)):
-        n = int(rng.integers(4, 11))
-        plant = plant_klin(n, 3, 3 * n, 0.3, seed=int(rng.integers(1 << 30)))
-        inst = plant.instance
-        flipped = KLinInstance(k=3, n=n, idx=inst.idx, rhs=-inst.rhs, w=inst.w)
-        for _ in range(8):
-            x = rng.choice([-1, 1], size=n)
-            if not np.array_equal(satisfied_mask(inst, -x), satisfied_mask(flipped, x)):
-                ok = False
-    out.append(CheckResult("instance-invariants", "odd-arity negation flips rhs", ok))
-
-    ok = True
-    n = 12
-    inst = random_2lin(rng, n, 30)
-    qp = to_quadratic_matrix(inst)
-    xs = np.array(list(itertools.product([-1, 1], repeat=n)), dtype=np.int8)
-    for x in xs[rng.choice(len(xs), size=min(len(xs), 40 * seeds), replace=True)]:
-        if abs(quadratic_identity_value(inst, qp, x) - evaluate(inst, x)[0]) > 1e-9:
-            ok = False
-            break
-    out.append(CheckResult("instance-invariants", "quadratic identity matches evaluate", ok))
+    inst = random_2lin(rng, 12, 30)
+    xs = np.array(list(itertools.product([-1, 1], repeat=12)), dtype=np.int8)
+    failures = identity_failures(inst, xs[rng.choice(len(xs), size=min(len(xs), 40 * seeds))])
+    out.append(CheckResult("instance-invariants", "quadratic identity matches evaluate",
+                           failures == 0, f"{failures} failures"))
 
     plant = plant_bipartite_regular(128, 8, 0.0, seed=5)
     every_cut = cut_value(plant.instance, plant.x_star) == len(plant.instance.edges)
@@ -403,22 +513,11 @@ def suite_lp_oracle(seeds: int) -> list[CheckResult]:
 def suite_qp_lemmas(seeds: int) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20_004)
-    concave_ok = True
-    claim_ok = True
-    for _ in range(max(10, seeds // 4)):
-        n = int(rng.integers(2, 9))
-        A = random_qp(rng, n)
-        eps = float(rng.uniform(0.1, 1.0))
-        y = rng.choice([-1.0, 1.0], size=n)
-        x1, x2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
-        mid = advice_objective(A, (x1 + x2) / 2, y, eps)
-        if mid < (advice_objective(A, x1, y, eps) + advice_objective(A, x2, y, eps)) / 2 - 1e-9:
-            concave_ok = False
-        xx = rng.uniform(-1, 1, size=n)
-        if float(xx @ A.a @ xx) < advice_objective(A, xx, y, eps) / eps - 1e-9:
-            claim_ok = False
-    out.append(CheckResult("qp-lemmas", "surrogate objective concave along chords", concave_ok))
-    out.append(CheckResult("qp-lemmas", "form dominates surrogate over epsilon", claim_ok))
+    trials = max(10, seeds // 4)
+    for name, check in (("surrogate objective concave along chords", concavity_failures),
+                        ("form dominates surrogate over epsilon", form_dominance_failures)):
+        failures = check(rng, trials, 9)
+        out.append(CheckResult("qp-lemmas", name, failures == 0, f"{failures}/{trials} failed"))
 
     trials = max(50, 10 * seeds)
     decreases = rounding_decreases(rng, trials, 2, 21)
@@ -430,21 +529,9 @@ def suite_qp_lemmas(seeds: int) -> list[CheckResult]:
     out.append(CheckResult("qp-lemmas", "output never beats the exhaustive max",
                            violations == 0, f"{violations}/{trials} above"))
 
-    grid_ok = True
-    for _ in range(3):
-        n = 4
-        A = random_qp(rng, n)
-        eps = 0.5
-        y = rng.choice([-1.0, 1.0], size=n)
-        best = -math.inf
-        for point in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=n):
-            best = max(best, advice_objective(A, np.array(point), y, eps))
-        xf = maximize_concave(A, y, eps)
-        got = advice_objective(A, xf, y, eps)
-        lip = float(np.abs(A.a @ y).sum() + eps * np.abs(A.a).sum())
-        if not (best - 1e-9 <= got <= best + 0.25 * lip + 1e-9):
-            grid_ok = False
-    out.append(CheckResult("qp-lemmas", "surrogate optimum sandwiched by grid search", grid_ok))
+    failures = grid_sandwich_failures(rng, 3)
+    out.append(CheckResult("qp-lemmas", "surrogate optimum sandwiched by grid search",
+                           failures == 0, f"{failures}/3 failed"))
     return out
 
 
@@ -454,7 +541,6 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
     plant = plant_bipartite_regular(512, 64, 0.0, seed=1000)
     graph = plant.instance
     n, d = graph.n, graph.regular_degree
-    star_s = plant.x_star == 1
     # Signed planted neighborhood imbalance |E(i,S*)| - |E(i,T*)|.
     delta_star = graph.neighbour_sums(plant.x_star)
     tail_limit = 4.0 * math.sqrt(d * math.log(n))
@@ -466,8 +552,7 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
     balance_ok_runs = 0
     identity_ok = True
     fconc_ok_runs = 0
-    witness_ok = True
-    lp_lb_ok = True
+    witness_rows = witness_value = 0
     fallbacks = 0
     for s in range(seeds):
         advice = gen_label_advice(plant.x_star, eps, seed=(41, s))
@@ -490,17 +575,10 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
                 fconc_ok_runs += 1
         else:
             fconc_ok_runs += 1
-        # Feasibility of the planted witness theta_i = 1(i in S*), and the
-        # lower bound it certifies for the balance LP optimum.
-        lp = build_lp(graph, split, d, eps, params)
-        theta_star = star_s[split.undecided].astype(np.float64)
-        val = lp.rows @ theta_star
-        if np.any((val < lp.row_lo - 1e-9) | (val > lp.row_hi + 1e-9)):
-            witness_ok = False
-        witness_value = float(lp.c @ theta_star) + lp.offset
-        out_lp = solve_lp(lp)
-        if not out_lp.is_optimal or out_lp.value < witness_value - 1e-6:
-            lp_lb_ok = False
+        rows, value = witness_check(graph, split, build_lp(graph, split, d, eps, params),
+                                    plant.x_star)
+        witness_rows += rows
+        witness_value += value
     results = [
         CheckResult("maxcut-lemmas", "committed sides inside planted sides",
                     containment >= math.ceil(0.99 * seeds),
@@ -515,8 +593,10 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
         CheckResult("maxcut-lemmas", "rounded objective concentrates at LP value",
                     fconc_ok_runs >= math.floor(0.9 * seeds),
                     f"{fconc_ok_runs}/{seeds}"),
-        CheckResult("maxcut-lemmas", "planted witness feasible for the balance LP", witness_ok),
-        CheckResult("maxcut-lemmas", "LP value dominates the witness value", lp_lb_ok),
+        CheckResult("maxcut-lemmas", "planted witness feasible for the balance LP",
+                    witness_rows == 0, f"{witness_rows} rows violated"),
+        CheckResult("maxcut-lemmas", "LP value dominates the witness value",
+                    witness_value == 0, f"{witness_value} failures"),
         CheckResult("maxcut-lemmas", "no fallbacks needed on the planted fixture",
                     fallbacks == 0, f"{fallbacks} fallbacks"),
     ]
@@ -527,21 +607,14 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(20_006)
 
-    ascent_ok = True
+    decreases = 0
     for _ in range(max(3, seeds // 30)):
-        inst = random_2lin(rng, 14, 40)
-        hom, _ = homogenize(inst)
-        emb = solve_relaxation(hom, rank=4, sweeps=1, seed=1)
-        prev = relaxation_objective(hom, emb)
-        for _ in range(10):
-            emb = solve_relaxation(hom, rank=4, sweeps=1, seed=1, init=emb)
-            cur = relaxation_objective(hom, emb)
-            if cur < prev - 1e-9 * max(1.0, inst.total_weight):
-                ascent_ok = False
-            prev = cur
-    out.append(CheckResult("twolin-invariants", "relaxation ascent monotone per sweep", ascent_ok))
+        hom, _ = homogenize(random_2lin(rng, 14, 40))
+        decreases += ascent_decreases(hom, 4, 1, 10)
+    out.append(CheckResult("twolin-invariants", "relaxation ascent monotone per sweep",
+                           decreases == 0, f"{decreases} decreases"))
 
-    dehom_ok = True
+    failures = 0
     for _ in range(max(5, seeds // 20)):
         inst = KLinInstance.from_constraints(
             2, 6,
@@ -552,28 +625,16 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
                 for a, b in [(0, 1), (2, 3), (4, 5)]
             ),
         )
-        hom, ref = homogenize(inst)
-        x_full = rng.choice([-1, 1], size=7).astype(np.int8)
-        w_hom = evaluate(hom, x_full)[0]
-        w_orig = evaluate(inst, dehomogenize(x_full, ref))[0]
-        if abs(w_hom - w_orig) > 1e-9:
-            dehom_ok = False
-    out.append(CheckResult("twolin-invariants", "dehomogenization preserves weight", dehom_ok))
+        failures += dehomogenization_failures(
+            inst, [rng.choice([-1, 1], size=7).astype(np.int8)], tol=1e-9)
+    out.append(CheckResult("twolin-invariants", "dehomogenization preserves weight",
+                           failures == 0, f"{failures} failures"))
 
-    dominance_ok = True
-    inst = random_2lin(rng, 12, 30)
-    hom, ref = homogenize(inst)
-    emb = solve_relaxation(hom, rank=5, sweeps=50, seed=3)
-    best_x, best_w = hyperplane_round(hom, emb, trials=32, seed=4)
-    # Recount every trial independently with the same derived directions.
-    dirs = np.random.default_rng(4).standard_normal((32, emb.rank))
-    signs = np.where(emb.vectors @ dirs.T >= 0.0, 1, -1).astype(np.int8)
-    trial_weights = [evaluate(hom, signs[:, t])[0] for t in range(32)]
-    if best_w != max(trial_weights) or any(best_w < w for w in trial_weights):
-        dominance_ok = False
-    if relaxation_objective(hom, emb) < best_w - 1e-6:
-        dominance_ok = False
-    out.append(CheckResult("twolin-invariants", "best-of rounding dominates each trial", dominance_ok))
+    hom, _ = homogenize(random_2lin(rng, 12, 30))
+    failures = rounding_dominance_failures(
+        hom, solve_relaxation(hom, rank=5, sweeps=50, seed=3), trials=32, seed=4)
+    out.append(CheckResult("twolin-invariants", "best-of rounding dominates each trial",
+                           failures == 0, f"{failures} failures"))
 
     dup = KLinInstance.from_constraints(2, 2, (((0, 1), 1, 1.0),) * 3)
     w, _ = evaluate(dup, np.array([1, 1], dtype=np.int8))
@@ -593,25 +654,17 @@ def suite_twolin_invariants(seeds: int) -> list[CheckResult]:
 def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     out = []
 
-    counting_ok = True
-    reps_ok = True
+    counts = sources = 0
     for s in range(max(3, seeds // 30)):
         plant = plant_klin(30, 3, 400, 0.1, seed=700 + s)
-        phi = plant.instance
-        incidence, _ = classify_constraints(phi, t=4)
-        if incidence.by_pair.offsets[-1] != 3 * phi.m:
-            counting_ok = False
         advice = gen_label_advice(plant.x_star, 0.8, seed=(71, s))
-        reduced = build_psi(phi, advice, delta=0.1, epsilon=0.8)
-        reps = np.bincount(reduced.source, minlength=phi.m)
-        if np.any(reps < 2) or np.any(reps > 6) or np.any(~np.isin(reps, (2, 3, 4, 6))):
-            reps_ok = False
-        inc_t, by_var = classify_constraints(phi, reduced.threshold)
-        heavy_total = 2 * int(inc_t.by_pair.sizes[inc_t.heavy].sum())
-        if reduced.heavy_rows != heavy_total or reduced.m != heavy_total + by_var.offsets[-1]:
-            counting_ok = False
-    out.append(CheckResult("threelin-lemmas", "pair lists cover each constraint thrice", counting_ok))
-    out.append(CheckResult("threelin-lemmas", "each source has 2..6 representatives", reps_ok))
+        reduced = build_psi(plant.instance, advice, delta=0.1, epsilon=0.8)
+        failed = reduction_counting_failures(plant.instance, reduced)
+        counts, sources = counts + failed[0], sources + failed[1]
+    out.append(CheckResult("threelin-lemmas", "pair lists cover each constraint thrice",
+                           counts == 0, f"{counts} failures"))
+    out.append(CheckResult("threelin-lemmas", "each source has 2..6 representatives",
+                           sources == 0, f"{sources} sources outside 2, 3, 4, 6"))
 
     exact_ok = True
     plant = plant_klin(40, 3, 900, 0.0, seed=7007)
@@ -685,24 +738,31 @@ def suite_enumeration(seeds: int) -> list[CheckResult]:
     return out
 
 
+def lift_map_failures(phi: KLinInstance, t: int, sigma, sigma_prime) -> tuple[int, int, int]:
+    """Failures, 0 or 1 each, of the 3-Lin -> 4-Lin lift with t new
+    variables: its variable and constraint counts; completeness, sigma
+    lifted keeps its satisfied fraction exactly; soundness, the lifted
+    sigma' projected back loses no more than 1e-12 of its fraction."""
+    lift = three_to_four_lin(phi, t)
+    counts = lift.phi4.n != phi.n + t or lift.phi4.m != phi.m * t
+    complete = evaluate(phi, sigma)[1] != evaluate(lift.phi4, lift_assignment(sigma, t))[1]
+    back = project_assignment(sigma_prime, phi)
+    sound = not evaluate(phi, back)[1] >= evaluate(lift.phi4, sigma_prime)[1] - 1e-12
+    return int(counts), int(complete), int(sound)
+
+
 def reduction_map_failures(rng, trials: int) -> tuple[int, int, int]:
-    """Failures of (counts, completeness, soundness) of the 3-Lin -> 4-Lin
-    lift over ``trials`` random (phi, sigma, sigma', t): n in [4, 10], m in
-    [3, 29], t in [1, 8]; soundness to 1e-12."""
-    counts = complete = sound = 0
+    """``lift_map_failures`` summed over ``trials`` random (phi, t, sigma,
+    sigma'): n in [4, 10], m in [3, 29], t in [1, 8]."""
+    totals = np.zeros(3, dtype=np.int64)
     for _ in range(trials):
         n = int(rng.integers(4, 11))
         m = int(rng.integers(3, 30))
         t = int(rng.integers(1, 9))
         plant = plant_klin(n, 3, m, float(rng.random() / 2), seed=int(rng.integers(1 << 30)))
-        phi = plant.instance
-        lift = three_to_four_lin(phi, t)
-        counts += lift.phi4.n != n + t or lift.phi4.m != m * t
         sigma = rng.choice([-1, 1], size=n)
-        complete += evaluate(phi, sigma)[1] != evaluate(lift.phi4, lift_assignment(sigma, t))[1]
-        sigma_prime = rng.choice([-1, 1], size=n + t)
-        back = project_assignment(sigma_prime, phi)
-        sound += evaluate(phi, back)[1] < evaluate(lift.phi4, sigma_prime)[1] - 1e-12
+        totals += lift_map_failures(plant.instance, t, sigma, rng.choice([-1, 1], size=n + t))
+    counts, complete, sound = totals.tolist()
     return counts, complete, sound
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.enumeration import enumerate_solve, projected_runs, qp_subset_inner
-from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
+from advice_csp.instances import KLinInstance, cut_value, plant_bipartite_regular, plant_klin
 from advice_csp.max3lin import build_psi, solve_max3lin_with_advice
 from advice_csp.maxcut import (
     MaxCutParams,
@@ -63,13 +63,13 @@ def test_a1_maxcut_pipeline(a1_plants):
         hits += res.cut_weight >= target
     assert hits >= 9, f"only {hits}/10 seeds reached {target}"
     assert worst_time < 60.0
-    # Paper-default coefficients: valid partition, cut >= 0.40 |E|, all seeds.
+    # Paper-default coefficients: the cut recounts, and is >= 0.40 |E|, on all seeds.
     degenerate_ok = 0
     for s in range(10):
         plant = a1_plants[s]
         advice = gen_label_advice(plant.x_star, 0.3, seed=(s, 1))
         res = solve_maxcut_with_advice(plant.instance, advice, PAPER, seed=(s, 2))
-        valid = res.side_s.size + res.side_t.size == 1024
+        valid = res.cut_weight == cut_value(plant.instance, res.assignment)
         degenerate_ok += valid and res.cut_weight >= 0.40 * len(plant.instance.edges)
     assert degenerate_ok == 10
     report(f"A1 PASS: {hits}/10 seeds >= {target}, paper defaults {degenerate_ok}/10 "

@@ -284,6 +284,22 @@ class TestSolve:
         )
         assert code == 1 and f"{bad}:3: revealed index 200 out of range" in err
 
+    @pytest.mark.parametrize("k, command", [
+        (2, "solve twolin-sdp"), (2, "solve qp-advice --advice {advice}"),
+        (2, "solve maxcut-lp --advice {advice}"), (2, "enumerate --epsilon 0.5"),
+        (3, "solve max3lin --advice {advice} --delta 0.1"),
+    ])
+    def test_zero_weight_instance(self, tmp_path, capsys, k, command):
+        # every weight is zero: nothing to satisfy, as with no constraints
+        path, advice = str(tmp_path / "zero.instance"), str(tmp_path / "zero.advice")
+        fileio.write_instance(path, KLinInstance.from_constraints(
+            k, 4, (((0, 1, 2)[:k], 1, 0.0), ((1, 2, 3)[:k], -1, 0.0))))
+        fileio.write_advice(advice, LabelAdvice(values=np.ones(4, dtype=np.int8), epsilon=0.5))
+        code, report, err = run_cli(capsys, *command.format(advice=advice).split(),
+                                    "--instance", path)
+        assert code == 0, err
+        assert (report["output"]["value"], report["output"]["fraction"]) == (0.0, 1.0)
+
 
 class TestBench:
     def config(self, tmp_path, **overrides):

@@ -16,11 +16,10 @@ from advice_csp.instances import (
     plant_bipartite_regular,
     plant_klin,
     quadratic_identity_value,
-    satisfied_mask,
     to_quadratic_matrix,
     _as_pm1,
 )
-from advice_csp.verify import same_columns
+from advice_csp.verify import identity_failures, negation_failures, same_columns
 
 
 def naive_evaluate(instance, x):
@@ -73,22 +72,25 @@ def test_evaluate_rejects_wrong_length():
         evaluate(inst, np.array([1, -1]))
 
 
+def test_evaluate_zero_total_weight():
+    # nothing to satisfy, as with no constraints; the assignment is still checked
+    inst = KLinInstance.from_constraints(2, 3, (((0, 1), 1, 0.0), ((1, 2), -1, 0.0)))
+    assert evaluate(inst, [1, -1, 1]) == (0.0, 1.0)
+    with pytest.raises(InputError):
+        evaluate(inst, [1, 0, 1])
+
+
 def test_even_arity_negation_invariance():
     rng = np.random.default_rng(4)
     for k in (2, 4):
         plant = plant_klin(8, k, 25, 0.3, seed=k)
-        for _ in range(10):
-            x = rng.choice([-1, 1], size=8)
-            assert evaluate(plant.instance, x) == evaluate(plant.instance, -x)
+        xs = [rng.choice([-1, 1], size=8) for _ in range(10)]
+        assert negation_failures(plant.instance, xs) == 0
 
 
 def test_odd_arity_negation_flips_rhs():
     plant = plant_klin(7, 3, 20, 0.3, seed=5)
-    inst = plant.instance
-    flipped = KLinInstance(k=3, n=7, idx=inst.idx, rhs=-inst.rhs, w=inst.w)
-    for x in itertools.product([-1, 1], repeat=7):
-        xv = np.array(x, dtype=np.int8)
-        assert np.array_equal(satisfied_mask(inst, -xv), satisfied_mask(flipped, xv))
+    assert negation_failures(plant.instance, itertools.product([-1, 1], repeat=7)) == 0
 
 
 def test_instance_validation():
@@ -182,11 +184,7 @@ class TestQuadraticMatrix:
             i, j = rng.choice(n, size=2, replace=False)
             cons.append(((int(i), int(j)), int(rng.choice([-1, 1])), float(rng.random())))
         inst = KLinInstance.from_constraints(k=2, n=n, constraints=tuple(cons))
-        qp = to_quadratic_matrix(inst)
-        for x in itertools.product([-1, 1], repeat=n):
-            xv = np.array(x, dtype=np.int8)
-            want, _ = evaluate(inst, xv)
-            assert quadratic_identity_value(inst, qp, xv) == pytest.approx(want, abs=1e-9)
+        assert identity_failures(inst, itertools.product([-1, 1], repeat=n)) == 0
 
     def test_parallel_constraints_merge(self):
         inst = KLinInstance.from_constraints(

@@ -16,7 +16,13 @@ from advice_csp.max3lin import (
     representative_accounting,
     solve_max3lin_with_advice,
 )
-from advice_csp.verify import binomial_band, heavy_vote_errors, light_vote_errors, same_columns
+from advice_csp.verify import (
+    binomial_band,
+    heavy_vote_errors,
+    light_vote_errors,
+    reduction_counting_failures,
+    same_columns,
+)
 
 
 def all_ones_advice(n, eps=1.0):
@@ -55,9 +61,11 @@ class TestClassify:
         assert np.all(incidence.by_pair.sizes >= 1) and incidence.heavy_mask.all()
 
     def test_counting_identity(self):
+        # pair lists hold 3m members at any t; build_psi's least t is 6 (delta 1/2, eps 1)
         plant = plant_klin(25, 3, 300, 0.2, seed=1)
-        incidence, _ = classify_constraints(plant.instance, t=5)
-        assert incidence.by_pair.offsets[-1] == 3 * 300
+        reduced = build_psi(plant.instance, all_ones_advice(25), delta=0.5, epsilon=1.0)
+        assert reduced.threshold == 6
+        assert reduction_counting_failures(plant.instance, reduced) == (0, 0)
 
     def test_light_membership_three_sets(self):
         plant = plant_klin(25, 3, 100, 0.2, seed=2)
@@ -160,12 +168,7 @@ class TestBuildPsi:
         plant = plant_klin(20, 3, 250, 0.1, seed=5)
         advice = gen_label_advice(plant.x_star, 0.8, seed=6)
         reduced = build_psi(plant.instance, advice, delta=0.1, epsilon=0.8)
-        incidence, by_var = classify_constraints(plant.instance, reduced.threshold)
-        heavy_rows = 2 * int(incidence.by_pair.sizes[incidence.heavy].sum())
-        assert reduced.heavy_rows == heavy_rows
-        assert reduced.m == heavy_rows + int(by_var.offsets[-1])
-        reps = np.bincount(reduced.source, minlength=plant.instance.m)
-        assert set(np.unique(reps)).issubset({2, 3, 4, 6})
+        assert reduction_counting_failures(plant.instance, reduced) == (0, 0)
 
     def test_noiseless_plant_satisfies_unflagged(self):
         plant = plant_klin(40, 3, 900, 0.0, seed=7)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -19,6 +18,9 @@ from advice_csp.qp_advice import (
 from advice_csp.verify import (
     brute_force_best,
     brute_force_qp_max,
+    concavity_failures,
+    form_dominance_failures,
+    grid_sandwich_failures,
     qp_ceiling_violations,
     random_qp,
     rank_one_qp,
@@ -54,26 +56,10 @@ class TestObjective:
         assert advice_objective(A, y, y, 1.0) == pytest.approx(float(y @ A.a @ y))
 
     def test_concavity_probe(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            A = random_qp(rng, n)
-            eps = float(rng.uniform(0.1, 1.0))
-            y = rng.choice([-1.0, 1.0], size=n)
-            x1, x2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
-            mid = advice_objective(A, (x1 + x2) / 2, y, eps)
-            avg = (advice_objective(A, x1, y, eps) + advice_objective(A, x2, y, eps)) / 2
-            assert mid >= avg - 1e-9
+        assert concavity_failures(np.random.default_rng(2), 50, 8) == 0
 
     def test_form_dominates_scaled_objective(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            A = random_qp(rng, n)
-            eps = float(rng.uniform(0.1, 1.0))
-            x = rng.uniform(-1, 1, size=n)
-            y = rng.uniform(-1, 1, size=n)
-            assert float(x @ A.a @ x) >= advice_objective(A, x, y, eps) / eps - 1e-9
+        assert form_dominance_failures(np.random.default_rng(3), 50, 8) == 0
 
 
 class TestMaximizeConcave:
@@ -89,19 +75,7 @@ class TestMaximizeConcave:
             assert advice_objective(A, xf, y, eps) >= advice_objective(A, xs, y, eps) - 1e-7
 
     def test_grid_oracle_sandwich(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            n = 4
-            A = random_qp(rng, n)
-            eps = 0.5
-            y = rng.choice([-1.0, 1.0], size=n)
-            grid_best = max(
-                advice_objective(A, np.array(pt), y, eps)
-                for pt in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=n)
-            )
-            got = advice_objective(A, maximize_concave(A, y, eps), y, eps)
-            lipschitz = float(np.abs(A.a @ y).sum() + eps * np.abs(A.a).sum())
-            assert grid_best - 1e-9 <= got <= grid_best + 0.25 * lipschitz + 1e-9
+        assert grid_sandwich_failures(np.random.default_rng(5), 5) == 0
 
     def test_rank_one_exact_recovery(self):
         rng = np.random.default_rng(6)

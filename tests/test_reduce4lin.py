@@ -4,6 +4,7 @@ import pytest
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, evaluate, plant_klin
 from advice_csp.reduce4lin import lift_assignment, project_assignment, three_to_four_lin
+from advice_csp.verify import lift_map_failures
 
 
 def small_phi():
@@ -53,15 +54,13 @@ class TestAssignmentMaps:
         assert evaluate(lift.phi4, lift_assignment(plant.x_star, 4))[1] == 1.0
 
     def test_completeness_equality(self):
+        # sigma lifted is also the lifted assignment projected back
         rng = np.random.default_rng(3)
         plant = plant_klin(8, 3, 25, 0.4, seed=4)
-        lift = three_to_four_lin(plant.instance, t=3)
         for _ in range(30):
             sigma = rng.choice([-1, 1], size=8)
-            assert (
-                evaluate(plant.instance, sigma)[1]
-                == evaluate(lift.phi4, lift_assignment(sigma, 3))[1]
-            )
+            failures = lift_map_failures(plant.instance, 3, sigma, lift_assignment(sigma, 3))
+            assert failures == (0, 0, 0)
 
     def test_projection_recovers_plant(self):
         plant = plant_klin(7, 3, 20, 0.0, seed=5)
@@ -76,13 +75,9 @@ class TestAssignmentMaps:
             m = int(rng.integers(3, 20))
             t = int(rng.integers(1, 9))
             plant = plant_klin(n, 3, m, float(rng.random() / 2), seed=(7, s))
-            lift = three_to_four_lin(plant.instance, t)
             sigma_prime = rng.choice([-1, 1], size=n + t)
-            back = project_assignment(sigma_prime, plant.instance)
-            assert (
-                evaluate(plant.instance, back)[1]
-                >= evaluate(lift.phi4, sigma_prime)[1] - 1e-12
-            )
+            # sigma' restricted to phi's variables is also lifted back
+            assert lift_map_failures(plant.instance, t, sigma_prime[:n], sigma_prime) == (0, 0, 0)
 
     def test_all_positive_helpers_reduce_to_restriction(self):
         rng = np.random.default_rng(8)

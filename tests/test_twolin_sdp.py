@@ -15,7 +15,13 @@ from advice_csp.twolin_sdp import (
     solve_2lin,
     solve_relaxation,
 )
-from advice_csp.verify import brute_force_best, random_2lin
+from advice_csp.verify import (
+    ascent_decreases,
+    brute_force_best,
+    dehomogenization_failures,
+    random_2lin,
+    rounding_dominance_failures,
+)
 
 
 class TestHomogenize:
@@ -43,11 +49,8 @@ class TestHomogenize:
             k=2, n=4,
             constraints=(((0,), 1, 2.0), ((1,), -1, 0.5), ((2, 3), 1, 1.0)),
         )
-        hom, ref = homogenize(inst)
-        assert hom.total_weight == inst.total_weight
-        for _ in range(20):
-            x = rng.choice([-1, 1], size=5).astype(np.int8)
-            assert evaluate(hom, x)[0] == evaluate(inst, dehomogenize(x, ref))[0]
+        xs = [rng.choice([-1, 1], size=5).astype(np.int8) for _ in range(20)]
+        assert dehomogenization_failures(inst, xs) == 0
 
     def test_rejects_arity_three(self):
         inst = KLinInstance.from_constraints(k=3, n=3, constraints=(((0, 1, 2), 1, 1.0),))
@@ -62,15 +65,8 @@ class TestRelaxation:
         assert float(emb.vectors[0] @ emb.vectors[1]) == pytest.approx(-1.0, abs=1e-6)
 
     def test_ascent_monotone_across_warm_starts(self):
-        rng = np.random.default_rng(2)
-        inst = random_2lin(rng, 10, 25)
-        emb = solve_relaxation(inst, rank=4, sweeps=1, seed=3)
-        prev = relaxation_objective(inst, emb)
-        for _ in range(15):
-            emb = solve_relaxation(inst, rank=4, sweeps=1, seed=3, init=emb)
-            cur = relaxation_objective(inst, emb)
-            assert cur >= prev - 1e-9 * inst.total_weight
-            prev = cur
+        inst = random_2lin(np.random.default_rng(2), 10, 25)
+        assert ascent_decreases(inst, rank=4, seed=3, steps=15) == 0
 
     def test_satisfiable_plant_reaches_total_weight(self):
         plant = plant_klin(30, 2, 120, 0.0, seed=4)
@@ -104,19 +100,14 @@ class TestHyperplaneRound:
         inst = random_2lin(rng, 8, 20)
         hom, _ = homogenize(inst)
         emb = solve_relaxation(hom, rank=4, sweeps=40, seed=7)
-        _, best = hyperplane_round(hom, emb, trials=16, seed=8)
-        dirs = np.random.default_rng(8).standard_normal((16, emb.rank))
-        signs = np.where(emb.vectors @ dirs.T >= 0.0, 1, -1).astype(np.int8)
-        for t in range(16):
-            assert best >= evaluate(hom, signs[:, t])[0]
+        assert rounding_dominance_failures(hom, emb, trials=16, seed=8) == 0
 
     def test_relaxation_dominates_integral(self):
         rng = np.random.default_rng(9)
         inst = random_2lin(rng, 10, 30)
         hom, _ = homogenize(inst)
         emb = solve_relaxation(hom, rank=5, sweeps=200, seed=10)
-        _, w = hyperplane_round(hom, emb, trials=50, seed=11)
-        assert relaxation_objective(hom, emb) >= w - 1e-6
+        assert rounding_dominance_failures(hom, emb, trials=50, seed=11) == 0
 
 
 class TestSolve2Lin:
