@@ -1,7 +1,8 @@
 """Golden hashes: pinned seeds must give bit-identical answers.
 
 Each case runs a small seeded pipeline and digests its int8 answer (and,
-for the reduction, every column of the reduced instance) with sha256.
+for the reduction, every column of the reduced instance) with sha256;
+each Max-Cut case also pins the repr of its whole diagnostics record.
 The digests were recorded before the constraint store became columnar
 (the LP and enumeration digests before the LP went to matrix form, the
 planted-graph digests while edges were still tuples), so a
@@ -10,6 +11,7 @@ LP float on these seeds fails here.
 """
 
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -94,10 +96,26 @@ GOLDEN = {
     "max3lin-light.votes": "51ef6591a8c52aa2b2377fc263dd3c86888984d66b53d3a9dfa8568044715766",
     "maxcut.answer": "1acdc000b666b2c4e67543624a7c7a138b7a79a3f1ba40e52d13259e93ac5bf7",
     "maxcut.cut": "1128.0",
+    "maxcut.diagnostics": "{'lp_status': 'optimal', 'lp_value': 143.0, 'f_y': 143.0, "
+    "'f_y_recount': 143.0, 'balance_violations': 0, 'q_cut_direct': 1127, "
+    "'q_cut_identity_twice': 2254, 'fallback': False, 'committed': 10, 'undecided': 246}",
     "maxcut-kept.answer": "5109fc6c32650e4aaae2461b53d47e7ebc688788bbda8f2a311afd47be145808",
     "maxcut-kept.cut": "37566.0",
     "maxcut-kept.lp_value": "24056.0",
     "maxcut-kept.theta": "271d808a7ba9b066cc143e1794c2b97647d9b5799fe2b08914f380327fda006e",
+    "maxcut-kept.diagnostics": "{'lp_status': 'optimal', 'lp_value': 24056.0, 'f_y': 24056.0, "
+    "'f_y_recount': 24056.0, 'balance_violations': 0, 'q_cut_direct': 25882, "
+    "'q_cut_identity_twice': 51764, 'fallback': False, 'committed': 577, 'undecided': 447}",
+    "maxcut-uniform.answer": "e78713b6038e82744214a67d78d6b1b0335c140339ff856a4e221606aabe0512",
+    "maxcut-uniform.cut": "2054.0",
+    "maxcut-uniform.diagnostics": "{'lp_status': 'degenerate-uniform', 'lp_value': 0.0, "
+    "'f_y': 0.0, 'f_y_recount': 0.0, 'balance_violations': 0, 'q_cut_direct': 2054, "
+    "'q_cut_identity_twice': 4108, 'fallback': False, 'committed': 0, 'undecided': 256}",
+    "maxcut-fallback.answer": "b76d517995868375691826808e70be84d840333913163e1a4432f0900957f784",
+    "maxcut-fallback.cut": "94.0",
+    "maxcut-fallback.diagnostics": "{'lp_status': 'infeasible', 'lp_value': nan, 'f_y': 28.0, "
+    "'f_y_recount': 28.0, 'balance_violations': 10, 'q_cut_direct': 28, "
+    "'q_cut_identity_twice': 56, 'fallback': True, 'committed': 50, 'undecided': 14}",
     "qp-advice.answer": "41aceaa06ae12faae31d7d9a55b4f6838e68a5859ed92d696aa8917a8e06bbae",
     "qp-advice.weight": "186.0",
     "weighted-2lin.answer": "97659c0632c243c40f602d55d5dcab69189f53dd115937a2c109575255b4e283",
@@ -109,6 +127,15 @@ GOLDEN = {
     "graph.256-16-0.2": "36df6c1ab4b07cb97b4922e797fe378c2fea3f156fd1a6c7dbb108694e617421",
     "graph.64-6-0.5": "a419e93eaf128cb6de8b820089b0c50ba5daacdc2127213fb3cbd6a9abf51838",
     "graph.128-8-1.0": "52c6f8b45629b74a446711a0024a5178e8da57ff751f0d6ed08ae5020c875562",
+}
+
+# name -> (n, d, gamma, plant seed, advice epsilon, advice seed, params, solve seed):
+# the Max-Cut branches that no other case reaches
+MAXCUT_BRANCH_CASES = {
+    # paper-default threshold: no vertex commits and the LP objective is zero
+    "maxcut-uniform": (256, 32, 0.0, 5, 0.3, 6, MaxCutParams(), 7),
+    # a slack far below sqrt(d): the balance LP is infeasible and the sign fallback runs
+    "maxcut-fallback": (64, 6, 0.5, 2, 0.5, (0, 1), MaxCutParams(0.3, 0.01), (0, 2)),
 }
 
 # (n, d, gamma, seed): no intra edges, both kinds, half each, no cross edges
@@ -136,6 +163,18 @@ def test_maxcut():
     res = solve_maxcut_with_advice(plant.instance, advice, MaxCutParams(1.0, 1.5), seed=(13, 2))
     assert answer(res.assignment) == GOLDEN["maxcut.answer"]
     assert repr(res.cut_weight) == GOLDEN["maxcut.cut"]
+    assert repr(asdict(res.diagnostics)) == GOLDEN["maxcut.diagnostics"]
+
+
+@pytest.mark.parametrize("name", sorted(MAXCUT_BRANCH_CASES))
+def test_maxcut_branch(name):
+    n, d, gamma, plant_seed, eps, adv_seed, params, seed = MAXCUT_BRANCH_CASES[name]
+    plant = plant_bipartite_regular(n, d, gamma, seed=plant_seed)
+    advice = gen_label_advice(plant.x_star, eps, seed=adv_seed)
+    res = solve_maxcut_with_advice(plant.instance, advice, params, seed=seed)
+    assert answer(res.assignment) == GOLDEN[f"{name}.answer"]
+    assert repr(res.cut_weight) == GOLDEN[f"{name}.cut"]
+    assert repr(asdict(res.diagnostics)) == GOLDEN[f"{name}.diagnostics"]
 
 
 def test_maxcut_lp_keeps_rows(monkeypatch):
@@ -163,6 +202,7 @@ def test_maxcut_lp_keeps_rows(monkeypatch):
     assert answer(res.assignment) == GOLDEN["maxcut-kept.answer"]
     assert repr(res.cut_weight) == GOLDEN["maxcut-kept.cut"]
     assert repr(res.diagnostics.lp_value) == GOLDEN["maxcut-kept.lp_value"]
+    assert repr(asdict(res.diagnostics)) == GOLDEN["maxcut-kept.diagnostics"]
 
 
 @pytest.mark.parametrize("n,d,gamma,seed", GRAPH_CASES)
