@@ -38,8 +38,8 @@ class MaxCutParams:
     slack_coeff: float = 30.0
 
     def __post_init__(self):
-        if self.threshold_coeff <= 0 or self.slack_coeff <= 0:
-            raise InputError("both coefficients must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in (self.threshold_coeff, self.slack_coeff)):
+            raise InputError("both coefficients must be finite and positive")
 
     def threshold(self, d: int, n: int) -> float:
         return self.threshold_coeff * math.sqrt(d * math.log(n))
@@ -55,9 +55,8 @@ BENCH_PARAMS = MaxCutParams(1.0, 1.5)
 class LandscapeSplit:
     """Vertex partition into committed sides and the undecided pool."""
 
-    side_s: np.ndarray      # committed to S (score <= 0)
-    side_t: np.ndarray      # committed to T
-    undecided: np.ndarray   # Q, everything below threshold
+    side: np.ndarray        # int8: +1 committed to S_L (score <= 0), -1 to T_L, 0 in Q
+    undecided: np.ndarray   # Q's vertices, everything below threshold
 
 
 @dataclass(eq=False)
@@ -98,9 +97,8 @@ def split_at_threshold(deltas: np.ndarray, threshold: float) -> LandscapeSplit:
     """Commit vertices with |Delta_i| >= threshold; negative scores go to S."""
     deltas = np.asarray(deltas, dtype=np.int64)
     confident = np.abs(deltas) >= threshold
-    side_s = np.flatnonzero(confident & (deltas <= 0))
-    side_t = np.flatnonzero(confident & (deltas > 0))
-    return LandscapeSplit(side_s=side_s, side_t=side_t, undecided=np.flatnonzero(~confident))
+    side = (np.where(deltas <= 0, 1, -1) * confident).astype(np.int8)
+    return LandscapeSplit(side=side, undecided=np.flatnonzero(side == 0))
 
 
 def split_vertices(deltas: np.ndarray, d: int, n: int, params: MaxCutParams) -> LandscapeSplit:
@@ -111,17 +109,26 @@ def split_vertices(deltas: np.ndarray, d: int, n: int, params: MaxCutParams) -> 
 
 def _side_degrees(graph: GraphInstance, split: LandscapeSplit):
     """d_S(i), d_T(i): each vertex's neighbours committed to S and to T."""
-    in_s = np.zeros(graph.n, dtype=bool)
-    in_s[split.side_s] = True
-    in_t = np.zeros(graph.n, dtype=bool)
-    in_t[split.side_t] = True
-    return graph.neighbour_sums(in_s), graph.neighbour_sums(in_t)
+    return graph.neighbour_sums(split.side == 1), graph.neighbour_sums(split.side == -1)
+
+
+def q_cut_counts(graph: GraphInstance, side: np.ndarray, x) -> tuple[int, int]:
+    """(cut edges between Q and the committed vertices, cut edges with an
+    endpoint in Q) under the +-1 assignment x, where Q is ``side == 0``.
+
+    When x agrees with ``side`` on the committed vertices, the first count is
+    the analysis's F(y) = |E(Q cap S, T_L)| + |E(Q cap T, S_L)|.
+    """
+    u, v = graph.edges.T
+    cut = x[u] != x[v]
+    in_q_u, in_q_v = side[u] == 0, side[v] == 0
+    return (int(np.count_nonzero(cut & (in_q_u != in_q_v))),
+            int(np.count_nonzero(cut & (in_q_u | in_q_v))))
 
 
 def build_lp(
     graph: GraphInstance,
     split: LandscapeSplit,
-    d: int,
     epsilon: float,
     params: MaxCutParams,
 ) -> LinearProgram:
@@ -135,8 +142,9 @@ def build_lp(
     d_S(i) + d_T(i) + |N(i) cap Q| = d with neighbours counted by edge
     multiplicity, as the row counts them.
     """
-    if graph.regular_degree != d:
-        raise InputError("the balance LP requires a d-regular graph")
+    d = graph.regular_degree
+    if d is None:
+        raise InputError("the balance LP requires a regular graph")
     _check_epsilon(epsilon)
     q = split.undecided
     nq = q.shape[0]
@@ -164,7 +172,7 @@ def build_lp(
 def round_lp(theta: np.ndarray, seed) -> np.ndarray:
     """Independent Bernoulli(theta_i) draws as a 0/1 vector."""
     t = np.asarray(theta, dtype=np.float64)
-    if np.any(t < -1e-9) or np.any(t > 1.0 + 1e-9):
+    if not np.all((t >= -1e-9) & (t <= 1.0 + 1e-9)):
         raise InputError("rounding probabilities must lie in [0, 1]")
     t = np.clip(t, 0.0, 1.0)
     rng = np.random.default_rng(seed)
@@ -193,15 +201,12 @@ def solve_maxcut_with_advice(
     d_s, d_t = _side_degrees(graph, split)
     slack = params.slack(d, graph.n, advice.epsilon)
     fallback = False
-    if q.size == 0:
-        theta = np.zeros(0)
-        lp_status, lp_value = "optimal", 0.0
-    elif np.all(d_s[q] == 0) and np.all(d_t[q] == 0):
+    if q.size and np.all(d_s[q] == 0) and np.all(d_t[q] == 0):
         # Zero objective: any feasible theta is optimal; take the unbiased one.
         theta = np.full(q.shape[0], 0.5)
         lp_status, lp_value = "degenerate-uniform", 0.0
     else:
-        lp = build_lp(graph, split, d, advice.epsilon, params)
+        lp = build_lp(graph, split, advice.epsilon, params)
         out = solve_lp(lp)
         if out.is_optimal:
             theta = out.x
@@ -216,10 +221,9 @@ def solve_maxcut_with_advice(
             theta = (deltas[q] <= 0).astype(np.float64)
             lp_status, lp_value = out.status, math.nan
     y = round_lp(theta, seed)
-    assignment = -np.ones(graph.n, dtype=np.int8)
-    assignment[split.side_s] = 1
-    assignment[q[y == 1]] = 1
     # theta = 1 places a vertex in S, mirroring the committed S side rule.
+    assignment = split.side.copy()
+    assignment[q] = 2 * y - 1
     cut_weight = float(cut_value(graph, assignment))
     diag = _diagnostics(graph, split, assignment, y, d_s, d_t,
                         lp_status, lp_value, fallback, d, slack)
@@ -230,20 +234,8 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
                  lp_status, lp_value, fallback, d, slack) -> CutDiagnostics:
     q = split.undecided
     f_y = float((y * d_t[q] + (1 - y) * d_s[q]).sum())
-    u, v = graph.edges.T
-    in_q = np.zeros(graph.n, dtype=bool)
-    in_q[q] = True
-    cut_edge = assignment[u] != assignment[v]
+    f_y_recount, q_cut_direct = q_cut_counts(graph, split.side, assignment)
     s_side = assignment == 1
-    in_s_l = np.zeros(graph.n, dtype=bool)
-    in_s_l[split.side_s] = True
-    in_t_l = np.zeros(graph.n, dtype=bool)
-    in_t_l[split.side_t] = True
-    # F(y) recounted from the partition: |E[Q cap S, T_L]| + |E[Q cap T, S_L]|.
-    qs_tl = np.count_nonzero((in_q[u] & s_side[u] & in_t_l[v]) | (in_q[v] & s_side[v] & in_t_l[u]))
-    qt_sl = np.count_nonzero((in_q[u] & ~s_side[u] & in_s_l[v]) | (in_q[v] & ~s_side[v] & in_s_l[u]))
-    qq_cut = np.count_nonzero(in_q[u] & in_q[v] & cut_edge)
-    q_cut_direct = qs_tl + qt_sl + qq_cut
     dsi = graph.neighbour_sums(s_side)
     dti = graph.degrees - dsi
     d_out = np.where(s_side, dti, dsi)
@@ -255,11 +247,11 @@ def _diagnostics(graph, split, assignment, y, d_s, d_t,
         lp_status=lp_status,
         lp_value=lp_value,
         f_y=f_y,
-        f_y_recount=float(qs_tl + qt_sl),
+        f_y_recount=float(f_y_recount),
         balance_violations=balance_violations,
-        q_cut_direct=int(q_cut_direct),
+        q_cut_direct=q_cut_direct,
         q_cut_identity_twice=q_cut_identity_twice,
         fallback=fallback,
-        committed=int(split.side_s.size + split.side_t.size),
+        committed=graph.n - q.size,
         undecided=int(q.size),
     )

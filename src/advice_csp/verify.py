@@ -43,6 +43,7 @@ from .maxcut import (
     MaxCutParams,
     build_lp,
     compute_deltas,
+    q_cut_counts,
     solve_maxcut_with_advice,
     split_vertices,
 )
@@ -240,9 +241,8 @@ def rounding_decreases(rng, trials: int, n_low: int, n_high: int) -> int:
 
 
 def sides_inside_plant(split, x_star) -> bool:
-    """Committed-side containment: S inside the planted S* and T inside T*."""
-    star_s = x_star == 1
-    return bool(np.all(star_s[split.side_s]) and not np.any(star_s[split.side_t]))
+    """Committed-side containment: S_L inside the planted S* and T_L inside T*."""
+    return bool(np.all((split.side == 0) | (split.side == x_star)))
 
 
 def heavy_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int, int, float]:
@@ -337,18 +337,14 @@ def grid_sandwich_failures(rng, trials: int) -> int:
 def witness_check(graph, split, lp: LinearProgram, x_star) -> tuple[int, int]:
     """(rows, value) failures of the planted witness theta_i = 1(i in S*) of
     the balance LP: the rows it violates by over 1e-9; a witness value other
-    than |E[Q & S*, T_L]| + |E[Q & T*, S_L]|, and no LP optimum within 1e-6
-    above it, one failure each."""
-    star = np.asarray(x_star) == 1
-    theta = star[split.undecided].astype(np.float64)
+    than |E[Q & S*, T_L]| + |E[Q & T*, S_L]| (``q_cut_counts`` with Q placed
+    at x*), and no LP optimum within 1e-6 above it, one failure each."""
+    x = np.where(split.side == 0, x_star, split.side)
+    theta = (x[split.undecided] == 1).astype(np.float64)
     val = lp.rows @ theta
     rows = int(np.count_nonzero(~((val >= lp.row_lo - 1e-9) & (val <= lp.row_hi + 1e-9))))
     witness = float(lp.c @ theta) + lp.offset
-    in_q, in_s, in_t = (np.bincount(part, minlength=graph.n) > 0
-                        for part in (split.undecided, split.side_s, split.side_t))
-    u, v = graph.edges.T
-    recount = sum(np.count_nonzero((a[u] & b[v]) | (a[v] & b[u]))
-                  for a, b in ((in_q & star, in_t), (in_q & ~star, in_s)))
+    recount, _ = q_cut_counts(graph, split.side, x)
     out = solve_lp(lp)
     return rows, int(not abs(witness - recount) <= 1e-9) + int(
         not (out.is_optimal and out.value >= witness - 1e-6))
@@ -575,7 +571,7 @@ def suite_maxcut_lemmas(seeds: int) -> list[CheckResult]:
                 fconc_ok_runs += 1
         else:
             fconc_ok_runs += 1
-        rows, value = witness_check(graph, split, build_lp(graph, split, d, eps, params),
+        rows, value = witness_check(graph, split, build_lp(graph, split, eps, params),
                                     plant.x_star)
         witness_rows += rows
         witness_value += value

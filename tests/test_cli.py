@@ -248,6 +248,16 @@ class TestSolve:
         )
         assert code == 1 and message in err
 
+    @pytest.mark.parametrize("flag, value", [("--c1", "nan"), ("--c2", "inf")])
+    def test_non_finite_coefficient_exits_one(self, maxcut_files, capsys, flag, value):
+        prefix, _ = maxcut_files
+        code, report, err = run_cli(
+            capsys, "solve", "maxcut-lp", "--instance", f"{prefix}.instance",
+            "--advice", f"{prefix}.advice", flag, value,
+        )
+        assert code == 1 and report is None
+        assert "both coefficients must be finite and positive" in err
+
     def test_parse_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.instance"
         bad.write_text("p klin 2 3 1\n0 1 2 1.0\n")

@@ -66,22 +66,21 @@ class TestSplit:
         adv = LabelAdvice(values=np.ones(4, dtype=np.int8), epsilon=0.5)
         split = split_vertices(compute_deltas(graph, adv), 2, 4, MaxCutParams())
         assert split.undecided.size == 4
-        assert split.side_s.size == split.side_t.size == 0
+        assert not split.side.any()
 
     def test_synthetic_scores(self):
         split = split_at_threshold(np.array([40, -40, 0]), 33.3)
-        assert list(split.side_t) == [0]
-        assert list(split.side_s) == [1]
+        assert list(split.side) == [-1, 1, 0]
         assert list(split.undecided) == [2]
 
     def test_boundary_is_committed(self):
         split = split_at_threshold(np.array([40, -40, 39]), 40.0)
-        assert 0 in split.side_t and 1 in split.side_s
+        assert list(split.side) == [-1, 1, 0]
         assert list(split.undecided) == [2]
 
     def test_zero_score_goes_to_s_side(self):
         split = split_at_threshold(np.array([0, 5]), 0.0)
-        assert 0 in split.side_s and 1 in split.side_t
+        assert list(split.side) == [1, -1]
 
 
 class TestBuildLp:
@@ -90,7 +89,7 @@ class TestBuildLp:
         adv = LabelAdvice(values=plant.x_star, epsilon=1.0)
         deltas = compute_deltas(plant.instance, adv)
         split = split_at_threshold(deltas, 0.5)  # everything committed
-        lp = build_lp(plant.instance, split, 3, 1.0, BENCH_PARAMS)
+        lp = build_lp(plant.instance, split, 1.0, BENCH_PARAMS)
         assert lp.p == 0
         out = solve_lp(lp)
         assert out.is_optimal and out.value == 0.0
@@ -102,7 +101,7 @@ class TestBuildLp:
         eps = 0.4
         adv = gen_label_advice(plant.x_star, eps, seed=3)
         split = split_vertices(compute_deltas(graph, adv), d, graph.n, BENCH_PARAMS)
-        lp = build_lp(graph, split, d, eps, BENCH_PARAMS)
+        lp = build_lp(graph, split, eps, BENCH_PARAMS)
         nq = split.undecided.size
         assert lp.rows.shape == (nq, nq)  # one ranged row per undecided vertex
         assert witness_check(graph, split, lp, plant.x_star) == (0, 0)
@@ -112,7 +111,7 @@ class TestBuildLp:
         adv = LabelAdvice(values=np.ones(3, dtype=np.int8), epsilon=0.5)
         split = split_at_threshold(compute_deltas(graph, adv), 100.0)
         with pytest.raises(InputError):
-            build_lp(graph, split, 2, 0.5, BENCH_PARAMS)
+            build_lp(graph, split, 0.5, BENCH_PARAMS)
 
 
 class TestRoundLp:
@@ -125,8 +124,9 @@ class TestRoundLp:
         assert abs(float(np.mean(y)) - 0.5) <= 0.015
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            round_lp(np.array([1.1]), seed=0)
+        for theta in ([1.1], [math.nan, 0.5]):
+            with pytest.raises(InputError):
+                round_lp(np.array(theta), seed=0)
 
 
 class TestPipeline:
@@ -200,10 +200,10 @@ class TestPipeline:
 
 
 def test_params_validation():
-    with pytest.raises(InputError):
-        MaxCutParams(0.0, 1.0)
-    with pytest.raises(InputError):
-        MaxCutParams(1.0, -1.0)
+    for c1, c2 in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+                   (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(InputError):
+            MaxCutParams(c1, c2)
     p = MaxCutParams(1.0, 1.5)
     assert p.threshold(64, 1024) == pytest.approx(math.sqrt(64 * math.log(1024)))
     assert p.slack(64, 1024, 0.3) == pytest.approx(1.5 * math.sqrt(64 * math.log(1024)) / 0.3)

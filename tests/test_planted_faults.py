@@ -17,12 +17,28 @@ PM1 = np.random.default_rng(0).choice([-1, 1], size=(32, 9)).astype(np.int8)
 rng = np.random.default_rng
 
 
+A1 = plant_bipartite_regular(256, 32, 0.0, seed=5)
+
+
 def witness():
-    plant = plant_bipartite_regular(256, 32, 0.0, seed=5)
-    graph, advice = plant.instance, gen_label_advice(plant.x_star, 0.4, seed=3)
+    graph, advice = A1.instance, gen_label_advice(A1.x_star, 0.4, seed=3)
     split = split_vertices(compute_deltas(graph, advice), 32, graph.n, BENCH_PARAMS)
-    lp = verify.build_lp(graph, split, 32, 0.4, BENCH_PARAMS)
-    return verify.witness_check(graph, split, lp, plant.x_star)
+    lp = verify.build_lp(graph, split, 0.4, BENCH_PARAMS)
+    return verify.witness_check(graph, split, lp, A1.x_star)
+
+
+def containment():
+    advice = gen_label_advice(A1.x_star, 0.4, seed=3)
+    deltas = verify.compute_deltas(A1.instance, advice)
+    return int(not verify.sides_inside_plant(
+        verify.split_vertices(deltas, 32, A1.instance.n, BENCH_PARAMS), A1.x_star))
+
+
+def vote_errors(errors):
+    plant = plant_klin(40, 3, 600, 0.0, seed=2)
+    advice = gen_label_advice(plant.x_star, 0.9, seed=(2, 1))
+    reduced = verify.build_psi(plant.instance, advice, 0.5, 0.9)
+    return errors(plant.instance, plant.x_star, reduced, 0.9)[0]
 
 
 def rounding():
@@ -41,6 +57,10 @@ def counting():
 def lift_map():
     phi = plant_klin(9, 3, 25, 0.4, seed=4).instance
     return sum(sum(verify.lift_map_failures(phi, 3, x, np.append(x, [1, -1, 1]))) for x in PM1)
+
+
+def value_nudged(out):
+    return replace(out, value=out.value + 1e-3) if out.is_optimal else out
 
 
 def with_columns(inst, **columns):
@@ -92,6 +112,26 @@ CASES = {
         counting, "build_psi", lambda f: lambda *args: drop_last_row(f(*args))),
     "lift map, last new variable -1": (
         lift_map, "lift_assignment", lambda f: lambda sigma, t: np.append(f(sigma, t)[:-1], -1)),
+    "containment, scores negated": (
+        containment, "compute_deltas", lambda f: lambda graph, advice: -f(graph, advice)),
+    "witness value, F recount one edge high": (
+        lambda: witness()[1], "q_cut_counts",
+        lambda f: lambda *args: (f(*args)[0] + 1, f(*args)[1])),
+    "qp ceiling, value 1 high": (
+        lambda: verify.qp_ceiling_violations(rng(9), 5, 11), "solve_qp_with_advice",
+        lambda f: lambda A, advice: (f(A, advice)[0], f(A, advice)[1] + 1.0)),
+    "greedy rounding, all +1 returned": (
+        lambda: verify.rounding_decreases(rng(10), 20, 2, 21), "greedy_round",
+        lambda f: lambda A, x: np.ones(A.n)),
+    "lp oracle, optimal value 1e-3 high": (
+        lambda: verify.lp_oracle_disagreements(rng(11), 20)[0], "solve_lp",
+        lambda f: lambda lp: value_nudged(f(lp))),
+    "heavy votes, sigma_pair negated": (
+        lambda: vote_errors(verify.heavy_vote_errors), "build_psi",
+        lambda f: lambda *args: replace(f(*args), sigma_pair=-f(*args).sigma_pair)),
+    "light votes, sigma_var negated": (
+        lambda: vote_errors(verify.light_vote_errors), "build_psi",
+        lambda f: lambda *args: replace(f(*args), sigma_var=-f(*args).sigma_var)),
 }
 
 
