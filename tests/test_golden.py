@@ -127,6 +127,19 @@ GOLDEN = {
     "graph.256-16-0.2": "36df6c1ab4b07cb97b4922e797fe378c2fea3f156fd1a6c7dbb108694e617421",
     "graph.64-6-0.5": "a419e93eaf128cb6de8b820089b0c50ba5daacdc2127213fb3cbd6a9abf51838",
     "graph.128-8-1.0": "52c6f8b45629b74a446711a0024a5178e8da57ff751f0d6ed08ae5020c875562",
+    "graph.1024-128-0.37": "8d531bc083c601e00f946a8827f500ac11b88d9fe7e02c7b6e91a36d99164634",
+    "graph.512-96-0.4": "ebd28e95baccd7d719f1324259064292c3cb8eb0e007687c226e5b6824edda84",
+    "graph.40-9-1.0": "347721105e81e17d4b0fac1a18055a0bafba2a39ac9c17124423a36471753fab",
+    "klin.40-1-500-0.2": "971447adf69e6b8fc8ac190787a261da09ebed33582b3488404bc0febc3221d7",
+    "klin.40-1-500-0.2.value": "409.0",
+    "klin.30-2-400-0.1": "1845fd4f715fef95b746c02f306b6b39531b9385ca89e236359ecd1f7b1c1378",
+    "klin.30-2-400-0.1.value": "355.0",
+    "klin.50-3-1000-0.3": "67ab6799568039279323ee0af77d8eece28152478edbd40e96ce840b29a1f2bc",
+    "klin.50-3-1000-0.3.value": "712.0",
+    "klin.5-4-300-0.1": "14adf6f55cff7bbc889759a1a30985b22b1880bc7b0397275c7a53da9271188a",
+    "klin.5-4-300-0.1.value": "269.0",
+    "klin.200-3-200000-0.05": "f10cfbb46e927d71f7fe5c6fedc3ede1016b70b8ce3f1630a39cbfba623d327a",
+    "klin.200-3-200000-0.05.value": "189847.0",
 }
 
 # name -> (n, d, gamma, plant seed, advice epsilon, advice seed, params, solve seed):
@@ -138,8 +151,16 @@ MAXCUT_BRANCH_CASES = {
     "maxcut-fallback": (64, 6, 0.5, 2, 0.5, (0, 1), MaxCutParams(0.3, 0.01), (0, 2)),
 }
 
-# (n, d, gamma, seed): no intra edges, both kinds, half each, no cross edges
-GRAPH_CASES = [(1024, 64, 0.0, 1), (256, 16, 0.2, 2), (64, 6, 0.5, 3), (128, 8, 1.0, 4)]
+# (n, d, gamma, seed): no intra edges, both kinds, half each, no cross edges;
+# then two shapes whose intra sides take many repair sweeps, and an
+# intra-only graph of degree 9 on sides of 20
+GRAPH_CASES = [(1024, 64, 0.0, 1), (256, 16, 0.2, 2), (64, 6, 0.5, 3), (128, 8, 1.0, 4),
+               (1024, 128, 0.37, 1), (512, 96, 0.4, 2), (40, 9, 1.0, 5)]
+
+# (n, k, m, delta, seed): k = 1 to 4; at (5, 4) and (200, 3) the
+# distinct-index redraw runs several rounds
+KLIN_CASES = [(40, 1, 500, 0.2, 21), (30, 2, 400, 0.1, 22), (50, 3, 1000, 0.3, 23),
+              (5, 4, 300, 0.1, 24), (200, 3, 200000, 0.05, 25)]
 
 
 @pytest.mark.parametrize("name", sorted(MAX3LIN_CASES))
@@ -211,6 +232,14 @@ def test_bipartite_plants(n, d, gamma, seed):
     edges = np.asarray(plant.instance.edges, dtype=np.int64).reshape(-1, 2)
     assert edges.shape == (n * d // 2, 2)
     assert digest(edges, plant.x_star) == GOLDEN[f"graph.{n}-{d}-{gamma}"]
+
+
+@pytest.mark.parametrize("n,k,m,delta,seed", KLIN_CASES)
+def test_klin_plants(n, k, m, delta, seed):
+    plant = plant_klin(n, k, m, delta, seed=seed)
+    name = f"klin.{n}-{k}-{m}-{delta}"
+    assert planted_columns(plant) == GOLDEN[name]
+    assert repr(plant.planted_value) == GOLDEN[f"{name}.value"]
 
 
 def test_qp_advice():
