@@ -9,6 +9,7 @@ case of arity 2 with every right-hand side equal to -1 and unit weights.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +18,10 @@ import numpy as np
 from .errors import ConstructionError, InputError, InternalError
 
 Constraint = tuple[tuple[int, ...], int, float]
+
+# What np.random.default_rng accepts; callers pass ints and tuples of ints.
+SeedLike = (int | Sequence[int] | np.random.SeedSequence | np.random.BitGenerator
+            | np.random.Generator | None)
 
 _MAX_RESTARTS = 100
 
@@ -357,6 +362,13 @@ def quadratic_identity_value(instance: KLinInstance, qp: QpMatrix, x) -> float:
     return instance.total_weight / 2.0 + qp.form_value(np.asarray(x, dtype=np.float64)) / 4.0
 
 
+def _require_ints(**args) -> None:
+    """Raise InputError naming the first argument that is no Python or numpy integer."""
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def _pair_swap_repair(
     pairs: np.ndarray, rng, bipartite: bool, max_sweeps: int = 500
 ) -> bool:
@@ -365,17 +377,27 @@ def _pair_swap_repair(
     A conflicted pair (self-loop or duplicate edge) swaps its second
     endpoint with a uniformly random other pair; repeats until clean.
     Bipartite pairings hold (left, right) rows, where orientation matters
-    and self-loops are impossible.
+    and self-loops are impossible.  Each sweep finds the conflicts with one
+    argsort of the flat key lo * size + hi, size exceeding every stub id:
+    lo and hi are the two columns of a bipartite row and the row's min and
+    max otherwise.  The swaps and their ``rng`` draws, and so every
+    pairing and the stream after it, are those of a two-column lexsort.
     """
     mpairs = pairs.shape[0]
+    # swaps only permute the second column, so the largest id stays put
+    size = int(pairs.max()) + 1 if mpairs else 0
     for _ in range(max_sweeps):
-        key = pairs if bipartite else np.sort(pairs, axis=1)
-        bad = np.zeros(mpairs, dtype=bool)
-        if not bipartite:
-            bad |= key[:, 0] == key[:, 1]
-        order = np.lexsort((key[:, 1], key[:, 0]))
+        u, v = pairs.T
+        if bipartite:  # left and right ids overlap, so lo == hi is no self-loop
+            lo, hi = u, v
+            bad = np.zeros(mpairs, dtype=bool)
+        else:
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            bad = lo == hi
+        key = lo * size + hi
+        order = np.argsort(key)
         sk = key[order]
-        same = np.all(sk[1:] == sk[:-1], axis=1)
+        same = sk[1:] == sk[:-1]
         bad[order[1:][same]] = True
         bad[order[:-1][same]] = True
         bad_idx = np.flatnonzero(bad)
@@ -399,7 +421,8 @@ def _random_regular_pairing(nodes: np.ndarray, d: int, rng) -> np.ndarray:
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         if _pair_swap_repair(pairs, rng, bipartite=False):
-            return nodes[np.sort(pairs, axis=1)]
+            u, v = pairs.T
+            return nodes[np.column_stack([np.minimum(u, v), np.maximum(u, v)])]
     raise ConstructionError("regular pairing failed after restart cap")
 
 
@@ -419,7 +442,7 @@ def _random_biregular_pairing(left: np.ndarray, right: np.ndarray, d: int, rng) 
     raise ConstructionError("bipartite pairing failed after restart cap")
 
 
-def plant_bipartite_regular(n: int, d: int, gamma: float, seed: int) -> PlantedInstance:
+def plant_bipartite_regular(n: int, d: int, gamma: float, seed: SeedLike) -> PlantedInstance:
     """Plant a balanced cut in a d-regular graph.
 
     Vertices 0..n/2-1 form the planted side S* (assignment +1), the rest
@@ -427,6 +450,7 @@ def plant_bipartite_regular(n: int, d: int, gamma: float, seed: int) -> PlantedI
     remainder inside its own side, so gamma=0 yields a bipartite d-regular
     graph whose planted cut is exactly optimal.
     """
+    _require_ints(n=n, d=d)
     if n < 2 or n % 2 != 0:
         raise InputError("vertex count must be even and >= 2")
     if d < 1:
@@ -450,7 +474,8 @@ def plant_bipartite_regular(n: int, d: int, gamma: float, seed: int) -> PlantedI
         _random_regular_pairing(left, d_intra, rng),
         _random_regular_pairing(right, d_intra, rng),
     ])
-    graph = GraphInstance(n=n, edges=edges[np.lexsort((edges[:, 1], edges[:, 0]))])
+    order = np.argsort(edges[:, 0] * n + edges[:, 1], kind="stable")
+    graph = GraphInstance(n=n, edges=edges[order])
     if graph.regular_degree != d:
         raise InternalError(f"generator produced a non-{d}-regular graph")
     x_star = np.concatenate([np.ones(half, dtype=np.int8), -np.ones(half, dtype=np.int8)])
@@ -462,13 +487,16 @@ def plant_bipartite_regular(n: int, d: int, gamma: float, seed: int) -> PlantedI
     )
 
 
-def plant_klin(n: int, k: int, m: int, delta: float, seed: int) -> PlantedInstance:
+def plant_klin(n: int, k: int, m: int, delta: float, seed: SeedLike) -> PlantedInstance:
     """Plant an assignment in a random unweighted Max k-Lin instance.
 
     Each constraint picks a uniform tuple of k distinct variables; its
     right-hand side matches the planted assignment except with probability
     delta, so the planted fraction concentrates at 1 - delta.
     """
+    _require_ints(n=n, k=k, m=m)
+    if k < 1:
+        raise InputError(f"arity k must be >= 1, got {k}")
     if m < 1:
         raise InputError("constraint count must be >= 1")
     if k > n:
@@ -481,10 +509,10 @@ def plant_klin(n: int, k: int, m: int, delta: float, seed: int) -> PlantedInstan
     pending = np.arange(m)
     while pending.size:
         draw = rng.integers(0, n, size=(pending.size, k))
-        if k > 1:
-            ok = np.all(np.diff(np.sort(draw, axis=1), axis=1) != 0, axis=1)
-        else:
-            ok = np.ones(pending.size, dtype=bool)
+        ok = np.ones(pending.size, dtype=bool)
+        for a in range(k):
+            for b in range(a + 1, k):
+                ok &= draw[:, a] != draw[:, b]
         idx[pending[ok]] = draw[ok]
         pending = pending[~ok]
     rhs = x_star[idx].prod(axis=1, dtype=np.int64)

@@ -18,6 +18,7 @@ from advice_csp.instances import (
     quadratic_identity_value,
     to_quadratic_matrix,
     _as_pm1,
+    _pair_swap_repair,
 )
 from advice_csp.verify import identity_failures, negation_failures, same_columns
 
@@ -264,10 +265,70 @@ class TestBipartitePlant:
         (8, 0, 0.0, "degree must be >= 1"),
         (8, 2, -0.1, "intra-side fraction must lie in [0, 1]"),
         (8, 2, 1.5, "intra-side fraction must lie in [0, 1]"),
+        (10, 2.5, 0.0, "d must be an integer, got 2.5"),
+        (10.0, 2, 0.0, "n must be an integer, got 10.0"),
+        (10, True, 0.0, "d must be an integer, got True"),
     ])
     def test_rejects_bad_arguments(self, n, d, gamma, message):
         with pytest.raises(InputError, match=re.escape(message)):
             plant_bipartite_regular(n, d, gamma, seed=0)
+
+    def test_numpy_integer_arguments(self):
+        a = plant_bipartite_regular(np.int64(64), np.int32(6), 0.5, seed=11)
+        b = plant_bipartite_regular(64, 6, 0.5, seed=11)
+        assert np.array_equal(a.instance.edges, b.instance.edges)
+
+
+def lexsort_repair(pairs, rng, bipartite, max_sweeps=500):
+    """Reference repair: conflicts found by a two-column lexsort of the
+    (row-sorted, unless bipartite) pairs, then the same swaps and draws."""
+    mpairs = pairs.shape[0]
+    for _ in range(max_sweeps):
+        key = pairs if bipartite else np.sort(pairs, axis=1)
+        bad = np.zeros(mpairs, dtype=bool)
+        if not bipartite:
+            bad |= key[:, 0] == key[:, 1]
+        order = np.lexsort((key[:, 1], key[:, 0]))
+        sk = key[order]
+        same = np.all(sk[1:] == sk[:-1], axis=1)
+        bad[order[1:][same]] = True
+        bad[order[:-1][same]] = True
+        bad_idx = np.flatnonzero(bad)
+        if bad_idx.size == 0:
+            return True
+        others = rng.integers(0, mpairs, size=bad_idx.size)
+        for b, c in zip(bad_idx, others):
+            pairs[b, 1], pairs[c, 1] = pairs[c, 1], pairs[b, 1]
+    return False
+
+
+def test_pair_swap_repair_matches_lexsort_reference():
+    outcomes = []
+    for trial in range(200):
+        gen = np.random.default_rng(trial)
+        bipartite = trial % 2 == 1
+        half = int(gen.integers(1, 13))
+        d = int(gen.integers(0, half + 1))
+        if bipartite:
+            right = np.repeat(np.arange(half), d)
+            gen.shuffle(right)
+            pairs = np.column_stack([np.repeat(np.arange(half), d), right])
+        else:
+            stubs = np.repeat(np.arange(half), d)[: half * d // 2 * 2]  # an even stub count
+            gen.shuffle(stubs)
+            pairs = stubs.reshape(-1, 2)
+        sweeps = int(gen.integers(0, 8))
+        ref_pairs, ref_rng = pairs.copy(), np.random.default_rng((trial, 1))
+        rng = np.random.default_rng((trial, 1))
+        ok = _pair_swap_repair(pairs, rng, bipartite, max_sweeps=sweeps)
+        assert ok == lexsort_repair(ref_pairs, ref_rng, bipartite, max_sweeps=sweeps), trial
+        assert pairs.tobytes() == ref_pairs.tobytes(), trial
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, trial
+        outcomes.append((bipartite, len(pairs) == 0, ok))
+    # both kinds of pairing, empty pairings, and calls that run out of sweeps
+    assert {(b, ok) for b, _, ok in outcomes} == {(False, False), (False, True),
+                                                  (True, False), (True, True)}
+    assert any(empty for _, empty, _ in outcomes)
 
 
 class TestKLinPlant:
@@ -290,14 +351,24 @@ class TestKLinPlant:
         with pytest.raises(InputError):
             plant_klin(2, 3, 5, 0.0, seed=0)
 
-    @pytest.mark.parametrize("m, delta, message", [
-        (0, 0.0, "constraint count must be >= 1"),
-        (5, -0.5, "noise rate must lie in [0, 1]"),
-        (5, 1.01, "noise rate must lie in [0, 1]"),
+    @pytest.mark.parametrize("n, k, m, delta, message", [
+        (6, 3, 0, 0.0, "constraint count must be >= 1"),
+        (6, 3, 5, -0.5, "noise rate must lie in [0, 1]"),
+        (6, 3, 5, 1.01, "noise rate must lie in [0, 1]"),
+        (5, -1, 10, 0.1, "arity k must be >= 1, got -1"),
+        (5, 0, 10, 0.1, "arity k must be >= 1, got 0"),
+        (5, 2, 2.5, 0.1, "m must be an integer, got 2.5"),
+        (5.0, 2, 10, 0.1, "n must be an integer, got 5.0"),
+        (5, np.float64(2), 10, 0.1, "k must be an integer, got "),
     ])
-    def test_rejects_bad_arguments(self, m, delta, message):
+    def test_rejects_bad_arguments(self, n, k, m, delta, message):
         with pytest.raises(InputError, match=re.escape(message)):
-            plant_klin(6, 3, m, delta, seed=0)
+            plant_klin(n, k, m, delta, seed=0)
+
+    def test_numpy_integer_arguments(self):
+        a = plant_klin(np.int64(20), np.int32(3), np.int64(50), 0.1, seed=4)
+        b = plant_klin(20, 3, 50, 0.1, seed=4)
+        assert same_columns(a.instance, b.instance) and np.array_equal(a.x_star, b.x_star)
 
     def test_arity_one(self):
         # unary constraints need no distinct-index redraw
