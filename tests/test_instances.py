@@ -352,9 +352,13 @@ class TestKLinPlant:
             plant_klin(2, 3, 5, 0.0, seed=0)
 
     @pytest.mark.parametrize("n, k, m, delta, message", [
-        (6, 3, 0, 0.0, "constraint count must be >= 1"),
-        (6, 3, 5, -0.5, "noise rate must lie in [0, 1]"),
-        (6, 3, 5, 1.01, "noise rate must lie in [0, 1]"),
+        # these three keep the ids they had when n and k were fixed at 6 and 3
+        pytest.param(6, 3, 0, 0.0, "constraint count must be >= 1",
+                     id="0-0.0-constraint count must be >= 1"),
+        pytest.param(6, 3, 5, -0.5, "noise rate must lie in [0, 1]",
+                     id="5--0.5-noise rate must lie in [0, 1]"),
+        pytest.param(6, 3, 5, 1.01, "noise rate must lie in [0, 1]",
+                     id="5-1.01-noise rate must lie in [0, 1]"),
         (5, -1, 10, 0.1, "arity k must be >= 1, got -1"),
         (5, 0, 10, 0.1, "arity k must be >= 1, got 0"),
         (5, 2, 2.5, 0.1, "m must be an integer, got 2.5"),
