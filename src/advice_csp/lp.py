@@ -13,8 +13,14 @@ bound, or at its upper bound where the lower one is infinite.  Phase 1
 runs only when that start violates an inequality, and only with
 artificials on the violated ones.  There is no other start: a caller
 that wants no phase 1 states its program so that this start is feasible
-(``qp_advice`` splits each l1 penalty by the sign it has there).  The
-whole pipeline is deterministic.
+(``qp_advice`` splits each l1 penalty by the sign it has there).
+
+When presolve keeps no inequality and every bound is finite, no tableau
+is built: the answer is the box optimum, each variable at its upper bound
+where its objective coefficient exceeds the simplex's optimality
+tolerance and the box leaves it room, else at its lower bound.  That is
+the point, byte for byte, where the simplex's bound flips would end, with
+no pivot.  The whole pipeline is deterministic.
 """
 
 from __future__ import annotations
@@ -321,6 +327,14 @@ def _entering(score: np.ndarray, tol: float, use_bland: bool) -> int:
     return j if score[j] > tol else -1
 
 
+def _box_optimum(lp: LinearProgram) -> np.ndarray:
+    """Where the simplex ends on a finite box with no inequality: its flip loop
+    moves each variable with c_j above its tolerance, and room to move, to the
+    upper bound and leaves the rest at the lower one."""
+    tol = OPT_TOL * max(1.0, float(np.max(np.abs(lp.c))))
+    return np.where((lp.c > tol) & (lp.hi > lp.lo), lp.hi, lp.lo)
+
+
 def _violates_rows(lp: LinearProgram, x: np.ndarray) -> bool:
     """True when a row leaves its range by more than FEAS_TOL * max(1, max|a| max|x|)."""
     v = lp.rows @ x
@@ -347,25 +361,29 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if expanded is None:
         return LpOutcome(status="infeasible")
     G, h = expanded
-    sx = _Simplex(G, h, lp.lo.copy(), lp.hi.copy(), p)
-    max_iter = 2000 + 200 * (sx.m + sx.ncols)
-    phase1_cost = sx.add_artificials()
-    phase1_used = phase1_cost is not None
-    if phase1_used:
-        status = sx.optimize(phase1_cost, max_iter)
-        if status != "optimal":
-            raise InternalError("phase 1 cannot be unbounded")
-        infeas = -float(phase1_cost @ sx.xval)
-        if infeas > FEAS_TOL * max(1.0, float(np.max(np.abs(h))) if h.size else 1.0):
-            return LpOutcome(status="infeasible", pivots=sx.pivots, phase1_used=True)
-        sx.drop_artificials()
-    cost = np.concatenate([lp.c, np.zeros(sx.ncols - p)])
-    status = sx.optimize(cost, max_iter)
-    if status == "unbounded":
-        return LpOutcome(status="unbounded", pivots=sx.pivots, phase1_used=phase1_used)
-    sx._refresh_values()
-    x = np.clip(sx.xval[:p], lp.lo, lp.hi)
+    if not h.size and np.all(np.isfinite(lp.lo) & np.isfinite(lp.hi)):
+        x, pivots, phase1_used = _box_optimum(lp), 0, False
+    else:
+        sx = _Simplex(G, h, lp.lo.copy(), lp.hi.copy(), p)
+        max_iter = 2000 + 200 * (sx.m + sx.ncols)
+        phase1_cost = sx.add_artificials()
+        phase1_used = phase1_cost is not None
+        if phase1_used:
+            status = sx.optimize(phase1_cost, max_iter)
+            if status != "optimal":
+                raise InternalError("phase 1 cannot be unbounded")
+            infeas = -float(phase1_cost @ sx.xval)
+            if infeas > FEAS_TOL * max(1.0, float(np.max(np.abs(h))) if h.size else 1.0):
+                return LpOutcome(status="infeasible", pivots=sx.pivots, phase1_used=True)
+            sx.drop_artificials()
+        cost = np.concatenate([lp.c, np.zeros(sx.ncols - p)])
+        status = sx.optimize(cost, max_iter)
+        if status == "unbounded":
+            return LpOutcome(status="unbounded", pivots=sx.pivots, phase1_used=phase1_used)
+        sx._refresh_values()
+        x, pivots = sx.xval[:p], sx.pivots
+    x = np.clip(x, lp.lo, lp.hi)
     _check_feasible(lp, x)
     value = float(lp.c @ x) + lp.offset
-    return LpOutcome(status="optimal", x=x, value=value, pivots=sx.pivots,
+    return LpOutcome(status="optimal", x=x, value=value, pivots=pivots,
                      phase1_used=phase1_used)

@@ -131,6 +131,8 @@ def build_lp(
     split: LandscapeSplit,
     epsilon: float,
     params: MaxCutParams,
+    *,
+    side_degrees: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearProgram:
     """Degree-balance LP over the undecided pool.
 
@@ -141,6 +143,12 @@ def build_lp(
     The T-side band is the same halfspace, since d-regularity gives
     d_S(i) + d_T(i) + |N(i) cap Q| = d with neighbours counted by edge
     multiplicity, as the row counts them.
+
+    Only the rows that can bind are emitted, in vertex order.  A row's
+    coefficients are 0 or positive edge counts, so over the box it ranges
+    exactly from 0 to |N(i) cap Q|; a row whose range holds both ends is
+    true for every theta and presolve would drop it.  ``side_degrees`` is
+    (d_S, d_T) when the caller already has them.
     """
     d = graph.regular_degree
     if d is None:
@@ -148,21 +156,26 @@ def build_lp(
     _check_epsilon(epsilon)
     q = split.undecided
     nq = q.shape[0]
+    d_s, d_t = _side_degrees(graph, split) if side_degrees is None else side_degrees
+    delta = params.slack(d, graph.n, epsilon)
+    row_lo = d / 2 - delta - d_s[q]
+    row_hi = d / 2 + delta - d_s[q]
+    binds = (row_lo > 0) | (d - d_s[q] - d_t[q] > row_hi)
     pos_in_q = -np.ones(graph.n, dtype=np.int64)
     pos_in_q[q] = np.arange(nq)
-    d_s, d_t = _side_degrees(graph, split)
-    delta = params.slack(d, graph.n, epsilon)
-    rows = np.zeros((nq, nq), dtype=np.float64)
+    row_of = -np.ones(graph.n, dtype=np.int64)
+    kept = np.count_nonzero(binds)
+    row_of[q[binds]] = np.arange(kept)
+    rows = np.zeros((kept, nq), dtype=np.float64)
     u, v = graph.edges.T
-    uq, vq = pos_in_q[u], pos_in_q[v]
-    both = (uq >= 0) & (vq >= 0)
-    np.add.at(rows, (uq[both], vq[both]), 1.0)
-    np.add.at(rows, (vq[both], uq[both]), 1.0)
+    for row, col in ((row_of[u], pos_in_q[v]), (row_of[v], pos_in_q[u])):
+        both = (row >= 0) & (col >= 0)
+        np.add.at(rows, (row[both], col[both]), 1.0)
     return LinearProgram(
         c=(d_t[q] - d_s[q]).astype(np.float64),
         rows=rows,
-        row_lo=d / 2 - delta - d_s[q],
-        row_hi=d / 2 + delta - d_s[q],
+        row_lo=row_lo[binds],
+        row_hi=row_hi[binds],
         lo=np.zeros(nq),
         hi=np.ones(nq),
         offset=float(d_s[q].sum()),
@@ -206,7 +219,7 @@ def solve_maxcut_with_advice(
         theta = np.full(q.shape[0], 0.5)
         lp_status, lp_value = "degenerate-uniform", 0.0
     else:
-        lp = build_lp(graph, split, advice.epsilon, params)
+        lp = build_lp(graph, split, advice.epsilon, params, side_degrees=(d_s, d_t))
         out = solve_lp(lp)
         if out.is_optimal:
             theta = out.x

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from advice_csp.errors import InputError
-from advice_csp.lp import LinearProgram, _expand_rows, solve_lp
+from advice_csp.lp import OPT_TOL, LinearProgram, _expand_rows, _Simplex, solve_lp
 from advice_csp.verify import lp_oracle_disagreements, lp_vertex_optimum, random_lp
 
 
@@ -278,6 +278,59 @@ def test_outcome_counts_pivots_and_phase_one():
     assert plain.phase1_used and plain.pivots >= 1
     free = solve_lp(LinearProgram(c=np.ones(2), lo=np.zeros(2), hi=np.ones(2)))
     assert not free.phase1_used and free.pivots == 0
+
+
+def tableau_optimum(lp):
+    """(x, value) of the simplex run on a program whose presolve keeps no
+    inequality: the reference for ``solve_lp``'s box optimum."""
+    G, h = _expand_rows(lp)
+    sx = _Simplex(G, h, lp.lo.copy(), lp.hi.copy(), lp.p)
+    assert sx.add_artificials() is None
+    assert sx.optimize(lp.c.copy(), 2000 + 200 * sx.ncols) == "optimal"
+    sx._refresh_values()
+    x = np.clip(sx.xval[:lp.p], lp.lo, lp.hi)
+    return x, float(lp.c @ x) + lp.offset
+
+
+def test_box_optimum_matches_the_tableau():
+    # no row, or only rows the box implies; some zero spans and c = 0; the last
+    # two variables, on [0, 1], have c exactly at the simplex's tolerance and
+    # just above it
+    rng = np.random.default_rng(14)
+    for trial in range(300):
+        p, m = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+        c = rng.normal(size=p) * 10.0 ** rng.integers(-3, 4) * (rng.random(p) < 0.8)
+        if trial % 10 == 0:
+            c[:] = 0.0
+        tol = OPT_TOL * max(1.0, float(np.abs(c).max()))
+        c = np.append(c, [tol, np.nextafter(tol, math.inf)])
+        lo = np.append(3 * rng.normal(size=p), [0.0, 0.0])
+        hi = lo + np.append(rng.random(p) * (rng.random(p) < 0.7), [1.0, 1.0])
+        rows = rng.normal(size=(m, p + 2))
+        rmin = np.where(rows > 0, rows * lo, rows * hi).sum(axis=1)
+        rmax = np.where(rows > 0, rows * hi, rows * lo).sum(axis=1)
+        row_lo = np.where(rng.random(m) < 0.3, -math.inf, rmin - 1.0 - np.abs(rmin))
+        row_hi = np.where(rng.random(m) < 0.3, math.inf, rmax + 1.0 + np.abs(rmax))
+        lp = LinearProgram(c=c, rows=rows, row_lo=row_lo, row_hi=row_hi, lo=lo, hi=hi,
+                           offset=float(rng.normal()))
+        assert _expand_rows(lp)[1].size == 0
+        out = solve_lp(lp)
+        x, value = tableau_optimum(lp)
+        assert out.is_optimal and out.x.tobytes() == x.tobytes() and out.value == value
+        assert (out.pivots, out.phase1_used) == (0, False)
+        assert (out.x[-2], out.x[-1]) == (0.0, 1.0)
+
+
+def test_infinite_bounds_keep_the_tableau_path():
+    # no row either way; an infinite bound is never read as a box optimum
+    lp = LinearProgram(c=np.array([0.0, 1.0]), lo=np.zeros(2), hi=np.array([1.0, math.inf]))
+    assert solve_lp(lp).status == "unbounded"
+    lp = LinearProgram(c=np.array([0.0, -1.0]), lo=np.zeros(2), hi=np.array([1.0, math.inf]))
+    out = solve_lp(lp)
+    assert out.is_optimal and np.array_equal(out.x, [0.0, 0.0])
+    with pytest.raises(InputError, match="without any finite bound"):
+        solve_lp(LinearProgram(c=np.zeros(2), lo=np.array([0.0, -math.inf]),
+                               hi=np.array([1.0, math.inf])))
 
 
 def vertex_optimum_by_loop(lp, tol=1e-7):

@@ -6,7 +6,7 @@ import pytest
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
 from advice_csp.instances import GraphInstance, cut_value, plant_bipartite_regular
-from advice_csp.lp import solve_lp
+from advice_csp.lp import LinearProgram, _expand_rows, solve_lp
 from advice_csp.maxcut import (
     BENCH_PARAMS,
     MaxCutParams,
@@ -20,6 +20,47 @@ from advice_csp.maxcut import (
 from advice_csp.verify import sides_inside_plant, witness_check
 
 A1_PLANT = plant_bipartite_regular(256, 32, 0.0, seed=5)
+
+# name -> (n, d, gamma, plant seed, advice epsilon, advice seed) of a balance
+# LP: the A1 shape (no row can bind), and the golden kept-rows shape (61 can)
+LP_CASES = {
+    **{f"a1-seed{s}": (1024, 64, 0.0, s, 0.3, (s, 1)) for s in (1, 2, 3)},
+    "kept-rows": (1024, 128, 0.37, 1, 0.9, (1, 1)),
+}
+
+
+def lp_case(n, d, gamma, seed, eps, advice_seed):
+    plant = plant_bipartite_regular(n, d, gamma, seed=seed)
+    advice = gen_label_advice(plant.x_star, eps, seed=advice_seed)
+    split = split_vertices(compute_deltas(plant.instance, advice), d, n, BENCH_PARAMS)
+    return plant, split
+
+
+def dense_balance_lp(graph, split, epsilon, params):
+    """The balance LP with one ranged row per undecided vertex, a dense
+    (|Q|, |Q|) neighbour matrix: the reference for ``build_lp``'s rows."""
+    d = graph.regular_degree
+    q = split.undecided
+    nq = q.shape[0]
+    pos_in_q = -np.ones(graph.n, dtype=np.int64)
+    pos_in_q[q] = np.arange(nq)
+    d_s, d_t = graph.neighbour_sums(split.side == 1), graph.neighbour_sums(split.side == -1)
+    delta = params.slack(d, graph.n, epsilon)
+    rows = np.zeros((nq, nq), dtype=np.float64)
+    u, v = graph.edges.T
+    uq, vq = pos_in_q[u], pos_in_q[v]
+    both = (uq >= 0) & (vq >= 0)
+    np.add.at(rows, (uq[both], vq[both]), 1.0)
+    np.add.at(rows, (vq[both], uq[both]), 1.0)
+    return LinearProgram(
+        c=(d_t[q] - d_s[q]).astype(np.float64),
+        rows=rows,
+        row_lo=d / 2 - delta - d_s[q],
+        row_hi=d / 2 + delta - d_s[q],
+        lo=np.zeros(nq),
+        hi=np.ones(nq),
+        offset=float(d_s[q].sum()),
+    )
 
 
 class TestDeltas:
@@ -95,16 +136,19 @@ class TestBuildLp:
         assert out.is_optimal and out.value == 0.0
 
     def test_planted_witness_feasible_and_bounding(self):
-        plant = A1_PLANT
-        graph = plant.instance
-        d = graph.regular_degree
-        eps = 0.4
-        adv = gen_label_advice(plant.x_star, eps, seed=3)
-        split = split_vertices(compute_deltas(graph, adv), d, graph.n, BENCH_PARAMS)
-        lp = build_lp(graph, split, eps, BENCH_PARAMS)
-        nq = split.undecided.size
-        assert lp.rows.shape == (nq, nq)  # one ranged row per undecided vertex
-        assert witness_check(graph, split, lp, plant.x_star) == (0, 0)
+        for case, kept in (((256, 32, 0.0, 5, 0.4, 3), 0), (LP_CASES["kept-rows"], 61)):
+            plant, split = lp_case(*case)
+            graph, eps = plant.instance, case[4]
+            lp = build_lp(graph, split, eps, BENCH_PARAMS)
+            ref = dense_balance_lp(graph, split, eps, BENCH_PARAMS)
+            # A reference row is dropped exactly when it holds at both box
+            # extremes, theta = 0 (value 0) and theta = 1 (its row sum).
+            holds = (ref.row_lo <= 0.0) & (ref.rows.sum(axis=1) <= ref.row_hi)
+            assert np.count_nonzero(~holds) == kept
+            assert np.array_equal(lp.rows, ref.rows[~holds])
+            assert np.array_equal(lp.row_lo, ref.row_lo[~holds])
+            assert np.array_equal(lp.row_hi, ref.row_hi[~holds])
+            assert witness_check(graph, split, lp, plant.x_star) == (0, 0)
 
     def test_irregular_rejected(self):
         graph = GraphInstance(n=3, edges=((0, 1), (1, 2)))
@@ -112,6 +156,53 @@ class TestBuildLp:
         split = split_at_threshold(compute_deltas(graph, adv), 100.0)
         with pytest.raises(InputError):
             build_lp(graph, split, 0.5, BENCH_PARAMS)
+
+
+def assert_same_lp(lp, ref):
+    """The LP and the dense reference give byte-equal inequalities and the same solve."""
+    for field in ("c", "lo", "hi", "offset"):
+        assert np.asarray(getattr(lp, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes()
+    got, want = _expand_rows(lp), _expand_rows(ref)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    a, b = solve_lp(lp), solve_lp(ref)
+    assert (a.status, a.value, a.pivots, a.phase1_used) == (
+        b.status, b.value, b.pivots, b.phase1_used)
+    assert (a.x is None and b.x is None) or a.x.tobytes() == b.x.tobytes()
+    return a
+
+
+@pytest.mark.parametrize("name", LP_CASES)
+def test_lp_matches_dense_reference(name):
+    plant, split = lp_case(*LP_CASES[name])
+    eps = LP_CASES[name][4]
+    lp = build_lp(plant.instance, split, eps, BENCH_PARAMS)
+    d_s, d_t = (plant.instance.neighbour_sums(split.side == side) for side in (1, -1))
+    given = build_lp(plant.instance, split, eps, BENCH_PARAMS, side_degrees=(d_s, d_t))
+    assert all(np.array_equal(getattr(given, f), getattr(lp, f)) for f in ("rows", "row_lo", "row_hi"))
+    assert_same_lp(lp, dense_balance_lp(plant.instance, split, eps, BENCH_PARAMS))
+
+
+def test_lp_matches_dense_reference_on_random_splits():
+    # random sides and slacks on a small graph: rows kept for their lower end,
+    # for their upper end, dropped, and infeasible programs
+    graph = plant_bipartite_regular(64, 12, 0.5, seed=3).instance
+    rng = np.random.default_rng(15)
+    seen = set()
+    for _ in range(60):
+        split = split_at_threshold(rng.integers(-3, 4, size=64), 2)
+        params = MaxCutParams(1.0, float(rng.uniform(0.01, 0.6)))
+        lp = build_lp(graph, split, 0.5, params)
+        out = assert_same_lp(lp, dense_balance_lp(graph, split, 0.5, params))
+        seen.add(out.status)
+        if np.any(lp.row_lo > 0):
+            seen.add("lower")
+        if np.any(lp.rows.sum(axis=1) > lp.row_hi):
+            seen.add("upper")
+        if 0 < len(lp.rows) < split.undecided.size:
+            seen.add("dropped")
+    assert seen == {"optimal", "infeasible", "lower", "upper", "dropped"}
 
 
 class TestRoundLp:

@@ -18,13 +18,20 @@ rng = np.random.default_rng
 
 
 A1 = plant_bipartite_regular(256, 32, 0.0, seed=5)
+# (plant, degree, epsilon, advice seed) of the balance LP's witness checks.
+# On A1 the LP optimum equals the planted witness's value (1898), so an LP
+# value 1 low shows, but no balance row can bind and none is emitted.  On the
+# golden kept-rows shape 61 rows can bind, so a fault in their ranges shows;
+# its optimum is 687 above the witness.
+WITNESS_A1 = (A1, 32, 0.4, 3)
+WITNESS_KEPT = (plant_bipartite_regular(1024, 128, 0.37, seed=1), 128, 0.9, (1, 1))
 
 
-def witness():
-    graph, advice = A1.instance, gen_label_advice(A1.x_star, 0.4, seed=3)
-    split = split_vertices(compute_deltas(graph, advice), 32, graph.n, BENCH_PARAMS)
-    lp = verify.build_lp(graph, split, 0.4, BENCH_PARAMS)
-    return verify.witness_check(graph, split, lp, A1.x_star)
+def witness(plant, d, eps, advice_seed):
+    graph, advice = plant.instance, gen_label_advice(plant.x_star, eps, seed=advice_seed)
+    split = split_vertices(compute_deltas(graph, advice), d, graph.n, BENCH_PARAMS)
+    lp = verify.build_lp(graph, split, eps, BENCH_PARAMS)
+    return verify.witness_check(graph, split, lp, plant.x_star)
 
 
 def containment():
@@ -93,10 +100,10 @@ CASES = {
         lambda: verify.grid_sandwich_failures(rng(5), 2), "maximize_concave",
         lambda f: lambda A, y, eps: np.zeros(A.n)),
     "witness rows, each band cut to its lower end": (
-        lambda: witness()[0], "build_lp",
+        lambda: witness(*WITNESS_KEPT)[0], "build_lp",
         lambda f: lambda *args: replace(f(*args), row_hi=f(*args).row_lo)),
     "witness value, LP value 1 low": (
-        lambda: witness()[1], "solve_lp",
+        lambda: witness(*WITNESS_A1)[1], "solve_lp",
         lambda f: lambda lp: replace(f(lp), value=f(lp).value - 1.0)),
     "ascent, last vector negated": (
         lambda: verify.ascent_decreases(verify.random_2lin(rng(2), 10, 25), 4, 3, 15),
@@ -115,7 +122,7 @@ CASES = {
     "containment, scores negated": (
         containment, "compute_deltas", lambda f: lambda graph, advice: -f(graph, advice)),
     "witness value, F recount one edge high": (
-        lambda: witness()[1], "q_cut_counts",
+        lambda: witness(*WITNESS_A1)[1], "q_cut_counts",
         lambda f: lambda *args: (f(*args)[0] + 1, f(*args)[1])),
     "qp ceiling, value 1 high": (
         lambda: verify.qp_ceiling_violations(rng(9), 5, 11), "solve_qp_with_advice",
