@@ -56,6 +56,13 @@ def _readonly(a, dtype) -> np.ndarray:
     return arr
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as ``dtype``, marked read-only in place; no copy if the dtype matches."""
+    arr = np.asarray(a, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _raise_first_fault(checks, m: int) -> None:
     """Raise the message of the first failing (row mask, message) check on the first faulty row."""
     first = [int(np.argmax(bad.reshape(m, -1).any(axis=1))) if bad.any() else m
@@ -74,10 +81,12 @@ class KLinInstance:
     {-1, +1} and ``w`` float64 nonnegative weights.  A constraint of arity
     a < k (mixed unary/binary instances arise from the 3-Lin reduction)
     fills the first a columns of its row and pads the rest with -1.  The
-    arrays are read-only copies the instance owns, so the values derived
+    arrays are read-only and owned by the instance, so the values derived
     from them and cached here (arity, total weight, pair coefficients) stay
-    valid; duplicates are kept verbatim.  Literal instances are built with
-    ``from_constraints``.
+    valid; duplicates are kept verbatim.  The constructor copies and checks
+    its arguments; literal instances are built with ``from_constraints``,
+    and the instances the package derives from validated ones with
+    ``_derived``.
     """
 
     k: int
@@ -138,6 +147,30 @@ class KLinInstance:
             idx[r, : len(ids)] = ids
         return cls(k, n, idx, [c[1] for c in cons], [c[2] for c in cons])
 
+    @classmethod
+    def _derived(cls, k: int, n: int, idx, rhs, w, arity=None,
+                 total_weight: float | None = None) -> KLinInstance:
+        """An instance over columns the package has just built from a
+        validated instance, or over read-only columns another instance owns.
+
+        The columns are marked read-only where they stand, with no copy and
+        no row check; only k and n are checked.  ``arity`` and
+        ``total_weight``, when the caller knows them, seed those caches.
+        ``verify.derived_instance_failures`` rebuilds every derived instance
+        through the public constructor.
+        """
+        if k < 1 or n < 1:
+            raise InputError("arity and variable count must be >= 1")
+        self = object.__new__(cls)
+        attrs = vars(self)  # cached properties read their value from here first
+        attrs.update(k=k, n=n, idx=_frozen(idx, np.int64), rhs=_frozen(rhs, np.int8),
+                     w=_frozen(w, np.float64))
+        if arity is not None:
+            attrs["arity"] = _frozen(arity, np.int64)
+        if total_weight is not None:
+            attrs["total_weight"] = total_weight
+        return self
+
     @property
     def m(self) -> int:
         return self.idx.shape[0]
@@ -188,8 +221,8 @@ class KLinInstance:
     def _arity_rows(self) -> list:
         """Row indices per arity in order of first appearance, the order in
         which satisfied weight is summed."""
-        values, first = np.unique(self.arity, return_index=True)
-        return [np.flatnonzero(self.arity == a) for a in values[np.argsort(first)]]
+        rows = [np.flatnonzero(self.arity == a) for a in range(1, self.k + 1)]
+        return sorted((r for r in rows if r.size), key=lambda r: r[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,18 +340,19 @@ def _products(instance: KLinInstance, xv: np.ndarray) -> np.ndarray:
     return prods
 
 
-def evaluate(instance: KLinInstance, x) -> tuple[float, float]:
+def evaluate(instance: KLinInstance, x, *, mask=None) -> tuple[float, float]:
     """Satisfied weight and satisfied fraction of an assignment.
 
     The fraction is satisfied weight over total weight; an instance of
     zero total weight, such as one with no constraints, evaluates to
-    (0.0, 1.0).
+    (0.0, 1.0).  ``mask``, x's ``satisfied_mask`` when the caller already
+    holds it, is used instead of recomputing it.
     """
     xv = _as_pm1(x, instance.n)
     total = instance.total_weight
     if total == 0.0:
         return 0.0, 1.0
-    sat_mask = _products(instance, xv) == instance.rhs
+    sat_mask = _products(instance, xv) == instance.rhs if mask is None else mask
     sat = 0.0
     for rows in instance._arity_rows:
         sat += float(instance.w[rows][sat_mask[rows]].sum())
@@ -340,8 +374,8 @@ def cut_value(graph: GraphInstance, x) -> int:
 def graph_to_klin(graph: GraphInstance) -> KLinInstance:
     """View a graph as a Max-Cut 2-Lin instance (all rhs -1, unit weights)."""
     m = len(graph.edges)
-    return KLinInstance(k=2, n=graph.n, idx=graph.edges,
-                        rhs=np.full(m, -1, dtype=np.int8), w=np.ones(m))
+    return KLinInstance._derived(2, graph.n, graph.edges, np.full(m, -1, dtype=np.int8),
+                                 np.ones(m))
 
 
 def to_quadratic_matrix(instance: KLinInstance) -> QpMatrix:

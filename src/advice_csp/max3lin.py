@@ -246,20 +246,19 @@ def build_psi(
     incidence, by_var = classify_constraints(phi, t)
     heavy = create_h_constraints(incidence, advice, phi)
     light = create_l_constraints(by_var, advice, phi)
-    m = heavy.source.size + light.source.size
-    psi = KLinInstance(
-        k=2,
-        n=phi.n,
-        idx=np.concatenate([heavy.idx, light.idx]),
-        rhs=np.concatenate([heavy.rhs, light.rhs]),
-        w=np.ones(m),
-    )
+    h = heavy.source.size
+    m = h + light.source.size
+    arity = np.ones(m, dtype=np.int64)
+    arity[0:h:2] = 2  # heavy (pair, unary) couples, then light unaries
+    psi = KLinInstance._derived(2, phi.n, np.concatenate([heavy.idx, light.idx]),
+                                np.concatenate([heavy.rhs, light.rhs]), np.ones(m),
+                                arity=arity)
     return ReducedInstance(
         psi=psi,
         source=np.concatenate([heavy.source, light.source]),
         flagged=np.concatenate([heavy.flagged, light.flagged]),
         threshold=t,
-        heavy_rows=heavy.source.size,
+        heavy_rows=h,
         heavy_pairs=incidence.heavy_pairs,
         heavy_mask=incidence.heavy_mask,
         sigma_pair=heavy.sigma,
@@ -328,8 +327,8 @@ def solve_max3lin_with_advice(
     eps = advice.epsilon if epsilon is None else epsilon
     reduced = build_psi(phi, advice, delta, eps)
     x_hat, _ = solve_2lin(reduced.psi, TwoLinConfig(hint=advice.values), seed)
-    weight, fraction = evaluate(phi, x_hat)
     sat_phi = satisfied_mask(phi, x_hat)
+    weight, fraction = evaluate(phi, x_hat, mask=sat_phi)
     sat_psi = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged
     floor = math.log(1.0 / delta) / delta / eps**6 * phi.n
     diag = Max3LinDiagnostics(

@@ -43,7 +43,7 @@ def three_to_four_lin(phi: KLinInstance, t: int) -> FourLinLift:
     idx = np.empty((phi.m * t, 4), dtype=np.int64)
     idx[:, :3] = np.repeat(phi.idx[:, :3], t, axis=0)
     idx[:, 3] = np.tile(n + np.arange(t), phi.m)
-    phi4 = KLinInstance(k=4, n=n + t, idx=idx, rhs=np.repeat(phi.rhs, t), w=np.repeat(phi.w, t))
+    phi4 = KLinInstance._derived(4, n + t, idx, np.repeat(phi.rhs, t), np.repeat(phi.w, t))
     return FourLinLift(phi4=phi4, t=t, n_orig=n)
 
 
@@ -59,8 +59,10 @@ def project_assignment(sigma_prime, phi: KLinInstance) -> np.ndarray:
     """Fold a lifted solution back onto the original variables.
 
     Tries sigma_r(x_i) = sigma'(x_i) * sigma'(y_r) for every r and keeps
-    the best by satisfied fraction; the average over r equals the lifted
-    fraction, so the max never falls below it.
+    the best by satisfied fraction, the earliest r on ties; the average
+    over r equals the lifted fraction, so the max never falls below it.
+    Each r whose y_r has a sign already tried repeats its candidate, so
+    only the first r of each sign is evaluated.
     """
     xv = _as_pm1(sigma_prime, what="lifted assignment")
     t = xv.shape[0] - phi.n
@@ -70,8 +72,8 @@ def project_assignment(sigma_prime, phi: KLinInstance) -> np.ndarray:
         )
     base = xv[: phi.n]
     best_x, best_w = None, -1.0
-    for r in range(t):
-        cand = (base * xv[phi.n + r]).astype(np.int8)
+    for y in dict.fromkeys(xv[phi.n:].tolist()):
+        cand = (base * y).astype(np.int8)
         w, _ = evaluate(phi, cand)
         if w > best_w:
             best_x, best_w = cand, w

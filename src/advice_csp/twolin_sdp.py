@@ -87,7 +87,9 @@ def homogenize(instance: KLinInstance) -> tuple[KLinInstance, int]:
     idx = np.full((instance.m, 2), ref, dtype=np.int64)
     idx[:, : min(instance.k, 2)] = instance.idx[:, :2]
     idx[instance.arity == 1, 1] = ref
-    hom = KLinInstance(k=2, n=instance.n + 1, idx=idx, rhs=instance.rhs, w=instance.w)
+    hom = KLinInstance._derived(2, instance.n + 1, idx, instance.rhs, instance.w,
+                                arity=np.full(instance.m, 2),
+                                total_weight=instance.total_weight)
     return hom, ref
 
 
@@ -176,7 +178,17 @@ def hyperplane_round(
 
     sign(0) counts as +1.  Ties in satisfied weight keep the earliest
     trial, which makes the whole procedure deterministic given the seed.
+    Returns the kept signs and their satisfied weight.
     """
+    x = _round_signs(instance, embedding, trials, seed)
+    weight, _ = evaluate(instance, x)
+    return x, weight
+
+
+def _round_signs(
+    instance: KLinInstance, embedding: UnitEmbedding, trials: int, seed
+) -> np.ndarray:
+    """``hyperplane_round``'s kept signs, without evaluating them."""
     _check_trials(trials)
     if embedding.n != instance.n:
         raise InputError("embedding size does not match the instance")
@@ -191,10 +203,7 @@ def hyperplane_round(
         + 0.5 * (lin @ signs)
         + 0.25 * np.sum(signs * ms, axis=0)
     )
-    best = int(np.argmax(values))
-    x = signs[:, best].copy()
-    weight, _ = evaluate(instance, x)
-    return x, weight
+    return signs[:, int(np.argmax(values))].copy()
 
 
 def _flip_search(
@@ -252,7 +261,7 @@ def solve_2lin(
         return _solve_unary(instance, config)
     rank = config.rank if config.rank is not None else math.ceil(math.sqrt(2 * n)) + 1
     embedding = solve_relaxation(hom, rank, config.sweeps, seed)
-    x_hom, _ = hyperplane_round(hom, embedding, config.trials, (seed, 1))
+    x_hom = _round_signs(hom, embedding, config.trials, (seed, 1))
     candidates = [dehomogenize(x_hom, ref)]
     if config.hint is not None:
         candidates.append(_as_pm1(config.hint, n, what="hint assignment"))

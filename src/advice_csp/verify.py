@@ -25,6 +25,7 @@ from .instances import (
     QpMatrix,
     cut_value,
     evaluate,
+    graph_to_klin,
     plant_bipartite_regular,
     plant_klin,
     quadratic_identity_value,
@@ -205,6 +206,45 @@ def same_columns(a: KLinInstance, b: KLinInstance) -> bool:
     return (a.k, a.n) == (b.k, b.n) and all(
         np.array_equal(x, y) for x, y in ((a.idx, b.idx), (a.rhs, b.rhs), (a.w, b.w))
     )
+
+
+def derived_failures(derived: KLinInstance) -> int:
+    """1 if an instance built by ``KLinInstance._derived`` differs from its
+    rebuild through the public constructor: the constructor rejects its
+    columns or changes them, a column is writable, or a seeded cache
+    (arity, total weight) differs from the rebuild's."""
+    try:
+        rebuilt = KLinInstance(derived.k, derived.n, derived.idx, derived.rhs, derived.w)
+    except InputError:
+        return 1
+    seeded = vars(derived)
+    return int(not same_columns(rebuilt, derived)
+               or any(col.flags.writeable for col in (derived.idx, derived.rhs, derived.w))
+               or ("arity" in seeded and not np.array_equal(seeded["arity"], rebuilt.arity))
+               or ("total_weight" in seeded
+                   and seeded["total_weight"] != rebuilt.total_weight))
+
+
+def derived_instance_failures(rng, trials: int) -> int:
+    """``derived_failures`` summed over ``trials`` rounds of every instance
+    the package derives: psi of a heavy fixture (n in [6, 9], m in [80, 159],
+    most pairs heavy) and of a light one (n in [20, 39], m in [10, 59],
+    almost no pair heavy), the homogenized psi of each, the 4-Lin lift of
+    the heavy fixture with t in [1, 3], and a planted graph's 2-Lin view."""
+    failures = 0
+    for _ in range(trials):
+        phis = []
+        for n, m in ((int(rng.integers(6, 10)), int(rng.integers(80, 160))),
+                     (int(rng.integers(20, 40)), int(rng.integers(10, 60)))):
+            plant = plant_klin(n, 3, m, 0.1, seed=int(rng.integers(1 << 30)))
+            advice = gen_label_advice(plant.x_star, 0.8, seed=int(rng.integers(1 << 30)))
+            psi = build_psi(plant.instance, advice, delta=0.5, epsilon=1.0).psi
+            failures += derived_failures(psi) + derived_failures(homogenize(psi)[0])
+            phis.append(plant.instance)
+        lift = three_to_four_lin(phis[0], int(rng.integers(1, 4)))
+        graph = plant_bipartite_regular(16, 3, 0.5, seed=int(rng.integers(1 << 30))).instance
+        failures += derived_failures(lift.phi4) + derived_failures(graph_to_klin(graph))
+    return failures
 
 
 def binomial_band(p: float, trials: int, sigmas: float = 3.0) -> float:
@@ -442,6 +482,11 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
         back = fileio.read_instance(path)
         ok = same_columns(back, inst)
     out.append(CheckResult("instance-invariants", "instance file round-trip", ok))
+
+    trials = max(2, seeds // 25)
+    failures = derived_instance_failures(np.random.default_rng(20_010), trials)
+    out.append(CheckResult("instance-invariants", "derived instances pass the public constructor",
+                           failures == 0, f"{failures} failures in {6 * trials} instances"))
     return out
 
 

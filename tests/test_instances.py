@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -16,11 +17,17 @@ from advice_csp.instances import (
     plant_bipartite_regular,
     plant_klin,
     quadratic_identity_value,
+    satisfied_mask,
     to_quadratic_matrix,
     _as_pm1,
     _pair_swap_repair,
 )
-from advice_csp.verify import identity_failures, negation_failures, same_columns
+from advice_csp.verify import (
+    derived_instance_failures,
+    identity_failures,
+    negation_failures,
+    same_columns,
+)
 
 
 def naive_evaluate(instance, x):
@@ -65,6 +72,43 @@ def test_total_weight_is_left_to_right_sum():
         total += weight
     assert inst.total_weight == total
     assert KLinInstance.from_constraints(1, 1, []).total_weight == 0.0
+
+
+def grouped_reference(instance, x):
+    """Satisfied weight summed per arity group, the groups in order of first
+    appearance, each group's weights summed by np.sum in row order."""
+    rows = list(zip(instance.idx.tolist(), instance.rhs.tolist(), instance.w.tolist(),
+                    instance.arity.tolist()))
+    sat = 0.0
+    for a in dict.fromkeys(instance.arity.tolist()):
+        sat += float(np.sum([w for row, rhs, w, arity in rows
+                             if arity == a and math.prod(x[i] for i in row[:a]) == rhs]))
+    return sat
+
+
+@pytest.mark.parametrize("k, cycle, seed", [(2, (1, 2), 3), (3, (2, 3, 1), 4)])
+def test_evaluate_sums_arity_groups_in_order_of_first_appearance(k, cycle, seed):
+    # (1, 2): rows alternate unary and pair, as in psi, from a unary row.
+    # (2, 3, 1): the groups appear out of sorted order.  On these weights
+    # np.sum over every satisfied row at once gives another result, and
+    # for (2, 3, 1) so do the groups summed in sorted order.
+    rng = np.random.default_rng(seed)
+    m = 7 * len(cycle)
+    idx = np.full((m, k), -1, dtype=np.int64)
+    for r in range(m):
+        a = cycle[r % len(cycle)]
+        idx[r, :a] = rng.permutation(4)[:a]
+    inst = KLinInstance(k, 4, idx, rng.choice([-1, 1], size=m), rng.random(m))
+    x = [1, -1, -1, 1]
+    want = grouped_reference(inst, x)
+    mask = satisfied_mask(inst, x)
+    assert want != float(np.sum(inst.w[mask]))
+    if len(cycle) > 2:
+        by_value = KLinInstance(k, 4, *(col[np.argsort(inst.arity, kind="stable")]
+                                        for col in (inst.idx, inst.rhs, inst.w)))
+        assert want != grouped_reference(by_value, x)
+    assert evaluate(inst, x) == (want, want / inst.total_weight)
+    assert evaluate(inst, x, mask=mask) == evaluate(inst, x)
 
 
 def test_evaluate_rejects_wrong_length():
@@ -459,6 +503,23 @@ def test_instances_own_their_arrays():
 def test_graph_to_klin_shares_the_graph_array():
     graph = GraphInstance(4, np.array([[0, 1], [2, 3]]))
     assert graph_to_klin(graph).idx is graph.edges
+
+
+def test_derived_instances_pass_the_public_constructor():
+    assert derived_instance_failures(np.random.default_rng(31), 6) == 0
+
+
+def test_derived_instances_take_their_columns_unchecked():
+    # No copy: the derived instance holds the very arrays it was given.
+    idx = np.array([[0, 1], [1, -1]], dtype=np.int64)
+    rhs, w = np.array([1, -1], dtype=np.int8), np.array([2.0, 0.5])
+    inst = KLinInstance._derived(2, 3, idx, rhs, w, arity=np.array([2, 1]), total_weight=2.5)
+    assert inst.idx is idx and inst.rhs is rhs and inst.w is w
+    assert not (idx.flags.writeable or rhs.flags.writeable or w.flags.writeable)
+    assert inst.arity.tolist() == [2, 1] and not inst.arity.flags.writeable
+    assert inst.total_weight == 2.5 and evaluate(inst, [1, 1, 1]) == (2.0, 0.8)
+    with pytest.raises(InputError, match="variable count must be >= 1"):
+        graph_to_klin(GraphInstance(0, ()))
 
 
 @pytest.mark.parametrize("values, n, message", [

@@ -80,6 +80,12 @@ def drop_last_row(r):
     return replace(r, psi=psi, source=r.source[:-1], flagged=r.flagged[:-1])
 
 
+def repeat_first_index(hom, ref):
+    idx = hom.idx.copy()
+    idx[0, 1] = idx[0, 0]
+    return KLinInstance._derived(hom.k, hom.n, idx, hom.rhs, hom.w), ref
+
+
 UNARY = KLinInstance.from_constraints(2, 4, (((0,), 1, 2.0), ((1,), -1, 0.5), ((2, 3), 1, 1.0)))
 
 # id: (check, the name in verify to patch, the wrong version of the real function f)
@@ -139,6 +145,9 @@ CASES = {
     "light votes, sigma_var negated": (
         lambda: vote_errors(verify.light_vote_errors), "build_psi",
         lambda f: lambda *args: replace(f(*args), sigma_var=-f(*args).sigma_var)),
+    "derived instances, repeated index in a homogenized row": (
+        lambda: verify.derived_instance_failures(rng(14), 2), "homogenize",
+        lambda f: lambda inst: repeat_first_index(*f(inst))),
 }
 
 

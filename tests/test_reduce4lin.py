@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from advice_csp import reduce4lin
 from advice_csp.errors import InputError
 from advice_csp.instances import KLinInstance, evaluate, plant_klin
 from advice_csp.reduce4lin import lift_assignment, project_assignment, three_to_four_lin
@@ -90,3 +91,16 @@ class TestAssignmentMaps:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             project_assignment(np.ones(3, dtype=np.int8), small_phi())
+
+    @pytest.mark.parametrize("helpers", [[-1, 1, -1, 1, 1], [1, 1, -1]])
+    def test_each_distinct_candidate_evaluated_once_earliest_kept(self, monkeypatch, helpers):
+        # small_phi's two constraints disagree, so every candidate ties and
+        # the first helper's sign must win.
+        calls = []
+        evaluate_ = reduce4lin.evaluate
+        monkeypatch.setattr(reduce4lin, "evaluate",
+                            lambda phi, x: calls.append(x.tolist()) or evaluate_(phi, x))
+        base = np.array([1, -1, 1], dtype=np.int8)
+        back = project_assignment(np.append(base, helpers), small_phi())
+        assert calls == [(base * helpers[0]).tolist(), (-base * helpers[0]).tolist()]
+        assert back.tolist() == calls[0] and back.dtype == np.int8
