@@ -29,7 +29,10 @@ class Groups:
     """Constraint positions grouped by an integer key, in CSR layout.
 
     Group g has key ``keys[g]`` (ascending, distinct) and holds the
-    positions ``members[offsets[g]:offsets[g + 1]]``, ascending.
+    positions ``members[offsets[g]:offsets[g + 1]]``, in the order they
+    were given.  The reduction builds one for the heavy pairs (empty when
+    no pair reaches the threshold) and one for the light constraints'
+    variables.
     """
 
     keys: np.ndarray
@@ -42,14 +45,24 @@ class Groups:
         within each group (a stable sort)."""
         size = keys.size
         if size and (int(keys.max()) + 1) * size < 2**63:
-            # key * size + rank is distinct, so a plain sort of it is stable;
-            # several times faster than the stable argsort below.
-            order = np.sort(keys * size + np.arange(size)) % size
+            # key * size + rank is distinct, so a plain sort of it is stable
+            # (several times faster than the stable argsort below), and the
+            # sorted composite holds both the sorted keys and the order.
+            comp = np.sort(keys * size + np.arange(size))
+            order, sk = comp % size, comp // size
         else:
             order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        starts = np.flatnonzero(np.diff(sk, prepend=-1))
-        return cls(sk[starts], np.append(starts, sk.size), positions[order])
+            sk = keys[order]
+        first = np.empty(size, dtype=bool)  # entry starts a group
+        first[:1] = True
+        np.not_equal(sk[1:], sk[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return cls(sk[starts], np.append(starts, size), positions[order])
+
+    @classmethod
+    def empty(cls) -> Groups:
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, np.zeros(1, dtype=np.int64), none)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -62,20 +75,23 @@ class Groups:
 
 @dataclass(frozen=True, eq=False)
 class PairIncidence:
-    """Constraint positions per unordered variable pair, with heavy flags.
+    """The heavy pairs with their constraint positions, and the heavy
+    constraints.
 
-    Pair (i, j), i < j, has key i * n + j, so key order is pair order.
+    ``by_pair`` groups the constraints of each heavy pair, positions
+    ascending; it is empty when no pair reaches the threshold, and pairs
+    below it are never grouped.  Pair (i, j), i < j, has key i * n + j, so
+    key order is pair order.
     """
 
     n: int
     by_pair: Groups
-    heavy: np.ndarray  # per group: covered by at least t constraints
     heavy_mask: np.ndarray  # per constraint: some pair of it is heavy
 
     @property
     def heavy_pairs(self) -> np.ndarray:
         """(h, 2) array of the heavy pairs, ascending."""
-        keys = self.by_pair.keys[self.heavy]
+        keys = self.by_pair.keys
         return np.stack([keys // self.n, keys % self.n], axis=1)
 
 
@@ -138,27 +154,50 @@ def _require_arity3(phi: KLinInstance):
         raise InputError("this pipeline requires arity-3 constraints")
 
 
+def _pair_keys(phi: KLinInstance) -> np.ndarray:
+    """Key i * n + j (i < j) of each constraint's pairs (x0, x1), (x0, x2),
+    (x1, x2): entry 3 * c + f is pair f of constraint c."""
+    n, idx = phi.n, phi.idx
+    keys = np.empty((phi.m, 3), dtype=np.int64)
+    for f, (u, v) in enumerate(((0, 1), (0, 2), (1, 2))):
+        a, b = idx[:, u], idx[:, v]
+        keys[:, f] = np.minimum(a, b) * n + np.maximum(a, b)
+    return keys.ravel()
+
+
 def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Groups]:
     """Split constraints into heavy and light by pair coverage.
 
     A pair is heavy when it appears in at least t constraints; a
     constraint is heavy when any of its three pairs is heavy.  Returns the
-    pair incidence and the light constraints grouped by variable.
+    pair incidence and the light constraints grouped by variable.  One sort
+    of the pair keys shows whether any run of t equal keys exists; only
+    then are the heavy pairs' constraints grouped.
     """
     _require_arity3(phi)
     if t < 1:
         raise InputError("threshold must be >= 1")
-    n, idx = phi.n, phi.idx[:, :3]
-    lo = np.minimum(idx[:, [0, 0, 1]], idx[:, [1, 2, 2]])
-    hi = np.maximum(idx[:, [0, 0, 1]], idx[:, [1, 2, 2]])
-    positions = np.repeat(np.arange(phi.m), 3)
-    by_pair = Groups.of((lo * n + hi).ravel(), positions)
-    heavy = by_pair.sizes >= t
+    keys = _pair_keys(phi)
+    size = keys.size
     heavy_mask = np.zeros(phi.m, dtype=bool)
-    heavy_mask[by_pair.members[np.repeat(heavy, by_pair.sizes)]] = True
-    light = np.flatnonzero(~heavy_mask)
-    by_var = Groups.of(idx[light].ravel(), np.repeat(light, 3))
-    return PairIncidence(n=n, by_pair=by_pair, heavy=heavy, heavy_mask=heavy_mask), by_var
+    by_pair = Groups.empty()
+    if t <= size:
+        sk = np.sort(keys)
+        run = sk[t - 1:] == sk[:size - t + 1]  # t equal keys from sk[s] on
+        if run.any():
+            reached = sk[:size - t + 1][run]  # ascending, with repeats
+            heavy_keys = reached[np.append(True, reached[1:] != reached[:-1])]
+            entries = np.flatnonzero(np.isin(keys, heavy_keys))
+            by_pair = Groups.of(keys[entries], entries // 3)
+            heavy_mask[by_pair.members] = True
+    idx = phi.idx[:, :3]
+    if by_pair.keys.size:
+        light = np.flatnonzero(~heavy_mask)
+        idx = idx[light]
+    else:
+        light = np.arange(phi.m)
+    by_var = Groups.of(idx.ravel(), np.repeat(light, 3))
+    return PairIncidence(n=phi.n, by_pair=by_pair, heavy_mask=heavy_mask), by_var
 
 
 def _signs(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,14 +215,18 @@ def create_h_constraints(
     constraint x_i x_j = sigma followed by the unary pinning
     x_k = sigma * rhs.
     """
-    labels = advice.values.astype(np.int64)
     groups = incidence.by_pair
-    pick = np.repeat(incidence.heavy, groups.sizes)
-    pos = groups.members[pick]
-    group = np.cumsum(incidence.heavy)[groups.group_of()[pick]] - 1
+    if not groups.keys.size:
+        none = np.zeros(0, dtype=np.int64)
+        return Representatives(idx=none.reshape(0, 2), rhs=np.zeros(0, dtype=np.int8),
+                               source=none, flagged=np.zeros(0, dtype=bool),
+                               sigma=np.zeros(0, dtype=np.int8))
+    labels = advice.values.astype(np.int64)
+    pos, group = groups.members, groups.group_of()
     pairs = incidence.heavy_pairs
     i, j = pairs[group, 0], pairs[group, 1]
-    third = phi.idx[pos, :3].sum(axis=1) - i - j
+    idx = phi.idx
+    third = idx[pos, 0] + idx[pos, 1] + idx[pos, 2] - i - j
     rhs = phi.rhs[pos].astype(np.int64)
     votes = np.bincount(group, weights=rhs * labels[third], minlength=len(pairs))
     sigma, zero = _signs(votes)
@@ -211,18 +254,19 @@ def create_l_constraints(
     x_v = sigma.  ``sigma`` is indexed by variable.
     """
     labels = advice.values.astype(np.int64)
+    idx = phi.idx
+    # rhs times the product of the three labels, once per constraint.  The
+    # other two labels' product is that times label[v], one factor per group.
+    prod = phi.rhs.astype(np.int64) * labels[idx[:, 0]] * labels[idx[:, 1]] * labels[idx[:, 2]]
     pos = by_var.members
     group = by_var.group_of()
-    var = by_var.keys[group]
-    # The other two labels' product is the constraint's product times label[var].
-    prod = labels[phi.idx[pos, 0]] * labels[phi.idx[pos, 1]] * labels[phi.idx[pos, 2]]
-    contrib = phi.rhs[pos].astype(np.int64) * prod * labels[var]
-    votes = np.bincount(group, weights=contrib, minlength=by_var.keys.size)
+    votes = np.bincount(group, weights=prod[pos], minlength=by_var.keys.size)
+    votes *= labels[by_var.keys]
     sigma, zero = _signs(votes)
     sigma_var = np.zeros(phi.n, dtype=np.int8)
     sigma_var[by_var.keys] = np.where(zero, 0, sigma)
     return Representatives(
-        idx=np.stack([var, np.full(pos.size, -1, dtype=np.int64)], axis=1),
+        idx=np.stack([by_var.keys[group], np.full(pos.size, -1, dtype=np.int64)], axis=1),
         rhs=sigma[group],
         source=pos,
         flagged=zero[group],

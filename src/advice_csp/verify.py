@@ -36,7 +36,6 @@ from .lp import FEAS_TOL, LinearProgram, LpOutcome, solve_lp
 from .max3lin import (
     build_psi,
     classify_constraints,
-    conservative_psi_value,
     representative_accounting,
     solve_max3lin_with_advice,
 )
@@ -292,7 +291,7 @@ def heavy_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int,
     by_pair = incidence.by_pair
     violated = ~satisfied_mask(phi, x_star)[by_pair.members]
     viol = np.bincount(by_pair.group_of(), weights=violated, minlength=by_pair.keys.size)
-    counted = (viol < by_pair.sizes / 4)[incidence.heavy]
+    counted = viol < by_pair.sizes / 4
     i, j = reduced.heavy_pairs.T
     truth = x_star[i].astype(np.int64) * x_star[j]
     errs = int(np.count_nonzero(counted & (reduced.sigma_pair != truth)))
@@ -427,16 +426,47 @@ def rounding_dominance_failures(hom: KLinInstance, emb, trials: int, seed) -> in
 
 
 def reduction_counting_failures(phi: KLinInstance, reduced) -> tuple[int, int]:
-    """(counts, sources) failing in the reduction ``reduced`` of phi: pair
-    lists of 3m members, ``heavy_rows`` twice the heavy pairs' members, psi
-    those rows plus the light members; sources without 2, 3, 4 or 6 rows."""
-    incidence, by_var = classify_constraints(phi, reduced.threshold)
-    heavy_rows = 2 * int(incidence.by_pair.sizes[incidence.heavy].sum())
-    counts = sum(map(int, (incidence.by_pair.offsets[-1] != 3 * phi.m,
+    """(counts, sources) failing in the reduction ``reduced`` of phi, against
+    pair coverage counted here with ``np.unique``: coverage summing to 3m; the
+    pairs covered at least t times as ``heavy_pairs``, and the constraints
+    with such a pair as ``heavy_mask``; ``heavy_rows`` twice their coverage;
+    psi those rows plus 3 per light constraint.  Sources count when they
+    have other than 2, 3, 4 or 6 rows."""
+    n, idx = phi.n, phi.idx[:, :3]
+    lo = np.minimum(idx[:, [0, 0, 1]], idx[:, [1, 2, 2]])
+    hi = np.maximum(idx[:, [0, 0, 1]], idx[:, [1, 2, 2]])
+    keys = lo * n + hi
+    pairs, coverage = np.unique(keys, return_counts=True)
+    heavy = coverage >= reduced.threshold
+    heavy_pairs = np.stack([pairs[heavy] // n, pairs[heavy] % n], axis=1)
+    heavy_mask = np.isin(keys, pairs[heavy]).any(axis=1)
+    heavy_rows = 2 * int(coverage[heavy].sum())
+    light = int(np.count_nonzero(~heavy_mask))
+    counts = sum(map(int, (int(coverage.sum()) != 3 * phi.m,
+                           not np.array_equal(reduced.heavy_pairs, heavy_pairs),
+                           not np.array_equal(reduced.heavy_mask, heavy_mask),
                            reduced.heavy_rows != heavy_rows,
-                           reduced.m != heavy_rows + by_var.offsets[-1])))
+                           reduced.m != heavy_rows + 3 * light)))
     reps = np.bincount(reduced.source, minlength=phi.m)
     return counts, int(np.count_nonzero(~np.isin(reps, (2, 3, 4, 6))))
+
+
+def exact_advice_failures(plant, delta: float) -> int:
+    """Unflagged rows of the reduction of a noiseless plant under exact
+    advice (the labels x*, epsilon 1) that x* violates."""
+    reduced = build_psi(plant.instance, LabelAdvice(values=plant.x_star, epsilon=1.0), delta, 1.0)
+    return int(np.count_nonzero(~satisfied_mask(reduced.psi, plant.x_star) & ~reduced.flagged))
+
+
+def reduction_audit_failures(plant, advice, delta: float, seed) -> tuple[int, int, int]:
+    """(violations, excess, heavy_rows) of one Max 3-Lin solve: the heavy
+    implication audit's count, how far unsat_phi exceeds the representative
+    counting bound (0 when within it), and the heavy rows audited."""
+    res = solve_max3lin_with_advice(plant.instance, advice, delta, seed=seed)
+    reduced = build_psi(plant.instance, advice, delta, advice.epsilon)
+    acc = representative_accounting(plant.instance, reduced, res.assignment, plant.x_star)
+    return (res.diagnostics.heavy_implication_violations,
+            max(0, acc["unsat_phi"] - acc["bound"]), reduced.heavy_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -707,29 +737,24 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     out.append(CheckResult("threelin-lemmas", "each source has 2..6 representatives",
                            sources == 0, f"{sources} sources outside 2, 3, 4, 6"))
 
-    exact_ok = True
     plant = plant_klin(40, 3, 900, 0.0, seed=7007)
-    advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
-    reduced = build_psi(plant.instance, advice, delta=0.05, epsilon=1.0)
-    value = conservative_psi_value(reduced, plant.x_star)
-    if value != reduced.psi.total_weight - float(reduced.psi.w[reduced.flagged].sum()):
-        exact_ok = False
-    out.append(CheckResult("threelin-lemmas", "noiseless exact advice satisfies every vote", exact_ok))
+    wrong = exact_advice_failures(plant, delta=0.05)
+    out.append(CheckResult("threelin-lemmas", "noiseless exact advice satisfies every vote",
+                           wrong == 0, f"{wrong} unflagged votes violated"))
 
-    acc_ok = True
-    impl_ok = True
+    # The fixture has heavy pairs and light constraints, so the audit and
+    # the bound's heavy and light terms all see rows.
+    violations = excess = heavy_rows = 0
     for s in range(max(3, seeds // 30)):
-        plant = plant_klin(36, 3, 700, 0.08, seed=800 + s)
-        advice = gen_label_advice(plant.x_star, 0.75, seed=(81, s))
-        res = solve_max3lin_with_advice(plant.instance, advice, delta=0.08, seed=(82, s))
-        if res.diagnostics.heavy_implication_violations != 0:
-            impl_ok = False
-        reduced = build_psi(plant.instance, advice, delta=0.08, epsilon=0.75)
-        acc = representative_accounting(plant.instance, reduced, res.assignment, plant.x_star)
-        if acc["unsat_phi"] > acc["bound"]:
-            acc_ok = False
-    out.append(CheckResult("threelin-lemmas", "heavy implication audit clean", impl_ok))
-    out.append(CheckResult("threelin-lemmas", "representative counting bound holds", acc_ok))
+        plant = plant_klin(20, 3, 1500, 0.1, seed=800 + s)
+        advice = gen_label_advice(plant.x_star, 0.8, seed=(81, s))
+        v, e, h = reduction_audit_failures(plant, advice, delta=0.1, seed=(82, s))
+        violations, excess, heavy_rows = violations + v, excess + e, heavy_rows + h
+    out.append(CheckResult("threelin-lemmas", "heavy implication audit clean",
+                           violations == 0 and heavy_rows > 0,
+                           f"{violations} violations over {heavy_rows} heavy rows"))
+    out.append(CheckResult("threelin-lemmas", "representative counting bound holds",
+                           excess == 0, f"unsat_phi {excess} over the bound"))
 
     # Vote recovery rates against their concentration bounds.
     plant = plant_klin(50, 3, 33000, 0.05, seed=909)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,70 @@ class TestClassify:
         phi = KLinInstance.from_constraints(k=2, n=3, constraints=(((0, 1), 1, 1.0),))
         with pytest.raises(InputError):
             classify_constraints(phi, t=2)
+
+    @pytest.mark.parametrize("t", [2, 3, 6])
+    @pytest.mark.parametrize("other_heavy", [True, False])
+    def test_threshold_boundary(self, t, other_heavy):
+        # (0, 1) is covered exactly t times, (2, 3) t - 1 times and, when
+        # other_heavy, (4, 5) t + 2 times; every other pair once.
+        fresh = itertools.count(6)
+        cover = {(0, 1): t, (2, 3): t - 1, (4, 5): t + 2 if other_heavy else 0}
+        cons = [((i, j, next(fresh)), 1, 1.0) for (i, j), c in cover.items() for _ in range(c)]
+        phi = KLinInstance.from_constraints(3, next(fresh), cons)
+        incidence, by_var = classify_constraints(phi, t)
+        heavy = [[0, 1], [4, 5]] if other_heavy else [[0, 1]]
+        assert incidence.heavy_pairs.tolist() == heavy
+        assert incidence.by_pair.sizes.tolist() == [cover[tuple(p)] for p in heavy]
+        mask = [True] * t + [False] * (t - 1) + [True] * cover[4, 5]
+        assert incidence.heavy_mask.tolist() == mask
+        # with the most covered pair one below the threshold, none is heavy
+        incidence, by_var = classify_constraints(phi, max(cover.values()) + 1)
+        assert incidence.heavy_pairs.shape == (0, 2) and not incidence.heavy_mask.any()
+        assert incidence.by_pair.offsets.tolist() == [0]
+        assert by_var.offsets[-1] == 3 * phi.m
+
+
+def reference_classify(phi, t):
+    """classify_constraints with dicts: (heavy pairs, their members, heavy
+    mask, light members per variable), pairs and variables ascending."""
+    cover = {}
+    for c, row in enumerate(phi.idx[:, :3].tolist()):
+        for i, j in itertools.combinations(sorted(row), 2):
+            cover.setdefault((i, j), []).append(c)
+    heavy = sorted(p for p, members in cover.items() if len(members) >= t)
+    mask = [False] * phi.m
+    for p in heavy:
+        for c in cover[p]:
+            mask[c] = True
+    by_var = {}
+    for c, row in enumerate(phi.idx[:, :3].tolist()):
+        if not mask[c]:
+            for v in row:
+                by_var.setdefault(v, []).append(c)
+    return heavy, [cover[p] for p in heavy], mask, {v: by_var[v] for v in sorted(by_var)}
+
+
+def csr_lists(groups):
+    return [groups.members[a:b].tolist() for a, b in itertools.pairwise(groups.offsets)]
+
+
+@pytest.mark.parametrize("n, m, t", [(6, 30, 1), (6, 30, 4), (8, 60, 5), (12, 150, 4),
+                                     (30, 80, 2), (30, 80, 6), (10, 40, 121),
+                                     (5, 0, 3)])
+def test_classify_matches_dict_reference(n, m, t):
+    rng = np.random.default_rng((n, m, t))
+    for _ in range(4):
+        idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(m)],
+                       dtype=np.int64).reshape(m, 3)
+        phi = KLinInstance(3, n, idx, rng.choice([-1, 1], size=m), np.ones(m))
+        heavy, members, mask, by_var = reference_classify(phi, t)
+        incidence, groups = classify_constraints(phi, t)
+        assert incidence.heavy_pairs.tolist() == [list(p) for p in heavy]
+        assert csr_lists(incidence.by_pair) == members
+        assert incidence.heavy_mask.tolist() == mask
+        assert groups.keys.tolist() == list(by_var)
+        assert np.diff(groups.offsets).tolist() == [len(c) for c in by_var.values()]
+        assert csr_lists(groups) == list(by_var.values())
 
 
 class TestGroups:
@@ -218,10 +284,12 @@ class TestSolve:
         assert hits >= 9
 
     def test_heavy_implication_audit_clean(self):
+        # t = 29, so each plant has heavy pairs for the audit to read
         for s in range(5):
-            plant = plant_klin(20, 3, 300, 0.1, seed=(12, s))
-            advice = gen_label_advice(plant.x_star, 0.7, seed=(13, s))
+            plant = plant_klin(20, 3, 1500, 0.1, seed=(12, s))
+            advice = gen_label_advice(plant.x_star, 0.8, seed=(13, s))
             res = solve_max3lin_with_advice(plant.instance, advice, delta=0.1, seed=(14, s))
+            assert res.diagnostics.heavy_pair_count > 0
             assert res.diagnostics.heavy_implication_violations == 0
 
     def test_one_satisfied_mask_per_instance(self, monkeypatch):

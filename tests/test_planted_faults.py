@@ -1,14 +1,17 @@
 """Each shared lemma check in ``verify`` reports a planted fault: a case's
 check passes on its fixture, then fails once one function that it calls
-through ``verify`` is monkeypatched to return a slightly wrong answer."""
+through ``verify`` is monkeypatched to return a slightly wrong answer.  A
+name with a module prefix (``max3lin.create_h_constraints``) plants the
+fault inside the reduction, where the solver calls it too."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from advice_csp import verify
-from advice_csp.advice import gen_label_advice
+from advice_csp import max3lin, verify
+from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 from advice_csp.maxcut import BENCH_PARAMS, compute_deltas, split_vertices
 from advice_csp.twolin_sdp import UnitEmbedding
@@ -59,6 +62,34 @@ def counting():
     advice = gen_label_advice(plant.x_star, 0.8, seed=13)
     return sum(verify.reduction_counting_failures(
         plant.instance, verify.build_psi(plant.instance, advice, 0.1, 0.8)))
+
+
+def boundary_counting(other_heavy):
+    """The counting check at t = 6 (delta 1/2, epsilon 1) on pairs (0, 1)
+    covered exactly t times and (2, 3) t - 1 times, and (4, 5) t + 2 times
+    when ``other_heavy``; every other pair is covered once."""
+    t, fresh = 6, itertools.count(6)
+    cover = {(0, 1): t, (2, 3): t - 1, (4, 5): t + 2 if other_heavy else 0}
+    cons = [((i, j, next(fresh)), 1, 1.0) for (i, j), c in cover.items() for _ in range(c)]
+    phi = KLinInstance.from_constraints(3, next(fresh), cons)
+    advice = LabelAdvice(values=np.ones(phi.n, dtype=np.int8), epsilon=1.0)
+    reduced = verify.build_psi(phi, advice, 0.5, 1.0)
+    assert reduced.threshold == t
+    return sum(verify.reduction_counting_failures(phi, reduced))
+
+
+# a plant with heavy pairs and light constraints (the suite's first fixture)
+AUDIT = plant_klin(20, 3, 1500, 0.1, seed=800)
+
+
+def audit(part):
+    advice = gen_label_advice(AUDIT.x_star, 0.8, seed=(81, 0))
+    return verify.reduction_audit_failures(AUDIT, advice, delta=0.1, seed=(82, 0))[part]
+
+
+def unary_without_rhs(reps):
+    # every heavy unary pinned to sigma rather than sigma * rhs
+    return replace(reps, rhs=np.repeat(reps.rhs[0::2], 2))
 
 
 def lift_map():
@@ -123,6 +154,22 @@ CASES = {
         lambda f: lambda hom, emb, trials, seed: f(hom, emb, trials=1, seed=seed)),
     "counting, last representative dropped": (
         counting, "build_psi", lambda f: lambda *args: drop_last_row(f(*args))),
+    "counting, runs of exactly t light, another pair heavy": (
+        lambda: boundary_counting(True), "max3lin.classify_constraints",
+        lambda f: lambda phi, t: f(phi, t + 1)),
+    "counting, runs of exactly t light, no other pair heavy": (
+        lambda: boundary_counting(False), "max3lin.classify_constraints",
+        lambda f: lambda phi, t: f(phi, t + 1)),
+    "exact advice, light votes negated": (
+        lambda: verify.exact_advice_failures(plant_klin(40, 3, 900, 0.0, seed=7007), 0.05),
+        "max3lin.create_l_constraints",
+        lambda f: lambda *args: replace(f(*args), rhs=-f(*args).rhs)),
+    "implication audit, heavy unary without the rhs": (
+        lambda: audit(0), "max3lin.create_h_constraints",
+        lambda f: lambda *args: unary_without_rhs(f(*args))),
+    "counting bound, every source marked heavy": (
+        lambda: audit(1), "build_psi",
+        lambda f: lambda *args: replace(f(*args), heavy_mask=np.ones_like(f(*args).heavy_mask))),
     "lift map, last new variable -1": (
         lift_map, "lift_assignment", lambda f: lambda sigma, t: np.append(f(sigma, t)[:-1], -1)),
     "containment, scores negated": (
@@ -153,6 +200,8 @@ CASES = {
 
 @pytest.mark.parametrize("check, name, fault", CASES.values(), ids=CASES)
 def test_check_reports_planted_fault(monkeypatch, check, name, fault):
+    module, _, name = name.rpartition(".")
+    target = {"": verify, "max3lin": max3lin}[module]
     assert check() == 0
-    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
     assert check() >= 1
