@@ -17,6 +17,8 @@ import numpy as np
 from .errors import InputError
 from .instances import _as_pm1
 
+_PM1 = np.array([-1, 1], dtype=np.int8)
+
 
 def _check_epsilon(epsilon: float) -> float:
     eps = float(epsilon)
@@ -71,6 +73,20 @@ class SubsetAdvice:
         object.__setattr__(self, "values", vals[order])
         _check_epsilon(self.epsilon)
 
+    @classmethod
+    def _trusted(cls, n: int, indices: np.ndarray, values: np.ndarray,
+                 epsilon: float) -> SubsetAdvice:
+        """Advice over arrays the package has just built: sorted, distinct
+        int64 indices in [0, n) and +-1 int8 values, one per index, with a
+        checked epsilon.
+
+        Nothing is checked or copied.  ``verify.enumeration_advice_failures``
+        rebuilds such advice through the public constructor.
+        """
+        self = object.__new__(cls)
+        vars(self).update(n=n, indices=indices, values=values, epsilon=epsilon)
+        return self
+
     @property
     def size(self) -> int:
         return int(self.indices.shape[0])
@@ -104,10 +120,11 @@ def subset_to_label(advice: SubsetAdvice, seed) -> LabelAdvice:
     """Convert subset advice to label advice of the same correlation.
 
     Revealed coordinates are copied exactly; the rest are uniform +-1, so
-    the induced agreement probability is (1 + epsilon) / 2.
+    the induced agreement probability is (1 + epsilon) / 2.  The draw is
+    the stream of ``rng.choice(_PM1, size=n)`` on a generator seeded with
+    ``seed``, taken without ``choice``'s overhead.
     """
-    rng = np.random.default_rng(seed)
-    values = rng.choice(np.array([-1, 1], dtype=np.int8), size=advice.n)
+    values = _PM1[np.random.default_rng(seed).integers(0, 2, size=advice.n)]
     values[advice.indices] = advice.values
     return LabelAdvice(values=values, epsilon=advice.epsilon)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .advice import SubsetAdvice, _check_epsilon, subset_to_label
 from .errors import BudgetError, InputError
-from .instances import KLinInstance, evaluate, _as_pm1
+from .instances import KLinInstance, evaluate, _as_pm1, _frozen
 from .qp_advice import solve_2lin_with_advice
 from .twolin_sdp import TwoLinConfig, solve_2lin
 
@@ -80,7 +80,8 @@ def enumerate_solve(
     size; patterns enumerate in (-1, +1) product order.  Each run gets a
     seed derived from (seed, ordinal), so shared prefixes across epsilon
     values see identical runs.  The best assignment by satisfied weight
-    wins; ties keep the earliest run.
+    wins; ties keep the earliest run.  Each run's advice is built with
+    ``SubsetAdvice._trusted`` over read-only arrays, with no validation.
     """
     n = instance.n
     projected = projected_runs(n, epsilon)
@@ -89,15 +90,14 @@ def enumerate_solve(
     best_x, best_value, best_subset, best_pattern = None, -math.inf, (), ()
     ordinal = 0
     for size in range(_max_subset_size(n, epsilon) + 1):
+        patterns = list(itertools.product((-1, 1), repeat=size))
+        rows = _frozen(np.array(patterns, dtype=np.int8).reshape(len(patterns), size), np.int8)
         for subset in itertools.combinations(range(n), size):
-            idx = np.array(subset, dtype=np.int64)
-            for pattern in itertools.product((-1, 1), repeat=size):
-                advice = SubsetAdvice(
-                    n=n,
-                    indices=idx,
-                    values=np.array(pattern, dtype=np.int8),
-                    epsilon=epsilon,
-                )
+            # sorted and distinct, as combinations gives them; the advice
+            # shares these read-only arrays across the subset's patterns
+            idx = _frozen(np.array(subset, dtype=np.int64), np.int64)
+            for pattern, values in zip(patterns, rows):
+                advice = SubsetAdvice._trusted(n, idx, values, epsilon)
                 x = _as_pm1(inner(instance, advice, (seed, ordinal)), n, "inner result")
                 value, _ = evaluate(instance, x)
                 if best_x is None or value > best_value:

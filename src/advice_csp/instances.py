@@ -297,8 +297,11 @@ class QpMatrix:
     """Symmetric zero-diagonal coefficient matrix of a +-1 quadratic form.
 
     ``a`` is a read-only array the matrix owns, so one matrix can be
-    shared; ``memo`` holds state that solvers derive from ``a`` and keep
-    with it (``qp_advice`` keeps its surrogate LP box and optima there).
+    shared; ``memo`` holds state that solvers derive and keep with it.
+    ``qp_advice`` keeps its surrogate LP box there and, on the matrix
+    ``to_quadratic_matrix`` returns, its answers: that matrix is one
+    instance's own cached matrix, so state that depends on the instance,
+    such as a satisfied weight, may live in its memo.
     """
 
     a: np.ndarray

@@ -26,19 +26,25 @@ holds with slack 2|u_r|.  The slack basis is therefore feasible and
 phase 1 never runs.
 
 Each QpMatrix carries this solver's memo (``QpMatrix.memo``): the variable
-box, and the clipped LP optimum per (epsilon, bytes of the checked
-labels).  The rows depend on the labels through sigma, so they are built
-per call.
+box, built once, and the answers of ``solve_2lin_with_advice``, the
+rounded x and its satisfied weight per (epsilon, bytes of the labels).
+Answers are kept only on the matrix ``to_quadratic_matrix`` returns, which
+is one instance's own cached matrix; that is why a weight, which depends
+on the instance and not only on A, may live there.  No LP optimum is
+kept: the rows depend on the labels through sigma, so they are built per
+solve.
 Subset-advice enumeration solves the same label vector many times on one
-instance; a hit returns the bytes the LP gave for it without solving it
-again.  The memo is bounded: each stored optimum is charged its bytes,
+instance; a hit returns a copy of the stored x and its weight without the
+LP, the rounding, the identity value or the recount, and every stored
+answer has passed the identity-versus-recount check when it was solved.
+The memo is bounded: each stored answer is charged the bytes of its x,
 its key's bytes and _ENTRY_BYTES for the Python objects around it, and
-once MEMO_BYTES would be exceeded, new optima are computed and returned
+once MEMO_BYTES would be exceeded, new answers are computed and returned
 but not stored.  In the worst case a matrix therefore holds 16 MiB
 (MEMO_BYTES) of memo besides its O(n) box, that is at most
-MEMO_BYTES / (16 n + _ENTRY_BYTES) optima, for as long as the matrix
+MEMO_BYTES / (2 n + _ENTRY_BYTES) answers, for as long as the matrix
 lives.  The memo takes no lock: concurrent calls on one matrix may solve
-one LP twice.
+one label vector twice.
 """
 
 from __future__ import annotations
@@ -81,21 +87,29 @@ def advice_objective(A: QpMatrix, x, y, epsilon: float) -> float:
     return float(xv @ (A.a @ yv) - np.abs(A.a @ (epsilon * xv - yv)).sum())
 
 
-class _SurrogateMemo:
-    """One matrix's surrogate LP box, and its optima by (epsilon, y bytes)."""
+class _Memo:
+    """One matrix's surrogate LP box, and the 2-Lin answers by (epsilon,
+    label bytes) when the matrix is an instance's."""
 
     def __init__(self, n: int):
         self.lo = _readonly(np.concatenate([-np.ones(n), np.zeros(n)]), np.float64)
         self.hi = _readonly(np.concatenate([np.ones(n), np.full(n, math.inf)]), np.float64)
-        self.optima: dict[tuple[float, bytes], np.ndarray] = {}
+        self.answers: dict[tuple[float, bytes], tuple[np.ndarray, float]] = {}
         self.charged = 0
 
-    def keep(self, key: tuple[float, bytes], x: np.ndarray) -> None:
-        """Store a read-only copy of the optimum x under key if the budget allows."""
+    def keep(self, key: tuple[float, bytes], x: np.ndarray, weight: float) -> None:
+        """Store a read-only copy of x with its weight under key if the budget allows."""
         cost = len(key[1]) + x.nbytes + _ENTRY_BYTES
         if self.charged + cost <= MEMO_BYTES:
-            self.optima[key] = _readonly(x, np.float64)
+            self.answers[key] = (_readonly(x, np.int8), weight)
             self.charged += cost
+
+
+def _memo(A: QpMatrix) -> _Memo:
+    memo = A.memo.get(__name__)
+    if memo is None:
+        memo = A.memo[__name__] = _Memo(A.n)
+    return memo
 
 
 def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
@@ -103,19 +117,14 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
 
     Variables are (x, w), one row per coordinate of A(eps*x - y); the
     module docstring derives the program and why it starts feasible.
-    Optima are memoized on the matrix (see the module docstring); every
-    call returns a fresh array.
+    Every call solves its LP: only the variable box is kept on the matrix,
+    and answers are memoized a layer up, by ``solve_2lin_with_advice``.
     """
     _check_epsilon(epsilon)
     n = A.n
     yv = _check_point(y, n, "advice labels")
-    memo = A.memo.get(__name__)
-    if memo is None:
-        memo = A.memo[__name__] = _SurrogateMemo(n)
+    memo = _memo(A)
     eps = float(epsilon)
-    key = (eps, yv.tobytes())
-    if key in memo.optima:
-        return memo.optima[key].copy()
     b = A.a @ yv
     # The sign of u = eps*Ax - b at x = -1, where the simplex starts x.
     sigma = np.where(A.a @ np.full(n, -eps) - b >= 0.0, 1.0, -1.0)
@@ -130,9 +139,7 @@ def maximize_concave(A: QpMatrix, y, epsilon: float) -> np.ndarray:
     out = solve_lp(lp)
     if not out.is_optimal:
         raise InternalError(f"concave surrogate LP ended {out.status}")
-    x = np.clip(out.x[:n], -1.0, 1.0)
-    memo.keep(key, x)
-    return x
+    return np.clip(out.x[:n], -1.0, 1.0)
 
 
 def greedy_round(A: QpMatrix, x) -> np.ndarray:
@@ -167,7 +174,9 @@ def solve_2lin_with_advice(
 
     The instance maps onto its coefficient matrix, the quadratic solver
     runs, and the satisfied weight is reported through the W/2 + <x,Ax>/4
-    identity cross-checked against a direct recount.
+    identity cross-checked against a direct recount.  Answers are memoized
+    on the instance's matrix by (epsilon, label bytes) (see the module
+    docstring); every call returns a fresh x.
     """
     if (instance.arity != 2).any():
         raise InputError("advice-guided 2-Lin solver requires arity-2 constraints")
@@ -177,6 +186,11 @@ def solve_2lin_with_advice(
         x = np.ones(instance.n, dtype=np.int8)
         return x, 0.0
     A = to_quadratic_matrix(instance)
+    memo = _memo(A)
+    key = (float(advice.epsilon), advice.values.tobytes())
+    hit = memo.answers.get(key)
+    if hit is not None:
+        return hit[0].copy(), hit[1]
     x, _ = solve_qp_with_advice(A, advice)
     via_identity = quadratic_identity_value(instance, A, x)
     via_recount, _ = evaluate(instance, x)
@@ -184,4 +198,5 @@ def solve_2lin_with_advice(
         raise InternalError(
             f"identity value {via_identity} disagrees with recount {via_recount}"
         )
+    memo.keep(key, x, via_recount)
     return x, via_recount

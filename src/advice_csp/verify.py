@@ -17,8 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .advice import LabelAdvice, gen_label_advice, gen_subset_advice, subset_to_label
-from .enumeration import enumerate_solve, projected_runs, qp_subset_inner
+from .advice import (
+    LabelAdvice,
+    SubsetAdvice,
+    gen_label_advice,
+    gen_subset_advice,
+    subset_to_label,
+)
+from .enumeration import EnumerationResult, enumerate_solve, projected_runs, qp_subset_inner
 from .errors import InputError
 from .instances import (
     KLinInstance,
@@ -783,24 +789,72 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     return out
 
 
+def recorded_enumeration(instance: KLinInstance, epsilon: float, inner,
+                         seed=0) -> tuple[EnumerationResult, list]:
+    """``enumerate_solve``'s result, and per run in run order the bytes of
+    its revealed indices and values, its seed and the bytes of its answer."""
+    runs = []
+
+    def recording(inst, advice, run_seed):
+        x = inner(inst, advice, run_seed)
+        runs.append((advice.indices.tobytes(), advice.values.tobytes(), run_seed,
+                     np.asarray(x).tobytes()))
+        return x
+
+    return enumerate_solve(instance, epsilon, recording, seed=seed), runs
+
+
+def enumeration_advice_failures(instance: KLinInstance, epsilon: float, seed=0) -> int:
+    """Runs of ``enumerate_solve`` whose advice, built by
+    ``SubsetAdvice._trusted``, the public constructor rejects or rebuilds
+    with another n, epsilon, or other indices or values (dtype included).
+    The inner solver answers all +1, so only the hand-over is exercised."""
+    failures = 0
+
+    def same(a, b):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+
+    def rebuilding(inst, advice, run_seed):
+        nonlocal failures
+        try:
+            rebuilt = SubsetAdvice(advice.n, advice.indices, advice.values, advice.epsilon)
+        except InputError:
+            failures += 1
+        else:
+            failures += int(rebuilt.n != advice.n or rebuilt.epsilon != advice.epsilon
+                            or not same(rebuilt.indices, advice.indices)
+                            or not same(rebuilt.values, advice.values))
+        return np.ones(inst.n, dtype=np.int8)
+
+    enumerate_solve(instance, epsilon, rebuilding, seed=seed)
+    return failures
+
+
 def suite_enumeration(seeds: int) -> list[CheckResult]:
     out = []
     cons = tuple(((i, i + 1), 1, 1.0) for i in range(5))
     inst = KLinInstance.from_constraints(2, 6, cons)
-    res = enumerate_solve(inst, 0.2, qp_subset_inner, seed=1)
+    res, runs = recorded_enumeration(inst, 0.2, qp_subset_inner, seed=1)
     out.append(CheckResult("enumeration", "run count equals the projection",
-                           res.runs == projected_runs(6, 0.2),
+                           res.runs == len(runs) == projected_runs(6, 0.2),
                            f"{res.runs} vs {projected_runs(6, 0.2)}"))
-    res2 = enumerate_solve(inst, 0.2, qp_subset_inner, seed=1)
-    out.append(CheckResult("enumeration", "deterministic best tuple",
-                           res.subset == res2.subset and res.value == res2.value
+    res2, runs2 = recorded_enumeration(inst, 0.2, qp_subset_inner, seed=1)
+    out.append(CheckResult("enumeration", "deterministic runs and best tuple",
+                           runs2 == runs and res.subset == res2.subset
+                           and res.value == res2.value
                            and np.array_equal(res.assignment, res2.assignment)))
-    res_big = enumerate_solve(inst, 0.35, qp_subset_inner, seed=1)
-    out.append(CheckResult("enumeration", "larger epsilon never loses value",
-                           res_big.value >= res.value,
+    # the larger enumeration's first runs are the smaller one's, answers
+    # included, which is why it cannot lose value
+    res_big, runs_big = recorded_enumeration(inst, 0.35, qp_subset_inner, seed=1)
+    out.append(CheckResult("enumeration", "larger epsilon repeats the smaller runs, never loses value",
+                           runs_big[:len(runs)] == runs and res_big.value >= res.value,
                            f"{res_big.value} vs {res.value}"))
     out.append(CheckResult("enumeration", "satisfiable chain solved exactly",
                            res_big.value == inst.total_weight))
+    golden = plant_klin(10, 2, 30, 0.0, seed=17).instance
+    failures = enumeration_advice_failures(golden, 0.2, seed=(17, 2))
+    out.append(CheckResult("enumeration", "trusted advice matches the public constructor",
+                           failures == 0, f"{failures}/{projected_runs(10, 0.2)} runs differ"))
     return out
 
 

@@ -101,6 +101,19 @@ class TestSubsetToLabel:
         lab = subset_to_label(sub, seed=7)
         assert np.array_equal(lab.values[sub.indices], sub.values)
 
+    @pytest.mark.parametrize("n", [0, 1, 10, 257])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, ((1, 0, 2), 17), ((0, 3), 4520)])
+    def test_stream_is_choice_with_revealed_overwrite(self, n, seed):
+        # the draw is pinned to rng.choice over (-1, +1); tuple seeds are
+        # the ones enumerate_solve hands each run
+        revealed = np.arange(0, n, 3)
+        sub = SubsetAdvice(n=n, indices=revealed, values=np.ones(revealed.size, dtype=np.int8),
+                           epsilon=0.5)
+        want = np.random.default_rng(seed).choice(np.array([-1, 1], np.int8), size=n)
+        want[revealed] = 1
+        got = subset_to_label(sub, seed).values
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
+
     def test_mixture_statistics(self):
         # Agreement with the truth at an unrevealed coordinate is 1/2, at a
         # revealed one it is 1; across fresh subset draws it mixes to

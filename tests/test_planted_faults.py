@@ -2,7 +2,9 @@
 check passes on its fixture, then fails once one function that it calls
 through ``verify`` is monkeypatched to return a slightly wrong answer.  A
 name with a module prefix (``max3lin.create_h_constraints``) plants the
-fault inside the reduction, where the solver calls it too."""
+fault inside the reduction, where the solver calls it too; a class prefix
+(``SubsetAdvice._trusted``) patches the class.  A suite check with no
+shared function of its own is run as its suite's named check."""
 
 import itertools
 from dataclasses import replace
@@ -10,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from advice_csp import max3lin, verify
-from advice_csp.advice import LabelAdvice, gen_label_advice
+from advice_csp import enumeration, max3lin, verify
+from advice_csp.advice import LabelAdvice, SubsetAdvice, gen_label_advice
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 from advice_csp.maxcut import BENCH_PARAMS, compute_deltas, split_vertices
 from advice_csp.twolin_sdp import UnitEmbedding
@@ -117,6 +119,20 @@ def repeat_first_index(hom, ref):
     return KLinInstance._derived(hom.k, hom.n, idx, hom.rhs, hom.w), ref
 
 
+def suite_check(suite, name):
+    """The named check of a verify suite, as 0 when it passes and 1 when it fails."""
+    def check():
+        (passed,) = [r.passed for r in verify.run_suite(suite, 1) if r.name == name]
+        return int(not passed)
+    return check
+
+
+def run_seed_ignored(inner):
+    """The inner solver seeded from a call counter instead of its run's seed."""
+    calls = itertools.count()
+    return lambda instance, advice, seed: inner(instance, advice, next(calls))
+
+
 UNARY = KLinInstance.from_constraints(2, 4, (((0,), 1, 2.0), ((1,), -1, 0.5), ((2, 3), 1, 1.0)))
 
 # id: (check, the name in verify to patch, the wrong version of the real function f)
@@ -195,13 +211,34 @@ CASES = {
     "derived instances, repeated index in a homogenized row": (
         lambda: verify.derived_instance_failures(rng(14), 2), "homogenize",
         lambda f: lambda inst: repeat_first_index(*f(inst))),
+    "conversion, revealed overwrite skipped": (
+        suite_check("advice-stats", "conversion preserves revealed coordinates"),
+        "subset_to_label",
+        lambda f: lambda advice, seed: f(SubsetAdvice(advice.n, [], [], advice.epsilon), seed)),
+    "enumeration run count, projection one low": (
+        suite_check("enumeration", "run count equals the projection"), "projected_runs",
+        lambda f: lambda n, epsilon: f(n, epsilon) - 1),
+    "enumeration determinism, inner ignores its run seed": (
+        suite_check("enumeration", "deterministic runs and best tuple"), "qp_subset_inner",
+        run_seed_ignored),
+    "enumeration epsilon prefix, inner ignores its run seed": (
+        suite_check("enumeration", "larger epsilon repeats the smaller runs, never loses value"),
+        "qp_subset_inner", run_seed_ignored),
+    "enumeration satisfiable chain, satisfied fraction kept as the value": (
+        suite_check("enumeration", "satisfiable chain solved exactly"), "enumeration.evaluate",
+        lambda f: lambda instance, x: f(instance, x)[::-1]),
+    "enumeration trusted advice, indices handed over unsorted": (
+        suite_check("enumeration", "trusted advice matches the public constructor"),
+        "SubsetAdvice._trusted",
+        lambda f: lambda n, indices, values, epsilon: f(n, indices[::-1], values[::-1], epsilon)),
 }
 
 
 @pytest.mark.parametrize("check, name, fault", CASES.values(), ids=CASES)
 def test_check_reports_planted_fault(monkeypatch, check, name, fault):
     module, _, name = name.rpartition(".")
-    target = {"": verify, "max3lin": max3lin}[module]
+    target = {"": verify, "max3lin": max3lin, "enumeration": enumeration,
+              "SubsetAdvice": SubsetAdvice}[module]
     assert check() == 0
     monkeypatch.setattr(target, name, fault(getattr(target, name)))
     assert check() >= 1

@@ -6,7 +6,7 @@ import pytest
 from advice_csp import qp_advice
 from advice_csp.advice import LabelAdvice, gen_label_advice
 from advice_csp.errors import InputError
-from advice_csp.instances import KLinInstance, QpMatrix
+from advice_csp.instances import KLinInstance, QpMatrix, to_quadratic_matrix
 from advice_csp.lp import LinearProgram, _expand_rows, solve_lp
 from advice_csp.qp_advice import (
     advice_objective,
@@ -22,6 +22,7 @@ from advice_csp.verify import (
     form_dominance_failures,
     grid_sandwich_failures,
     qp_ceiling_violations,
+    random_2lin,
     random_qp,
     rank_one_qp,
     rounding_decreases,
@@ -88,56 +89,92 @@ class TestMaximizeConcave:
 
 
 class TestSurrogateMemo:
+    """The memo qp_advice keeps on a matrix: the surrogate LP's box, and on
+    an instance's matrix the answers of ``solve_2lin_with_advice``."""
+
     @staticmethod
-    def lps_solved(monkeypatch):
-        lps, solve_lp = [], qp_advice.solve_lp
+    def calls(monkeypatch, *names):
+        """Per name in ``qp_advice``, the list of argument tuples it is called with."""
+        seen = {}
+        for name in names:
+            f, seen[name] = getattr(qp_advice, name), []
 
-        def recording(lp):
-            lps.append(lp)
-            return solve_lp(lp)
+            def recording(*args, _f=f, _seen=seen[name]):
+                _seen.append(args)
+                return _f(*args)
 
-        monkeypatch.setattr(qp_advice, "solve_lp", recording)
-        return lps
+            monkeypatch.setattr(qp_advice, name, recording)
+        return seen
+
+    @staticmethod
+    def labels(values, eps):
+        return LabelAdvice(values=np.array(values, dtype=np.int8), epsilon=eps)
 
     def test_repeat_call_hits_and_returns_a_fresh_array(self, monkeypatch):
-        lps = self.lps_solved(monkeypatch)
-        A = random_qp(np.random.default_rng(30), 6)
-        y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-        first = maximize_concave(A, y, 0.4)
-        second = maximize_concave(A, y, 0.4)
-        assert len(lps) == 1 and first.tobytes() == second.tobytes()
+        lps = self.calls(monkeypatch, "solve_lp")["solve_lp"]
+        inst = random_2lin(np.random.default_rng(30), 6, 14)
+        adv = self.labels([1, -1, 1, 1, -1, -1], 0.4)
+        first, w1 = solve_2lin_with_advice(inst, adv)
+        second, w2 = solve_2lin_with_advice(inst, adv)
+        assert len(lps) == 1 and first.tobytes() == second.tobytes() and w1 == w2
+        assert first.dtype == second.dtype == np.int8
         keep = second.copy()
-        first[:] = 0.25
-        assert np.array_equal(maximize_concave(A, y, 0.4), keep)
+        first[:] = 1
+        assert np.array_equal(solve_2lin_with_advice(inst, adv)[0], keep)
         assert np.array_equal(second, keep)
-        maximize_concave(A, y, 0.5)  # another epsilon is another key
+        second[:] = -1
+        assert np.array_equal(solve_2lin_with_advice(inst, adv)[0], keep)
+
+    def test_repeat_makes_no_lp_rounding_or_recount(self, monkeypatch):
+        seen = self.calls(monkeypatch, "solve_lp", "greedy_round", "evaluate")
+        inst = random_2lin(np.random.default_rng(33), 7, 18)
+        adv = self.labels([1, 1, -1, 1, -1, -1, 1], 0.3)
+        want = solve_2lin_with_advice(inst, adv)
+        assert [len(c) for c in seen.values()] == [1, 1, 1]
+        for _ in range(3):
+            got = solve_2lin_with_advice(inst, adv)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert [len(c) for c in seen.values()] == [1, 1, 1]
+
+    def test_another_epsilon_is_another_key(self, monkeypatch):
+        lps = self.calls(monkeypatch, "solve_lp")["solve_lp"]
+        inst = random_2lin(np.random.default_rng(34), 6, 14)
+        values = [1, -1, -1, 1, 1, -1]
+        for eps in (0.4, 0.5, 0.4, 0.5):
+            solve_2lin_with_advice(inst, self.labels(values, eps))
         assert len(lps) == 2
+        answers = to_quadratic_matrix(inst).memo[qp_advice.__name__].answers
+        assert sorted(answers) == [(0.4, bytes(np.int8(values))), (0.5, bytes(np.int8(values)))]
 
     def test_cached_box_is_read_only(self, monkeypatch):
-        lps = self.lps_solved(monkeypatch)
+        # maximize_concave keeps the box and no optimum: a repeat solves again
+        lps = self.calls(monkeypatch, "solve_lp")["solve_lp"]
         A = random_qp(np.random.default_rng(31), 4)
-        for y in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])):
+        for y in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0]), np.ones(4)):
             maximize_concave(A, y, 0.5)
-        assert lps[1].lo is lps[2].lo and lps[1].hi is lps[2].hi
-        for arr in (lps[1].lo, lps[1].hi):
+        (first,), (second,), (third,), (fourth,) = lps
+        assert second.lo is third.lo and second.hi is third.hi
+        assert np.array_equal(first.c, fourth.c) and first.lo is fourth.lo
+        for arr in (second.lo, second.hi):
             with pytest.raises(ValueError):
                 arr[0] = 9.0
 
     def test_budget_stops_growth_without_changing_answers(self, monkeypatch):
         rng = np.random.default_rng(32)
         n = 5
-        a = random_qp(rng, n).a
-        ys = [rng.choice([-1.0, 1.0], size=n) for _ in range(12)]
-        want = [maximize_concave(QpMatrix(a), y, 0.3) for y in ys]
-        # room for two optima
-        optimum_cost = 2 * 8 * n + qp_advice._ENTRY_BYTES
-        monkeypatch.setattr(qp_advice, "MEMO_BYTES", 2 * optimum_cost)
-        A = QpMatrix(a)
+        inst = random_2lin(rng, n, 12)
+        advs = [self.labels(rng.choice([-1, 1], size=n), 0.3) for _ in range(12)]
+        want = [solve_2lin_with_advice(inst, adv) for adv in advs]
+        # room for two answers: key bytes, x bytes and the per-entry charge
+        answer_cost = 2 * n + qp_advice._ENTRY_BYTES
+        monkeypatch.setattr(qp_advice, "MEMO_BYTES", 2 * answer_cost)
+        fresh = KLinInstance(inst.k, inst.n, inst.idx, inst.rhs, inst.w)
         for _ in range(2):
-            got = [maximize_concave(A, y, 0.3) for y in ys]
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        memo = A.memo[qp_advice.__name__]
-        assert len(memo.optima) == 2
+            got = [solve_2lin_with_advice(fresh, adv) for adv in advs]
+            assert [g[0].tobytes() for g in got] == [w[0].tobytes() for w in want]
+            assert [g[1] for g in got] == [w[1] for w in want]
+        memo = to_quadratic_matrix(fresh).memo[qp_advice.__name__]
+        assert len(memo.answers) == 2
         assert memo.charged <= qp_advice.MEMO_BYTES
 
 
