@@ -38,6 +38,18 @@ class LabelAdvice:
         object.__setattr__(self, "values", _as_pm1(self.values, what="advice labels"))
         _check_epsilon(self.epsilon)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, epsilon: float) -> LabelAdvice:
+        """Advice over a +-1 int8 array the package has just built, with a
+        checked epsilon.
+
+        Nothing is checked or copied.  The advice-stats suite rebuilds the
+        advice ``subset_to_label`` returns through the public constructor.
+        """
+        self = object.__new__(cls)
+        vars(self).update(values=values, epsilon=epsilon)
+        return self
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -126,7 +138,7 @@ def subset_to_label(advice: SubsetAdvice, seed) -> LabelAdvice:
     """
     values = _PM1[np.random.default_rng(seed).integers(0, 2, size=advice.n)]
     values[advice.indices] = advice.values
-    return LabelAdvice(values=values, epsilon=advice.epsilon)
+    return LabelAdvice._trusted(values, advice.epsilon)
 
 
 def empirical_correlation(advice: LabelAdvice, x_star) -> float:

@@ -24,6 +24,12 @@ SeedLike = (int | Sequence[int] | np.random.SeedSequence | np.random.BitGenerato
             | np.random.Generator | None)
 
 _MAX_RESTARTS = 100
+# A swap-repair sweep re-sorts every row unless the rows the last sweep
+# touched number under (rows - _FULL_SWEEP_ROWS) / _FULL_SWEEP: a re-sort
+# makes a dozen numpy calls, looking the touched rows up makes three times
+# as many, and those only pay off on a large enough pairing.
+_FULL_SWEEP = 4
+_FULL_SWEEP_ROWS = 2048
 
 
 def _as_pm1(values, n=None, what="assignment"):
@@ -406,43 +412,111 @@ def _require_ints(**args) -> None:
             raise InputError(f"{name} must be an integer, got {value!r}")
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending; sorts ``a`` in place.
+
+    np.unique builds a hash table first, which costs several times more
+    on the repair's integer arrays."""
+    a.sort()
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def _found(sorted_key: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries of ``key`` occur in ``sorted_key``, and where there."""
+    at = np.searchsorted(sorted_key, key)
+    hit = at < sorted_key.size
+    hit[hit] = sorted_key[at[hit]] == key[hit]
+    return hit, at[hit]
+
+
 def _pair_swap_repair(
     pairs: np.ndarray, rng, bipartite: bool, max_sweeps: int = 500
 ) -> bool:
     """Rewire a stub pairing in place until it is simple; False if stuck.
 
     A conflicted pair (self-loop or duplicate edge) swaps its second
-    endpoint with a uniformly random other pair; repeats until clean.
-    Bipartite pairings hold (left, right) rows, where orientation matters
-    and self-loops are impossible.  Each sweep finds the conflicts with one
-    argsort of the flat key lo * size + hi, size exceeding every stub id:
-    lo and hi are the two columns of a bipartite row and the row's min and
-    max otherwise.  The swaps and their ``rng`` draws, and so every
-    pairing and the stream after it, are those of a two-column lexsort.
+    endpoint with a uniformly random other pair, in row order; repeats
+    until clean.  Bipartite pairings hold (left, right) rows, where
+    orientation matters and self-loops are impossible.  A row's flat key
+    is lo * size + hi, size exceeding every stub id: lo and hi are the two
+    columns of a bipartite row and the row's min and max otherwise.
+
+    Every conflicted row is swapped, so a row no swap touched was
+    conflict-free and keeps its key: a sweep can find it in conflict only
+    through a key that the last sweep's swaps made.  So a sweep sorts only
+    the rows the last one touched and looks their keys up among the
+    others': in the keys of the last full sweep, which sorted every row
+    (the first sweep is one), where a row touched since no longer counts,
+    and among the rows touched since then, kept sorted.  The swaps and
+    their ``rng`` draws, and so every pairing and the stream after it, are
+    those of a two-column lexsort of all rows on every sweep.
     """
     mpairs = pairs.shape[0]
     # swaps only permute the second column, so the largest id stays put
     size = int(pairs.max()) + 1 if mpairs else 0
-    for _ in range(max_sweeps):
-        u, v = pairs.T
+    first, second = pairs[:, 0], pairs[:, 1]
+    stamp = np.full(mpairs, -1, dtype=np.intp)  # the last sweep that touched a row
+    slot = np.empty(mpairs, dtype=np.intp)  # a touched row's place in ``dirty``
+    dirty = None  # the rows the last sweep touched, ascending
+    # Each temporary is deleted once spent: a full sweep's temporaries set
+    # the plant's peak memory.
+    for sweep in range(max_sweeps):
+        full = dirty is None or _FULL_SWEEP * dirty.size + _FULL_SWEEP_ROWS > mpairs
+        u, v = (first, second) if full else (first[dirty], second[dirty])
         if bipartite:  # left and right ids overlap, so lo == hi is no self-loop
-            lo, hi = u, v
-            bad = np.zeros(mpairs, dtype=bool)
+            key = u * size
+            key += v
+            bad = np.zeros(key.size, dtype=bool)
         else:
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             bad = lo == hi
-        key = lo * size + hi
+            key = lo * size
+            key += hi
+            del lo, hi
+        del u, v
         order = np.argsort(key)
-        sk = key[order]
-        same = sk[1:] == sk[:-1]
-        bad[order[1:][same]] = True
-        bad[order[:-1][same]] = True
-        bad_idx = np.flatnonzero(bad)
+        key, bad = key[order], bad[order]
+        rows = order if full else dirty[order]
+        del order
+        same = key[1:] == key[:-1]
+        bad[1:] |= same
+        bad[:-1] |= same
+        del same
+        found = []
+        if full:
+            base_key, base_row, base_sweep = key, rows, sweep
+            recent_key = recent_row = np.empty(0, dtype=np.intp)
+        else:
+            # A key that two rows held at base_sweep had both swapped, so the
+            # leftmost entry of a key is its only row still as it was, if any.
+            hit, at = _found(base_key, key)
+            owner = base_row[at]
+            live = stamp[owner] < base_sweep
+            hit[np.flatnonzero(hit)[~live]] = False
+            recent_hit, recent_at = _found(recent_key, key)
+            bad |= hit | recent_hit
+            found = [owner[live], recent_row[recent_at]]
+        bad_idx = _sorted_unique(np.concatenate([rows[bad], *found]))
         if bad_idx.size == 0:
             return True
         others = rng.integers(0, mpairs, size=bad_idx.size)
-        for b, c in zip(bad_idx, others):
-            pairs[b, 1], pairs[c, 1] = pairs[c, 1], pairs[b, 1]
+        dirty = _sorted_unique(np.concatenate([bad_idx, others]))
+        # the same transpositions, on a list of just the touched rows' ids
+        slot[dirty] = np.arange(dirty.size)
+        col = second[dirty].tolist()
+        for b, c in zip(slot[bad_idx].tolist(), slot[others].tolist()):
+            col[b], col[c] = col[c], col[b]
+        second[dirty] = col
+        stamp[dirty] = sweep
+        if not full:  # the rows moved since base_sweep that this sweep left alone
+            keep, fresh = stamp[recent_row] != sweep, stamp[rows] != sweep
+            # two sorted runs, which a stable sort merges in one pass
+            recent_key = np.concatenate([recent_key[keep], key[fresh]])
+            recent_row = np.concatenate([recent_row[keep], rows[fresh]])
+            order = np.argsort(recent_key, kind="stable")
+            recent_key, recent_row = recent_key[order], recent_row[order]
     return False
 
 
@@ -469,10 +543,10 @@ def _random_biregular_pairing(left: np.ndarray, right: np.ndarray, d: int, rng) 
     if d > half:
         raise ConstructionError(f"cross degree {d} impossible with {half} vertices per side")
     for _ in range(_MAX_RESTARTS):
-        lstubs = np.repeat(np.arange(half), d)
-        rstubs = np.repeat(np.arange(half), d)
-        rng.shuffle(rstubs)
-        pairs = np.stack([lstubs, rstubs], axis=1)
+        pairs = np.empty((half * d, 2), dtype=np.int64)
+        pairs[:, 0] = np.repeat(np.arange(half), d)
+        pairs[:, 1] = pairs[:, 0]
+        rng.shuffle(pairs[:, 1])  # in place, as a contiguous copy would shuffle
         # Self-loops are impossible across sides; only duplicates need repair.
         if _pair_swap_repair(pairs, rng, bipartite=True):
             return np.column_stack([left[pairs[:, 0]], right[pairs[:, 1]]])
@@ -511,8 +585,15 @@ def plant_bipartite_regular(n: int, d: int, gamma: float, seed: SeedLike) -> Pla
         _random_regular_pairing(left, d_intra, rng),
         _random_regular_pairing(right, d_intra, rng),
     ])
-    order = np.argsort(edges[:, 0] * n + edges[:, 1], kind="stable")
-    graph = GraphInstance(n=n, edges=edges[order])
+    # the graph is simple with u < v in each row, so its keys u * n + v are
+    # distinct and sorting them sorts the rows
+    key = edges[:, 0] * n
+    key += edges[:, 1]
+    key.sort()
+    edges = np.empty_like(edges)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    edges.setflags(write=False)  # the graph takes these rows without a copy
+    graph = GraphInstance(n=n, edges=edges)
     if graph.regular_degree != d:
         raise InternalError(f"generator produced a non-{d}-regular graph")
     x_star = np.concatenate([np.ones(half, dtype=np.int8), -np.ones(half, dtype=np.int8)])

@@ -187,7 +187,13 @@ def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Grou
         if run.any():
             reached = sk[:size - t + 1][run]  # ascending, with repeats
             heavy_keys = reached[np.append(True, reached[1:] != reached[:-1])]
-            entries = np.flatnonzero(np.isin(keys, heavy_keys))
+            pair_count = phi.n * phi.n  # every key is below n * n
+            if pair_count <= size:  # a table of every pair is at most a byte per key
+                heavy = np.zeros(pair_count, dtype=bool)
+                heavy[heavy_keys] = True
+                entries = np.flatnonzero(heavy[keys])
+            else:
+                entries = np.flatnonzero(np.isin(keys, heavy_keys))
             by_pair = Groups.of(keys[entries], entries // 3)
             heavy_mask[by_pair.members] = True
     idx = phi.idx[:, :3]

@@ -556,10 +556,18 @@ def suite_advice_stats(seeds: int) -> list[CheckResult]:
     out.append(CheckResult("advice-stats", "revealed values match truth",
                            np.array_equal(sub.values, x_star[sub.indices])))
 
+    # subset_to_label builds its advice unchecked: the public constructor
+    # must accept it and keep the values, dtype included
     lab = subset_to_label(sub, seed=7)
+    try:
+        rebuilt = LabelAdvice(values=lab.values, epsilon=lab.epsilon)
+    except InputError:
+        rebuilt = None
     out.append(CheckResult("advice-stats", "conversion preserves revealed coordinates",
-                           np.array_equal(lab.values[sub.indices], sub.values)
-                           and lab.epsilon == sub.epsilon))
+                           rebuilt is not None and rebuilt.values.dtype == lab.values.dtype
+                           and np.array_equal(rebuilt.values, lab.values)
+                           and np.array_equal(rebuilt.values[sub.indices], sub.values)
+                           and rebuilt.epsilon == sub.epsilon))
 
     # Per-coordinate agreement of the conversion across independent seeds.
     trials = max(200, 20 * seeds)

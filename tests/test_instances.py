@@ -346,6 +346,29 @@ def lexsort_repair(pairs, rng, bipartite, max_sweeps=500):
     return False
 
 
+def stub_pairing(gen, half, d, bipartite):
+    """Shuffled stubs of degree d on half vertices (per side if bipartite)."""
+    if bipartite:
+        right = np.repeat(np.arange(half), d)
+        gen.shuffle(right)
+        return np.column_stack([np.repeat(np.arange(half), d), right])
+    stubs = np.repeat(np.arange(half), d)[: half * d // 2 * 2]  # an even stub count
+    gen.shuffle(stubs)
+    return stubs.reshape(-1, 2)
+
+
+def repair_matches_reference(pairs, seed, bipartite, max_sweeps):
+    """Repair pairs in place and a copy with the reference; assert the same
+    result, pairs and generator state, and return the result."""
+    ref_pairs, ref_rng = pairs.copy(), np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    ok = _pair_swap_repair(pairs, rng, bipartite, max_sweeps=max_sweeps)
+    assert ok == lexsort_repair(ref_pairs, ref_rng, bipartite, max_sweeps=max_sweeps), seed
+    assert pairs.tobytes() == ref_pairs.tobytes(), seed
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+    return ok
+
+
 def test_pair_swap_repair_matches_lexsort_reference():
     outcomes = []
     for trial in range(200):
@@ -353,26 +376,32 @@ def test_pair_swap_repair_matches_lexsort_reference():
         bipartite = trial % 2 == 1
         half = int(gen.integers(1, 13))
         d = int(gen.integers(0, half + 1))
-        if bipartite:
-            right = np.repeat(np.arange(half), d)
-            gen.shuffle(right)
-            pairs = np.column_stack([np.repeat(np.arange(half), d), right])
-        else:
-            stubs = np.repeat(np.arange(half), d)[: half * d // 2 * 2]  # an even stub count
-            gen.shuffle(stubs)
-            pairs = stubs.reshape(-1, 2)
+        pairs = stub_pairing(gen, half, d, bipartite)
         sweeps = int(gen.integers(0, 8))
-        ref_pairs, ref_rng = pairs.copy(), np.random.default_rng((trial, 1))
-        rng = np.random.default_rng((trial, 1))
-        ok = _pair_swap_repair(pairs, rng, bipartite, max_sweeps=sweeps)
-        assert ok == lexsort_repair(ref_pairs, ref_rng, bipartite, max_sweeps=sweeps), trial
-        assert pairs.tobytes() == ref_pairs.tobytes(), trial
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, trial
+        ok = repair_matches_reference(pairs, (trial, 1), bipartite, sweeps)
         outcomes.append((bipartite, len(pairs) == 0, ok))
     # both kinds of pairing, empty pairings, and calls that run out of sweeps
     assert {(b, ok) for b, _, ok in outcomes} == {(False, False), (False, True),
                                                   (True, False), (True, True)}
     assert any(empty for _, empty, _ in outcomes)
+
+
+@pytest.mark.parametrize("bipartite, half, d, max_sweeps, settles", [
+    (True, 512, 64, 500, True),  # the A1 shape's cross pairing
+    (False, 512, 64, 500, True),
+    (False, 256, 64, 500, True),  # a dense side: dozens of sweeps
+    (True, 512, 64, 8, False),  # out of sweeps with conflicts left
+    (False, 128, 40, 500, False),  # a side too dense to settle
+])
+def test_pair_swap_repair_matches_lexsort_reference_over_many_sweeps(
+        bipartite, half, d, max_sweeps, settles):
+    # Pairings large enough that later sweeps look the touched rows up
+    # instead of re-sorting every row, over at least five sweeps.
+    gen = np.random.default_rng((half, d))
+    pairs = stub_pairing(gen, half, d, bipartite)
+    assert not lexsort_repair(pairs.copy(), np.random.default_rng((half, d, 1)), bipartite,
+                              max_sweeps=4)
+    assert repair_matches_reference(pairs, (half, d, 1), bipartite, max_sweeps) == settles
 
 
 class TestKLinPlant:

@@ -215,6 +215,10 @@ CASES = {
         suite_check("advice-stats", "conversion preserves revealed coordinates"),
         "subset_to_label",
         lambda f: lambda advice, seed: f(SubsetAdvice(advice.n, [], [], advice.epsilon), seed)),
+    "conversion, trusted labels handed over as int64": (
+        suite_check("advice-stats", "conversion preserves revealed coordinates"),
+        "LabelAdvice._trusted",
+        lambda f: lambda values, epsilon: f(values.astype(np.int64), epsilon)),
     "enumeration run count, projection one low": (
         suite_check("enumeration", "run count equals the projection"), "projected_runs",
         lambda f: lambda n, epsilon: f(n, epsilon) - 1),
@@ -238,7 +242,7 @@ CASES = {
 def test_check_reports_planted_fault(monkeypatch, check, name, fault):
     module, _, name = name.rpartition(".")
     target = {"": verify, "max3lin": max3lin, "enumeration": enumeration,
-              "SubsetAdvice": SubsetAdvice}[module]
+              "SubsetAdvice": SubsetAdvice, "LabelAdvice": LabelAdvice}[module]
     assert check() == 0
     monkeypatch.setattr(target, name, fault(getattr(target, name)))
     assert check() >= 1
