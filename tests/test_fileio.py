@@ -1,11 +1,16 @@
+import hashlib
+from functools import partial
+
 import numpy as np
 import pytest
 
 from advice_csp import fileio
 from advice_csp.advice import LabelAdvice, SubsetAdvice, gen_label_advice, gen_subset_advice
 from advice_csp.errors import InputError, ParseError
-from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
-from advice_csp.verify import same_columns
+from advice_csp.instances import (GraphInstance, KLinInstance, graph_to_klin,
+                                  plant_bipartite_regular, plant_klin)
+from advice_csp.max3lin import build_psi
+from advice_csp.verify import random_2lin, same_columns
 
 
 @pytest.fixture
@@ -254,3 +259,206 @@ def test_advice_faults_name_file_and_line(tmp_path, text, where, message):
     with pytest.raises(ParseError, match=message) as info:
         fileio.read_advice(path)
     assert str(info.value).startswith(f"{path}{where} ")
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the line checker, on seeded files that mix every
+# form the line grammar accepts or rejects.  The line checker
+# (``_read_*_lines``) is the reference for every value and every message.
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except InputError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def same_bits(a, b):
+    """Equal values, dtypes and shapes, weights and epsilons compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, str):
+        return a == b
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, KLinInstance):
+        fields = ("k", "n", "idx", "rhs", "w")
+    elif isinstance(a, LabelAdvice):
+        fields = ("values", "epsilon")
+    else:
+        fields = ("n", "indices", "values", "epsilon")
+    return all(same_bits(np.asarray(getattr(a, f)), np.asarray(getattr(b, f))) for f in fields)
+
+
+def rare(rng, common, odd, p=0.03):
+    """A draw from ``common``, or with probability p from ``odd``."""
+    pool = odd if rng.random() < p else common
+    return pool[rng.integers(len(pool))]
+
+
+SEPARATORS = [" "] * 6 + ["\t", "  ", " \t "]
+# \x0c and \xa0 separate tokens for str.split, \x00 and \x01 do not; all four
+# send the file to the line checker
+ODD_SEPARATORS = ["\x0c", "\u00a0", "\x00", "\x01"]
+BREAKS = ["\n", "\n", "\r\n", "\r"]
+WEIGHTS = ["1.0", "2.5", "1", "1.", ".5", "1e-3", "-0.0", repr(0.1 + 0.2), "5e-324", "0", "7"]
+ODD_WEIGHTS = ["inf", "nan", "-1.0", "1_0", "heavy", "１", "1e999", "1#"]
+SIGNS = ["+1", "-1"]
+ODD_SIGNS = ["1", "+01", "-01", "2", "+1.0", "x", "١"]
+
+
+def index_token(rng, i):
+    return rare(rng, [str(i)], [f"+{i}", f"00{i}", f"{i}_0", f"-{i}", "99999999999999999999",
+                                 "1.5", "１", f"{i}#"])
+
+
+def render(rng, header, rows):
+    """Header and rows of tokens as one file: random separators, line breaks,
+    blank, comment and padded lines, and sometimes no final line break."""
+    lines = [header] if rng.random() > 0.05 else ["# leading comment", header]
+    for row in rows:
+        if rng.random() < 0.05:
+            lines.append(rare(rng, ["", "  ", "\t"], ["# comment", "  # indented comment"], 0.3))
+        sep = [rare(rng, SEPARATORS, ODD_SEPARATORS, 0.01) for _ in row]
+        text = "".join(tok + s for tok, s in zip(row, sep))[: -len(sep[-1])] if row else ""
+        if rng.random() < 0.05:
+            text = rng.choice(SEPARATORS) + text + rng.choice(SEPARATORS)
+        lines.append(text + ("  # inline" if rng.random() < 0.01 else ""))
+    text = "".join(line + rng.choice(BREAKS) for line in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
+def instance_file(rng):
+    # a large n keeps the values of malformed index tokens in range
+    k, n = int(rng.integers(1, 5)), int(rng.choice([rng.integers(1, 30), 10**6]))
+    rows = []
+    for _ in range(int(rng.integers(0, 12))):
+        arity = int(rare(rng, list(range(1, k + 1)), [0, k + 1, k + 2]))
+        ids = rng.choice(max(n, arity), size=arity, replace=False).tolist()  # n < arity: out of range
+        if arity > 1 and rng.random() < 0.02:
+            ids[-1] = ids[0]
+        rows.append([index_token(rng, i) for i in ids]
+                    + [rare(rng, SIGNS, ODD_SIGNS), rare(rng, WEIGHTS, ODD_WEIGHTS)])
+    m = len(rows) + int(rare(rng, [0], [-1, 1, 2]))
+    return render(rng, f"p klin {k} {n} {m}", rows)
+
+
+def assignment_file(rng):
+    rows = [[rare(rng, SIGNS, ODD_SIGNS + ["+1 -1"])] for _ in range(int(rng.integers(0, 12)))]
+    return render(rng, f"s assign {len(rows) + int(rare(rng, [0], [-1, 1]))}", rows)
+
+
+def advice_file(rng):
+    n, eps = int(rng.integers(0, 20)), rare(rng, ["0.5", "1", "0.25"], ["0", "1.5", "nan"])
+    if rng.random() < 0.5:
+        rows = [[rare(rng, SIGNS, ODD_SIGNS)] for _ in range(n + int(rare(rng, [0], [-1, 1])))]
+        return render(rng, f"a label {n} {eps}", rows)
+    if rng.random() < 0.5:
+        n = 10**6
+    picked = rng.choice(n + 1, size=min(n + 1, int(rng.integers(0, 12))), replace=False)
+    rows = [[index_token(rng, i), rare(rng, SIGNS, ODD_SIGNS)] for i in picked.tolist()]
+    return render(rng, f"a subset {n} {eps}", rows)  # index n is out of range
+
+
+def instance_blocks(path):
+    return fileio._by_blocks(path, fileio._instance_header,
+                             partial(fileio._instance_blocks, size=path.stat().st_size))
+
+
+@pytest.mark.parametrize("make, read, lines, blocks", [
+    (instance_file, fileio.read_instance, fileio._read_instance_lines, instance_blocks),
+    (assignment_file, fileio.read_assignment, fileio._read_assignment_lines,
+     partial(fileio._by_blocks, header=fileio._assignment_header, body=fileio._pm1_blocks)),
+    (advice_file, fileio.read_advice, fileio._read_advice_lines,
+     partial(fileio._by_blocks, header=fileio._advice_header, body=fileio._advice_blocks)),
+], ids=["instance", "assignment", "advice"])
+def test_block_reader_agrees_with_line_checker(tmp_path, monkeypatch, make, read, lines, blocks):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "case.txt"
+    taken = 0
+    for case in range(400):
+        # small blocks put line breaks, CRLF pairs and tokens on block edges
+        monkeypatch.setattr(fileio, "_BLOCK", int(rng.choice([1, 2, 3, 5, 16, 64, 1 << 18])))
+        path.write_bytes(make(rng))
+        expected = outcome(lines, path)
+        assert same_bits(outcome(read, path), expected), (case, path.read_bytes())
+        block = blocks(path)
+        if block is not None:
+            taken += 1
+            assert same_bits(block, expected), (case, path.read_bytes())
+    # most files stay inside the block grammar; the rest test the fallback
+    assert 0.3 * 400 < taken < 400
+
+
+def test_header_count_past_the_file_size_allocates_nothing(tmp_path):
+    # 10**12 rows of two indices would take 16 TB; the file holds one line
+    path = tmp_path / "lying.klin"
+    path.write_text("p klin 2 3 1000000000000\n0 1 +1 1.0\n")
+    with pytest.raises(ParseError, match=":2: header promises 1000000000000 constraints, found 1$"):
+        fileio.read_instance(path)
+
+
+# ---------------------------------------------------------------------------
+# What write_instance writes: golden sha256 digests of the bytes, recorded
+# before the writer wrote in blocks, and a read-back that never reaches the
+# line checker.
+
+def psi_instance():
+    plant = plant_klin(20, 3, 1500, 0.1, seed=800)
+    advice = gen_label_advice(plant.x_star, 0.8, seed=(81, 0))
+    return build_psi(plant.instance, advice, 0.1, 0.8).psi  # mixed unary and binary rows
+
+
+WRITTEN = {
+    # spans several read blocks
+    "klin-3-blocks": (lambda: plant_klin(2000, 3, 30000, 0.05, seed=4).instance,
+                      "0d72f161851f09a4cad8d5e3f18d1be84adcf5355a48bc8eeb3dd1624c954115"),
+    "klin-3": (lambda: plant_klin(50, 3, 400, 0.1, seed=1).instance,
+               "ad22f51d6549752750b4d91ba1375fa50d27db4c7390851daa260198574969f4"),
+    "klin-2": (lambda: plant_klin(30, 2, 100, 0.2, seed=2).instance,
+               "40f1ffed4a0df62bb3fd509290cb29f8f96ec8315d5071951d6780b3525dd725"),
+    "klin-4": (lambda: plant_klin(12, 4, 60, 0.0, seed=3).instance,
+               "29eb2e88742077d92438bbb982e378ce96491af3c4b583bce271810cb3783710"),
+    "graph": (lambda: plant_bipartite_regular(64, 6, 0.5, seed=8).instance,
+              "bee58a82adc9ccf60845f7b70ce15ebaadde0a8f18a37037d779686569866278"),
+    "mixed-arity": (psi_instance,
+                    "9f62d94523caf88f7e8c2743769d6e668f0b3160253564363adc1f0bb7c308ce"),
+    "weighted": (lambda: random_2lin(np.random.default_rng(9), 9, 40),
+                 "90139a9d1b7590eb1eb8e5d55c573751f227f5cb66a98670b5e5ef9618be516b"),
+    # n > idx.size: index tokens only for the indices used
+    "sparse-ids": (lambda: KLinInstance.from_constraints(3, 10**6, (
+        ((999_999, 5, 70), -1, 0.1 + 0.2), ((42,), 1, 5e-324), ((7, 8), 1, -0.0))),
+        "59c76bdb7efacc697269488497f3febe303cfc2ec4fbac89cd357038487acf76"),
+}
+
+
+@pytest.fixture
+def no_line_checker(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a written file reached the line checker")
+    for name in ("_content_lines", "_parse_constraint", "_parse_pm1"):
+        monkeypatch.setattr(fileio, name, refuse)
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_written_instance_bytes_and_block_read(tmp_path, no_line_checker, name):
+    make, sha256 = WRITTEN[name]
+    inst = make()
+    path = tmp_path / "written.klin"
+    fileio.write_instance(path, inst)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    klin = graph_to_klin(inst) if isinstance(inst, GraphInstance) else inst
+    assert same_bits(fileio.read_instance(path), klin)
+
+
+def test_written_assignment_and_advice_read_by_blocks(tmp_path, no_line_checker):
+    rng = np.random.default_rng(8)
+    x = rng.choice([-1, 1], size=3000).astype(np.int8)
+    path = tmp_path / "out.txt"
+    fileio.write_assignment(path, x)
+    assert same_bits(fileio.read_assignment(path), x)
+    for advice in (gen_label_advice(x, 0.3, seed=1), gen_subset_advice(x, 0.4, seed=2)):
+        fileio.write_advice(path, advice)
+        assert same_bits(fileio.read_advice(path), advice)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from advice_csp import enumeration, max3lin, verify
+from advice_csp import enumeration, fileio, max3lin, verify
 from advice_csp.advice import LabelAdvice, SubsetAdvice, gen_label_advice
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
 from advice_csp.maxcut import BENCH_PARAMS, compute_deltas, split_vertices
@@ -231,6 +231,9 @@ CASES = {
     "enumeration satisfiable chain, satisfied fraction kept as the value": (
         suite_check("enumeration", "satisfiable chain solved exactly"), "enumeration.evaluate",
         lambda f: lambda instance, x: f(instance, x)[::-1]),
+    "instance file round-trip, last byte of each weight token dropped": (
+        suite_check("instance-invariants", "instance file round-trip"), "fileio._floats",
+        lambda f: lambda tokens, tok: f(tokens._replace(size=tokens.size - 1), tok)),
     "enumeration trusted advice, indices handed over unsorted": (
         suite_check("enumeration", "trusted advice matches the public constructor"),
         "SubsetAdvice._trusted",
@@ -241,7 +244,7 @@ CASES = {
 @pytest.mark.parametrize("check, name, fault", CASES.values(), ids=CASES)
 def test_check_reports_planted_fault(monkeypatch, check, name, fault):
     module, _, name = name.rpartition(".")
-    target = {"": verify, "max3lin": max3lin, "enumeration": enumeration,
+    target = {"": verify, "max3lin": max3lin, "enumeration": enumeration, "fileio": fileio,
               "SubsetAdvice": SubsetAdvice, "LabelAdvice": LabelAdvice}[module]
     assert check() == 0
     monkeypatch.setattr(target, name, fault(getattr(target, name)))
