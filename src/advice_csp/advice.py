@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .instances import _as_pm1
+from .instances import _as_pm1, _unchecked
 
 _PM1 = np.array([-1, 1], dtype=np.int8)
 
@@ -37,18 +37,6 @@ class LabelAdvice:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_pm1(self.values, what="advice labels"))
         _check_epsilon(self.epsilon)
-
-    @classmethod
-    def _trusted(cls, values: np.ndarray, epsilon: float) -> LabelAdvice:
-        """Advice over a +-1 int8 array the package has just built, with a
-        checked epsilon.
-
-        Nothing is checked or copied.  The advice-stats suite rebuilds the
-        advice ``subset_to_label`` returns through the public constructor.
-        """
-        self = object.__new__(cls)
-        vars(self).update(values=values, epsilon=epsilon)
-        return self
 
     @property
     def n(self) -> int:
@@ -85,20 +73,6 @@ class SubsetAdvice:
         object.__setattr__(self, "values", vals[order])
         _check_epsilon(self.epsilon)
 
-    @classmethod
-    def _trusted(cls, n: int, indices: np.ndarray, values: np.ndarray,
-                 epsilon: float) -> SubsetAdvice:
-        """Advice over arrays the package has just built: sorted, distinct
-        int64 indices in [0, n) and +-1 int8 values, one per index, with a
-        checked epsilon.
-
-        Nothing is checked or copied.  ``verify.enumeration_advice_failures``
-        rebuilds such advice through the public constructor.
-        """
-        self = object.__new__(cls)
-        vars(self).update(n=n, indices=indices, values=values, epsilon=epsilon)
-        return self
-
     @property
     def size(self) -> int:
         return int(self.indices.shape[0])
@@ -134,11 +108,13 @@ def subset_to_label(advice: SubsetAdvice, seed) -> LabelAdvice:
     Revealed coordinates are copied exactly; the rest are uniform +-1, so
     the induced agreement probability is (1 + epsilon) / 2.  The draw is
     the stream of ``rng.choice(_PM1, size=n)`` on a generator seeded with
-    ``seed``, taken without ``choice``'s overhead.
+    ``seed``, taken without ``choice``'s overhead.  The labels are a fresh
+    +-1 int8 array and the epsilon is checked, so the advice is built
+    unchecked.
     """
     values = _PM1[np.random.default_rng(seed).integers(0, 2, size=advice.n)]
     values[advice.indices] = advice.values
-    return LabelAdvice._trusted(values, advice.epsilon)
+    return _unchecked(LabelAdvice, values=values, epsilon=advice.epsilon)
 
 
 def empirical_correlation(advice: LabelAdvice, x_star) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .advice import SubsetAdvice, _check_epsilon, subset_to_label
 from .errors import BudgetError, InputError
-from .instances import KLinInstance, evaluate, _as_pm1, _frozen
+from .instances import KLinInstance, evaluate, _as_pm1, _frozen, _unchecked
 from .qp_advice import solve_2lin_with_advice
 from .twolin_sdp import TwoLinConfig, solve_2lin
 
@@ -80,8 +80,8 @@ def enumerate_solve(
     size; patterns enumerate in (-1, +1) product order.  Each run gets a
     seed derived from (seed, ordinal), so shared prefixes across epsilon
     values see identical runs.  The best assignment by satisfied weight
-    wins; ties keep the earliest run.  Each run's advice is built with
-    ``SubsetAdvice._trusted`` over read-only arrays, with no validation.
+    wins; ties keep the earliest run.  Each run's advice is built unchecked
+    over read-only sorted, distinct int64 indices and +-1 int8 values.
     """
     n = instance.n
     projected = projected_runs(n, epsilon)
@@ -97,7 +97,7 @@ def enumerate_solve(
             # shares these read-only arrays across the subset's patterns
             idx = _frozen(np.array(subset, dtype=np.int64), np.int64)
             for pattern, values in zip(patterns, rows):
-                advice = SubsetAdvice._trusted(n, idx, values, epsilon)
+                advice = _unchecked(SubsetAdvice, n=n, indices=idx, values=values, epsilon=epsilon)
                 x = _as_pm1(inner(instance, advice, (seed, ordinal)), n, "inner result")
                 value, _ = evaluate(instance, x)
                 if best_x is None or value > best_value:

@@ -69,6 +69,21 @@ def _frozen(a, dtype) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """The dataclass ``cls`` holding ``fields`` as given, with no check,
+    conversion or copy; a name of a cached property seeds that cache.
+    ``verify.rebuild_failures`` proves such a value equal to a checked one."""
+    self = object.__new__(cls)
+    vars(self).update(fields)
+    return self
+
+
+def _padding(idx: np.ndarray) -> np.ndarray:
+    """``idx == -1``, one contiguous row per column: reductions across the
+    columns of a tall (m, k) array are slow, across these rows they are not."""
+    return np.ascontiguousarray(idx.T == -1)
+
+
 def _raise_first_fault(checks, m: int) -> None:
     """Raise the message of the first failing (row mask, message) check on the first faulty row."""
     first = [int(np.argmax(bad.reshape(m, -1).any(axis=1))) if bad.any() else m
@@ -117,11 +132,14 @@ class KLinInstance:
         object.__setattr__(self, "idx", _readonly(idx, np.int64))
         object.__setattr__(self, "w", _readonly(w, np.float64))
         idx, arity, w = self.idx, self.arity, self.w
-        pad = idx == -1
+        pad = _padding(idx)
+        # columns past the last one some row fills are padding only and hold
+        # no repeat, so the header's k alone adds no column pairs
+        width = int(np.flatnonzero(~pad.all(axis=1)).max(initial=-1)) + 1
         dup = np.zeros(m, dtype=bool)
-        for a in range(self.k):
-            for b in range(a + 1, self.k):
-                dup |= (idx[:, a] == idx[:, b]) & ~pad[:, a]
+        for a in range(width):
+            for b in range(a + 1, width):
+                dup |= (idx[:, a] == idx[:, b]) & ~pad[a]
 
         def row(r):
             return tuple(idx[r, : arity[r]].tolist())
@@ -131,7 +149,7 @@ class KLinInstance:
             (dup, lambda r: f"repeated index in constraint {row(r)}"),
             ((idx < -1) | (idx >= self.n), lambda r: f"index out of range in constraint {row(r)}"),
             # padding must trail
-            (pad[:, :-1] & ~pad[:, 1:], lambda r: f"index out of range in constraint {row(r)}"),
+            ((pad[:-1] & ~pad[1:]).any(axis=0), lambda r: f"index out of range in constraint {row(r)}"),
             ((rhs != 1) & (rhs != -1), lambda r: f"right-hand side must be -1 or +1, got {rhs[r].item()}"),
             (~(np.isfinite(w) & (w >= 0)), lambda r: f"weight must be finite and nonnegative, got {w[r]}"),
         )
@@ -167,15 +185,11 @@ class KLinInstance:
         """
         if k < 1 or n < 1:
             raise InputError("arity and variable count must be >= 1")
-        self = object.__new__(cls)
-        attrs = vars(self)  # cached properties read their value from here first
-        attrs.update(k=k, n=n, idx=_frozen(idx, np.int64), rhs=_frozen(rhs, np.int8),
-                     w=_frozen(w, np.float64))
-        if arity is not None:
-            attrs["arity"] = _frozen(arity, np.int64)
+        seeds = {} if arity is None else {"arity": _frozen(arity, np.int64)}
         if total_weight is not None:
-            attrs["total_weight"] = total_weight
-        return self
+            seeds["total_weight"] = total_weight
+        return _unchecked(cls, k=k, n=n, idx=_frozen(idx, np.int64), rhs=_frozen(rhs, np.int8),
+                          w=_frozen(w, np.float64), **seeds)
 
     @property
     def m(self) -> int:
@@ -184,8 +198,12 @@ class KLinInstance:
     @cached_property
     def arity(self) -> np.ndarray:
         """Per-row arity: the number of non-padding indices."""
-        pad = self.idx == -1
-        return _readonly(self.k - sum(pad[:, c] for c in range(self.k)), np.int64)
+        return _frozen(self.k - _padding(self.idx).sum(axis=0), np.int64)
+
+    @cached_property
+    def _width(self) -> int:
+        """The columns some row fills; every column past them is padding."""
+        return int(self.arity.max(initial=0))
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -227,7 +245,7 @@ class KLinInstance:
     def _arity_rows(self) -> list:
         """Row indices per arity in order of first appearance, the order in
         which satisfied weight is summed."""
-        rows = [np.flatnonzero(self.arity == a) for a in range(1, self.k + 1)]
+        rows = [np.flatnonzero(self.arity == a) for a in range(1, self._width + 1)]
         return sorted((r for r in rows if r.size), key=lambda r: r[0])
 
 
@@ -344,7 +362,7 @@ def _products(instance: KLinInstance, xv: np.ndarray) -> np.ndarray:
     xe = np.ones(instance.n + 1, dtype=np.int8)  # padding index -1 reads the last +1
     xe[:-1] = xv
     prods = xe[instance.idx[:, 0]]
-    for c in range(1, instance.k):
+    for c in range(1, instance._width):  # padding columns multiply by +1
         prods = prods * xe[instance.idx[:, c]]
     return prods
 

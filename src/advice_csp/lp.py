@@ -218,21 +218,18 @@ class _Simplex:
         return cost - y
 
     def drop_artificials(self):
-        """Pivot out or delete rows for basic artificials, then cut columns."""
+        """Pivot out basic artificials, then cut their columns.
+
+        Every row keeps a pivot: the artificial of a flipped row is the exact
+        negative of that row's slack, column for column (pivots act on both
+        alike, and negation is exact), so while the artificial is basic the
+        slack is nonbasic with entry -1 in the artificial's row.
+        """
         first_art = self.ncols - self.n_art
-        keep_rows = np.ones(self.m, dtype=bool)
         for r in np.flatnonzero(self.basis >= first_art):
             row = self.D[r, :first_art]
             cand = np.flatnonzero((np.abs(row) > PIVOT_TOL) & (self.status[:first_art] != _BASIC))
-            if cand.size:
-                j = int(cand[np.argmax(np.abs(row[cand]))])
-                self._pivot(r, j)
-            else:
-                keep_rows[r] = False
-        if not np.all(keep_rows):
-            self.D = self.D[keep_rows]
-            self.basis = self.basis[keep_rows]
-            self.m = self.D.shape[0]
+            self._pivot(r, int(cand[np.argmax(np.abs(row[cand]))]))
         self.D = np.hstack([self.D[:, :first_art], self.D[:, -1:]])
         self.lo = self.lo[:first_art]
         self.hi = self.hi[:first_art]

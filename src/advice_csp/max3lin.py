@@ -59,11 +59,6 @@ class Groups:
         starts = np.flatnonzero(first)
         return cls(sk[starts], np.append(starts, size), positions[order])
 
-    @classmethod
-    def empty(cls) -> Groups:
-        none = np.zeros(0, dtype=np.int64)
-        return cls(none, np.zeros(1, dtype=np.int64), none)
-
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -180,7 +175,8 @@ def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Grou
     keys = _pair_keys(phi)
     size = keys.size
     heavy_mask = np.zeros(phi.m, dtype=bool)
-    by_pair = Groups.empty()
+    none = np.zeros(0, dtype=np.int64)
+    by_pair = Groups.of(none, none)
     if t <= size:
         sk = np.sort(keys)
         run = sk[t - 1:] == sk[:size - t + 1]  # t equal keys from sk[s] on
@@ -222,11 +218,6 @@ def create_h_constraints(
     x_k = sigma * rhs.
     """
     groups = incidence.by_pair
-    if not groups.keys.size:
-        none = np.zeros(0, dtype=np.int64)
-        return Representatives(idx=none.reshape(0, 2), rhs=np.zeros(0, dtype=np.int8),
-                               source=none, flagged=np.zeros(0, dtype=bool),
-                               sigma=np.zeros(0, dtype=np.int8))
     labels = advice.values.astype(np.int64)
     pos, group = groups.members, groups.group_of()
     pairs = incidence.heavy_pairs

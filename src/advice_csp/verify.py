@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fileio
 from .advice import (
     LabelAdvice,
-    SubsetAdvice,
     gen_label_advice,
     gen_subset_advice,
     subset_to_label,
@@ -213,25 +213,31 @@ def same_columns(a: KLinInstance, b: KLinInstance) -> bool:
     )
 
 
-def derived_failures(derived: KLinInstance) -> int:
-    """1 if an instance built by ``KLinInstance._derived`` differs from its
-    rebuild through the public constructor: the constructor rejects its
-    columns or changes them, a column is writable, or a seeded cache
-    (arity, total weight) differs from the rebuild's."""
+def rebuild_failures(value) -> int:
+    """1 if a dataclass value built by ``instances._unchecked`` differs from
+    ``type(value)(...)`` over its init fields: the constructor rejects them,
+    or a field or a seeded array or number cache differs, dtype included, or
+    is writable where the rebuild's is read-only (not the other way round: a
+    constructor may return writable copies).  Other caches are not compared."""
+    names = [f.name for f in fields(value) if f.init]
+    held = vars(value)
     try:
-        rebuilt = KLinInstance(derived.k, derived.n, derived.idx, derived.rhs, derived.w)
+        rebuilt = type(value)(**{name: held[name] for name in names})
     except InputError:
         return 1
-    seeded = vars(derived)
-    return int(not same_columns(rebuilt, derived)
-               or any(col.flags.writeable for col in (derived.idx, derived.rhs, derived.w))
-               or ("arity" in seeded and not np.array_equal(seeded["arity"], rebuilt.arity))
-               or ("total_weight" in seeded
-                   and seeded["total_weight"] != rebuilt.total_weight))
+
+    def same(got, want):
+        if not isinstance(got, np.ndarray):
+            return not isinstance(want, np.ndarray) and got == want
+        return (isinstance(want, np.ndarray) and got.dtype == want.dtype
+                and np.array_equal(got, want) and (want.flags.writeable or not got.flags.writeable))
+
+    return int(not all(same(got, getattr(rebuilt, name)) for name, got in held.items()
+                       if name in names or isinstance(got, (np.ndarray, numbers.Number))))
 
 
 def derived_instance_failures(rng, trials: int) -> int:
-    """``derived_failures`` summed over ``trials`` rounds of every instance
+    """``rebuild_failures`` summed over ``trials`` rounds of every instance
     the package derives: psi of a heavy fixture (n in [6, 9], m in [80, 159],
     most pairs heavy) and of a light one (n in [20, 39], m in [10, 59],
     almost no pair heavy), the homogenized psi of each, the 4-Lin lift of
@@ -244,11 +250,11 @@ def derived_instance_failures(rng, trials: int) -> int:
             plant = plant_klin(n, 3, m, 0.1, seed=int(rng.integers(1 << 30)))
             advice = gen_label_advice(plant.x_star, 0.8, seed=int(rng.integers(1 << 30)))
             psi = build_psi(plant.instance, advice, delta=0.5, epsilon=1.0).psi
-            failures += derived_failures(psi) + derived_failures(homogenize(psi)[0])
+            failures += rebuild_failures(psi) + rebuild_failures(homogenize(psi)[0])
             phis.append(plant.instance)
         lift = three_to_four_lin(phis[0], int(rng.integers(1, 4)))
         graph = plant_bipartite_regular(16, 3, 0.5, seed=int(rng.integers(1 << 30))).instance
-        failures += derived_failures(lift.phi4) + derived_failures(graph_to_klin(graph))
+        failures += rebuild_failures(lift.phi4) + rebuild_failures(graph_to_klin(graph))
     return failures
 
 
@@ -559,15 +565,10 @@ def suite_advice_stats(seeds: int) -> list[CheckResult]:
     # subset_to_label builds its advice unchecked: the public constructor
     # must accept it and keep the values, dtype included
     lab = subset_to_label(sub, seed=7)
-    try:
-        rebuilt = LabelAdvice(values=lab.values, epsilon=lab.epsilon)
-    except InputError:
-        rebuilt = None
     out.append(CheckResult("advice-stats", "conversion preserves revealed coordinates",
-                           rebuilt is not None and rebuilt.values.dtype == lab.values.dtype
-                           and np.array_equal(rebuilt.values, lab.values)
-                           and np.array_equal(rebuilt.values[sub.indices], sub.values)
-                           and rebuilt.epsilon == sub.epsilon))
+                           rebuild_failures(lab) == 0
+                           and np.array_equal(lab.values[sub.indices], sub.values)
+                           and lab.epsilon == sub.epsilon))
 
     # Per-coordinate agreement of the conversion across independent seeds.
     trials = max(200, 20 * seeds)
@@ -813,25 +814,14 @@ def recorded_enumeration(instance: KLinInstance, epsilon: float, inner,
 
 
 def enumeration_advice_failures(instance: KLinInstance, epsilon: float, seed=0) -> int:
-    """Runs of ``enumerate_solve`` whose advice, built by
-    ``SubsetAdvice._trusted``, the public constructor rejects or rebuilds
-    with another n, epsilon, or other indices or values (dtype included).
-    The inner solver answers all +1, so only the hand-over is exercised."""
+    """``rebuild_failures`` summed over the runs of ``enumerate_solve``,
+    whose advice is built unchecked.  The inner solver answers all +1, so
+    only the hand-over is exercised."""
     failures = 0
-
-    def same(a, b):
-        return a.dtype == b.dtype and np.array_equal(a, b)
 
     def rebuilding(inst, advice, run_seed):
         nonlocal failures
-        try:
-            rebuilt = SubsetAdvice(advice.n, advice.indices, advice.values, advice.epsilon)
-        except InputError:
-            failures += 1
-        else:
-            failures += int(rebuilt.n != advice.n or rebuilt.epsilon != advice.epsilon
-                            or not same(rebuilt.indices, advice.indices)
-                            or not same(rebuilt.values, advice.values))
+        failures += rebuild_failures(advice)
         return np.ones(inst.n, dtype=np.int8)
 
     enumerate_solve(instance, epsilon, rebuilding, seed=seed)

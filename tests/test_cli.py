@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from advice_csp import cli, fileio, maxcut
+from advice_csp import cli, fileio, maxcut, qp_advice, verify
 from advice_csp.advice import LabelAdvice
 from advice_csp.cli import main
 from advice_csp.instances import KLinInstance, evaluate, plant_klin
@@ -275,6 +275,16 @@ class TestSolve:
         )
         assert code == 1 and report is None
         assert "advice length 64 does not match instance n=128" in err
+
+    def test_internal_error_exits_three(self, maxcut_files, capsys, monkeypatch):
+        monkeypatch.setattr(qp_advice, "solve_lp", lambda lp: LpOutcome("infeasible"))
+        prefix, _ = maxcut_files
+        code, report, err = run_cli(
+            capsys, "solve", "qp-advice", "--instance", f"{prefix}.instance",
+            "--advice", f"{prefix}.advice",
+        )
+        assert code == 3 and report is None
+        assert "internal consistency failure: concave surrogate LP ended infeasible" in err
 
     def test_qp_advice_requires_advice(self, maxcut_files, capsys):
         prefix, _ = maxcut_files
@@ -564,6 +574,13 @@ class TestEnumerateReduceVerify:
         assert code == 0
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    def test_verify_failing_suite_logs_its_first_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "projected_runs", lambda n, epsilon: 0)
+        code, report, err = run_cli(capsys, "verify", "--suite", "enumeration", "--seeds", "1")
+        assert code == 1 and report["passed"] is False
+        assert err.startswith("FIRST FAILURE: [enumeration] run count equals the projection: ")
+        assert err.count("FIRST FAILURE") == 1
 
     def test_verify_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

@@ -261,6 +261,61 @@ def test_advice_faults_name_file_and_line(tmp_path, text, where, message):
     assert str(info.value).startswith(f"{path}{where} ")
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    pytest.param(fileio.read_instance, "", ":1: missing instance header", id="empty-file"),
+    pytest.param(fileio.read_advice, "\n \n", ":1: missing advice header", id="blank-file"),
+    pytest.param(fileio.read_instance, "p klin 2 x 1\n0 1 +1 1.0\n",
+                 ":1: header fields must be integers", id="non-integer-field"),
+    pytest.param(fileio.read_instance, "\np klin 0 3 1\n0 +1 1.0\n",
+                 ":2: invalid header values k=0 n=3 m=1", id="zero-arity"),
+    pytest.param(fileio.read_instance, "p klin 2 3 -1\n", ":1: invalid header values k=2 n=3 m=-1",
+                 id="negative-count"),
+    pytest.param(fileio.read_assignment, "s assign two\n+1\n-1\n",
+                 ":1: assignment length must be an integer", id="assignment-length"),
+    pytest.param(fileio.read_advice, "a label 2.5 0.5\n+1\n-1\n",
+                 ":1: header needs an integer length and a float epsilon", id="advice-length"),
+    pytest.param(fileio.read_advice, "a subset 4 half\n0 +1\n",
+                 ":1: header needs an integer length and a float epsilon", id="advice-epsilon"),
+])
+def test_header_faults_name_file_and_line(tmp_path, reader, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError, match=f"{message}$") as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}:")
+
+
+@pytest.fixture
+def line_checker_reads(monkeypatch):
+    """The paths the line checker reads, recorded as it reads them."""
+    reads = []
+
+    def recording(path, content_lines=fileio._content_lines):
+        reads.append(path)
+        return content_lines(path)
+
+    monkeypatch.setattr(fileio, "_content_lines", recording)
+    return reads
+
+
+def test_blank_lines_before_the_header_go_to_the_line_checker(tmp_path, instance,
+                                                              line_checker_reads):
+    path = tmp_path / "inst.klin"
+    fileio.write_instance(path, instance)
+    path.write_bytes(b"\n \t\r\n" + path.read_bytes())
+    assert same_columns(fileio.read_instance(path), instance)
+    assert line_checker_reads == [path]
+
+
+def test_weight_token_past_32_bytes_goes_to_the_line_checker(tmp_path, line_checker_reads):
+    weight = "0.1250000000000000000000000000000001"  # 36 bytes
+    path = tmp_path / "long.klin"
+    path.write_text(f"p klin 2 3 2\n0 1 +1 {weight}\n1 2 -1 2.5\n")
+    expected = KLinInstance.from_constraints(2, 3, (((0, 1), 1, float(weight)), ((1, 2), -1, 2.5)))
+    assert same_columns(fileio.read_instance(path), expected)
+    assert line_checker_reads == [path]
+
+
 # ---------------------------------------------------------------------------
 # The block reader against the line checker, on seeded files that mix every
 # form the line grammar accepts or rejects.  The line checker

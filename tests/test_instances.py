@@ -20,12 +20,16 @@ from advice_csp.instances import (
     satisfied_mask,
     to_quadratic_matrix,
     _as_pm1,
+    _frozen,
     _pair_swap_repair,
+    _unchecked,
 )
+from advice_csp.advice import LabelAdvice, SubsetAdvice
 from advice_csp.verify import (
     derived_instance_failures,
     identity_failures,
     negation_failures,
+    rebuild_failures,
     same_columns,
 )
 
@@ -549,6 +553,51 @@ def test_derived_instances_take_their_columns_unchecked():
     assert inst.total_weight == 2.5 and evaluate(inst, [1, 1, 1]) == (2.0, 0.8)
     with pytest.raises(InputError, match="variable count must be >= 1"):
         graph_to_klin(GraphInstance(0, ()))
+
+
+def test_rebuild_failures_compare_fields_and_seeded_caches():
+    inst = KLinInstance.from_constraints(2, 3, (((0, 1), 1, 1.0), ((2,), -1, 2.0)))
+    inst.pair_matrix, inst._quadratic_matrix  # an array cache is compared, a matrix is not
+    assert rebuild_failures(inst) == 0
+    cols = dict(k=2, n=3, idx=inst.idx.copy(), rhs=inst.rhs.copy(), w=inst.w.copy())
+    assert rebuild_failures(_unchecked(KLinInstance, **cols)) == 1  # writable columns
+    assert rebuild_failures(KLinInstance._derived(**cols)) == 0
+    assert rebuild_failures(KLinInstance._derived(**cols, arity=[2, 2])) == 1
+    assert rebuild_failures(KLinInstance._derived(**cols, total_weight=2.0)) == 1
+    assert rebuild_failures(KLinInstance._derived(**{**cols, "idx": [[0, 1], [2, 2]]})) == 1
+
+    labels = np.array([1, -1, 1], dtype=np.int8)
+    assert rebuild_failures(_unchecked(LabelAdvice, values=labels, epsilon=0.5)) == 0
+    assert rebuild_failures(_unchecked(LabelAdvice, values=labels, epsilon=1.5)) == 1
+    assert rebuild_failures(_unchecked(LabelAdvice, values=labels.astype(np.int64),
+                                       epsilon=0.5)) == 1
+    # read-only arrays where the public constructor returns writable copies
+    sub = dict(n=4, indices=_frozen([0, 2], np.int64), values=_frozen([1, -1], np.int8),
+               epsilon=0.5)
+    assert rebuild_failures(_unchecked(SubsetAdvice, **sub)) == 0
+    assert rebuild_failures(_unchecked(SubsetAdvice, **{**sub, "indices": sub["indices"][::-1],
+                                                        "values": sub["values"][::-1]})) == 1
+
+
+def test_a_wide_header_costs_only_the_filled_columns():
+    # k = 10**6 with rows of arity 1 and 2: validation, arity, evaluation and
+    # the arity groups stop at the second column, with the values of k = 2
+    k, x = 10**6, [1, -1, 1, 1, -1]
+    idx = np.full((2, k), -1, dtype=np.int64)
+    idx[0, 0], idx[1, :2] = 3, (0, 4)
+    wide = KLinInstance(k, 5, idx, [1, -1], [1.0, 2.0])
+    narrow = KLinInstance(2, 5, idx[:, :2], [1, -1], [1.0, 2.0])
+    assert wide.arity.tolist() == [1, 2] and wide._width == 2
+    assert evaluate(wide, x) == evaluate(narrow, x) == (3.0, 1.0)
+    assert np.array_equal(satisfied_mask(wide, x), satisfied_mask(narrow, x))
+    assert [r.tolist() for r in wide._arity_rows] == [[0], [1]]
+    # a row filling a column past the others is still checked there
+    idx[1, 2:4] = 2
+    with pytest.raises(InputError, match=r"repeated index in constraint \(0, 4, 2, 2\)"):
+        KLinInstance(k, 5, idx, [1, -1], [1.0, 2.0])
+    idx[1, 2] = -1
+    with pytest.raises(InputError, match=r"index out of range in constraint \(0, 4, -1\)"):
+        KLinInstance(k, 5, idx, [1, -1], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("values, n, message", [

@@ -280,6 +280,26 @@ def test_outcome_counts_pivots_and_phase_one():
     assert not free.phase1_used and free.pivots == 0
 
 
+def test_artificials_left_basic_in_a_redundant_row_pivot_out(monkeypatch):
+    # 2x >= 2 stated twice: phase 1 ends with both artificials basic at level
+    # 0, and each pivots out on its own row's slack, so no row is lost
+    left = []
+    drop = _Simplex.drop_artificials
+
+    def recording(sx):
+        left.append(int(np.count_nonzero(sx.basis >= sx.ncols - sx.n_art)))
+        m = sx.m
+        drop(sx)
+        assert sx.m == m and np.all(sx.basis < sx.ncols)
+
+    monkeypatch.setattr(_Simplex, "drop_artificials", recording)
+    lp = box_lp([[2.0], [2.0]], [2.0, 2.0], p=1)
+    out, want = solve_lp(lp), lp_vertex_optimum(lp)
+    assert left == [2]
+    assert out.is_optimal and want.is_optimal
+    assert out.value == pytest.approx(want.value, abs=1e-9) and np.allclose(out.x, want.x)
+
+
 def tableau_optimum(lp):
     """(x, value) of the simplex run on a program whose presolve keeps no
     inequality: the reference for ``solve_lp``'s box optimum."""

@@ -2,9 +2,8 @@
 check passes on its fixture, then fails once one function that it calls
 through ``verify`` is monkeypatched to return a slightly wrong answer.  A
 name with a module prefix (``max3lin.create_h_constraints``) plants the
-fault inside the reduction, where the solver calls it too; a class prefix
-(``SubsetAdvice._trusted``) patches the class.  A suite check with no
-shared function of its own is run as its suite's named check."""
+fault in that module, where the solver calls it too.  A suite check with
+no shared function of its own is run as its suite's named check."""
 
 import itertools
 from dataclasses import replace
@@ -12,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from advice_csp import advice as advice_module
 from advice_csp import enumeration, fileio, max3lin, verify
 from advice_csp.advice import LabelAdvice, SubsetAdvice, gen_label_advice
 from advice_csp.instances import KLinInstance, plant_bipartite_regular, plant_klin
@@ -119,6 +119,19 @@ def repeat_first_index(hom, ref):
     return KLinInstance._derived(hom.k, hom.n, idx, hom.rhs, hom.w), ref
 
 
+def distinct_rows(inst):
+    """The instance with each repeated (indices, rhs) row kept once, in order."""
+    _, first = np.unique(np.column_stack([inst.idx, inst.rhs]), axis=0, return_index=True)
+    first.sort()
+    return with_columns(inst, idx=inst.idx[first], rhs=inst.rhs[first], w=inst.w[first])
+
+
+def alternate(f, wrong):
+    """``f`` on even calls, ``wrong`` of its answer on odd ones."""
+    calls = itertools.count()
+    return lambda *args: wrong(f(*args)) if next(calls) % 2 else f(*args)
+
+
 def suite_check(suite, name):
     """The named check of a verify suite, as 0 when it passes and 1 when it fails."""
     def check():
@@ -131,6 +144,12 @@ def run_seed_ignored(inner):
     """The inner solver seeded from a call counter instead of its run's seed."""
     calls = itertools.count()
     return lambda instance, advice, seed: inner(instance, advice, next(calls))
+
+
+def plant_seed_ignored(plant):
+    """The generator seeded from a call counter instead of its seed."""
+    calls = itertools.count()
+    return lambda *args, seed: plant(*args, seed=next(calls))
 
 
 UNARY = KLinInstance.from_constraints(2, 4, (((0,), 1, 2.0), ((1,), -1, 0.5), ((2, 3), 1, 1.0)))
@@ -217,8 +236,9 @@ CASES = {
         lambda f: lambda advice, seed: f(SubsetAdvice(advice.n, [], [], advice.epsilon), seed)),
     "conversion, trusted labels handed over as int64": (
         suite_check("advice-stats", "conversion preserves revealed coordinates"),
-        "LabelAdvice._trusted",
-        lambda f: lambda values, epsilon: f(values.astype(np.int64), epsilon)),
+        "advice._unchecked",
+        lambda f: lambda cls, **fields: f(cls, **{**fields,
+                                                   "values": fields["values"].astype(np.int64)})),
     "enumeration run count, projection one low": (
         suite_check("enumeration", "run count equals the projection"), "projected_runs",
         lambda f: lambda n, epsilon: f(n, epsilon) - 1),
@@ -236,8 +256,25 @@ CASES = {
         lambda f: lambda tokens, tok: f(tokens._replace(size=tokens.size - 1), tok)),
     "enumeration trusted advice, indices handed over unsorted": (
         suite_check("enumeration", "trusted advice matches the public constructor"),
-        "SubsetAdvice._trusted",
-        lambda f: lambda n, indices, values, epsilon: f(n, indices[::-1], values[::-1], epsilon)),
+        "enumeration._unchecked",
+        lambda f: lambda cls, **fields: f(cls, **{**fields, "indices": fields["indices"][::-1],
+                                                   "values": fields["values"][::-1]})),
+    "gamma=0 plant, a quarter of each degree inside the sides": (
+        suite_check("instance-invariants", "gamma=0 plant cuts every edge"),
+        "plant_bipartite_regular",
+        lambda f: lambda n, d, gamma, seed: f(n, d, max(gamma, 0.25), seed)),
+    "generator determinism, plant ignores its seed": (
+        suite_check("instance-invariants", "generators deterministic in seed"), "plant_klin",
+        plant_seed_ignored),
+    "lp repeat, every second solve 1e-3 high": (
+        suite_check("lp-oracle", "repeat solves identical"), "solve_lp",
+        lambda f: alternate(f, value_nudged)),
+    "duplicates, each repeated row counted once": (
+        suite_check("twolin-invariants", "duplicates count with multiplicity"), "evaluate",
+        lambda f: lambda inst, x: f(distinct_rows(inst), x)),
+    "satisfiable plant, relaxation stops after one sweep": (
+        suite_check("twolin-invariants", "satisfiable plant reaches full relaxation value"),
+        "solve_relaxation", lambda f: lambda *args, **kw: f(*args, **{**kw, "sweeps": 1})),
 }
 
 
@@ -245,7 +282,7 @@ CASES = {
 def test_check_reports_planted_fault(monkeypatch, check, name, fault):
     module, _, name = name.rpartition(".")
     target = {"": verify, "max3lin": max3lin, "enumeration": enumeration, "fileio": fileio,
-              "SubsetAdvice": SubsetAdvice, "LabelAdvice": LabelAdvice}[module]
+              "advice": advice_module}[module]
     assert check() == 0
     monkeypatch.setattr(target, name, fault(getattr(target, name)))
     assert check() >= 1
