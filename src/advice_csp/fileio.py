@@ -245,13 +245,15 @@ def write_instance(path, instance: KLinInstance | GraphInstance) -> None:
     # the padding index -1 prints as "".  Index tokens cover 0..n-1 unless n
     # exceeds the index count.  A row ends in one "<rhs> <weight>\n" token
     # per (rhs, weight) pair; weights are told apart by bit pattern so that
-    # -0.0 keeps its sign under repr.
-    if instance.n <= instance.idx.size:
-        ids, id_pos = np.arange(-1, instance.n), instance.idx + 1
+    # -0.0 keeps its sign under repr.  Only the columns some row fills are
+    # tokenized: the rest hold padding, which prints as "".
+    idx = instance.idx[:, :instance._width]
+    if instance.n <= idx.size:
+        ids, id_pos = np.arange(-1, instance.n), idx + 1
     else:
-        ids, id_pos = np.unique(instance.idx, return_inverse=True)
+        ids, id_pos = np.unique(idx, return_inverse=True)
     id_tok = np.array([f"{i} " if i >= 0 else "" for i in ids.tolist()], dtype=object)
-    id_pos = id_pos.reshape(instance.idx.shape)
+    id_pos = id_pos.reshape(idx.shape)
     bits, w_pos = np.unique(instance.w.view(np.int64), return_inverse=True)
     tail_tok = np.array([f"{rhs} {w!r}\n" for w in bits.view(np.float64).tolist()
                          for rhs in ("-1", "+1")], dtype=object)

@@ -9,6 +9,12 @@ reduction emits one unary constraint per (variable, source).  A vote that
 sums to zero keeps rhs +1 but is flagged and counted as always violated.
 Solving the reduced instance and returning its assignment unchanged is
 the whole algorithm.
+
+The reduced instance psi is mostly parallel copies of a few rows, so the
+2-Lin solver receives ``merged``: psi with each group of parallel rows
+collapsed into one row weighted by the group's size, which has psi's
+objective at every assignment.  psi itself is kept, row for row, for the
+diagnostics and the representative accounting.
 """
 
 from __future__ import annotations
@@ -115,13 +121,15 @@ class ReducedInstance:
     light representatives.  ``source[r]`` is the index of the original
     constraint represented by reduced constraint r; ``flagged[r]`` marks
     zero-vote constraints that count as violated no matter the assignment.
-    ``sigma_pair`` holds the vote of each heavy pair (aligned with
-    ``heavy_pairs``) and ``sigma_var`` the light vote of each variable; a
-    vote that summed to zero, or a variable without light constraints,
-    reads 0.
+    ``merged``, psi with its parallel rows merged (``_merged_psi``), is
+    what the 2-Lin solver receives.  ``sigma_pair`` holds the vote of each
+    heavy pair (aligned with ``heavy_pairs``) and ``sigma_var`` the light
+    vote of each variable; a vote that summed to zero, or a variable
+    without light constraints, reads 0.
     """
 
     psi: KLinInstance
+    merged: KLinInstance
     source: np.ndarray
     flagged: np.ndarray
     threshold: int
@@ -271,6 +279,33 @@ def create_l_constraints(
     )
 
 
+def _merged_psi(
+    n: int, by_pair: Groups, by_var: Groups, heavy: Representatives, light: Representatives
+) -> KLinInstance:
+    """psi with each group of parallel representatives as one row, weighted
+    by the group's size: one pair row per heavy pair, pairs ascending; one
+    heavy unary row per (variable, sign), variables ascending and -1 first;
+    one unary row per light variable, variables ascending.  Each row keeps
+    the rhs its copies carry, +1 on a zero vote.  Every psi weight is 1, so
+    each merged weight, pair-matrix cell, unary entry and satisfied weight
+    is a sum of small integers, exact in float64 in any order."""
+    first = 2 * by_pair.offsets[:-1]  # each heavy pair's first pair row
+    unary = np.bincount(heavy.idx[1::2, 0] * 2 + (heavy.rhs[1::2] > 0), minlength=2 * n)
+    key = np.flatnonzero(unary)
+    h, u = first.size, key.size
+    idx = np.full((h + u + by_var.keys.size, 2), -1, dtype=np.int64)
+    idx[:h] = heavy.idx[first]
+    idx[h:h + u, 0] = key // 2
+    idx[h + u:, 0] = by_var.keys
+    rhs = np.concatenate([heavy.rhs[first], np.where(key % 2, 1, -1),
+                          light.rhs[by_var.offsets[:-1]]])
+    arity = np.ones(len(idx), dtype=np.int64)
+    arity[:h] = 2
+    return KLinInstance._derived(2, n, idx, rhs,
+                                 np.concatenate([by_pair.sizes, unary[key], by_var.sizes]),
+                                 arity=arity)
+
+
 def build_psi(
     phi: KLinInstance, advice: LabelAdvice, delta: float, epsilon: float
 ) -> ReducedInstance:
@@ -296,6 +331,7 @@ def build_psi(
                                 arity=arity)
     return ReducedInstance(
         psi=psi,
+        merged=_merged_psi(phi.n, incidence.by_pair, by_var, heavy, light),
         source=np.concatenate([heavy.source, light.source]),
         flagged=np.concatenate([heavy.flagged, light.flagged]),
         threshold=t,
@@ -362,12 +398,14 @@ def solve_max3lin_with_advice(
 
     ``epsilon`` defaults to the advice's own parameter.  The reduced
     instance feeds the 2-Lin solver with the advice labels as its hint;
-    the 2-Lin solution is returned unchanged as the 3-Lin answer.
+    the 2-Lin solution is returned unchanged as the 3-Lin answer.  The
+    solver receives psi with its parallel rows merged; the diagnostics read
+    psi itself.
     """
     _require_arity3(phi)
     eps = advice.epsilon if epsilon is None else epsilon
     reduced = build_psi(phi, advice, delta, eps)
-    x_hat, _ = solve_2lin(reduced.psi, TwoLinConfig(hint=advice.values), seed)
+    x_hat, _ = solve_2lin(reduced.merged, TwoLinConfig(hint=advice.values), seed)
     sat_phi = satisfied_mask(phi, x_hat)
     weight, fraction = evaluate(phi, x_hat, mask=sat_phi)
     sat_psi = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged

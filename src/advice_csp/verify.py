@@ -240,8 +240,9 @@ def derived_instance_failures(rng, trials: int) -> int:
     """``rebuild_failures`` summed over ``trials`` rounds of every instance
     the package derives: psi of a heavy fixture (n in [6, 9], m in [80, 159],
     most pairs heavy) and of a light one (n in [20, 39], m in [10, 59],
-    almost no pair heavy), the homogenized psi of each, the 4-Lin lift of
-    the heavy fixture with t in [1, 3], and a planted graph's 2-Lin view."""
+    almost no pair heavy), the homogenized psi and the merged psi of each,
+    the 4-Lin lift of the heavy fixture with t in [1, 3], and a planted
+    graph's 2-Lin view."""
     failures = 0
     for _ in range(trials):
         phis = []
@@ -249,8 +250,9 @@ def derived_instance_failures(rng, trials: int) -> int:
                      (int(rng.integers(20, 40)), int(rng.integers(10, 60)))):
             plant = plant_klin(n, 3, m, 0.1, seed=int(rng.integers(1 << 30)))
             advice = gen_label_advice(plant.x_star, 0.8, seed=int(rng.integers(1 << 30)))
-            psi = build_psi(plant.instance, advice, delta=0.5, epsilon=1.0).psi
-            failures += rebuild_failures(psi) + rebuild_failures(homogenize(psi)[0])
+            reduced = build_psi(plant.instance, advice, delta=0.5, epsilon=1.0)
+            failures += sum(map(rebuild_failures, (reduced.psi, homogenize(reduced.psi)[0],
+                                                   reduced.merged)))
             phis.append(plant.instance)
         lift = three_to_four_lin(phis[0], int(rng.integers(1, 4)))
         graph = plant_bipartite_regular(16, 3, 0.5, seed=int(rng.integers(1 << 30))).instance
@@ -470,6 +472,17 @@ def exact_advice_failures(plant, delta: float) -> int:
     return int(np.count_nonzero(~satisfied_mask(reduced.psi, plant.x_star) & ~reduced.flagged))
 
 
+def merged_failures(reduced, xs) -> int:
+    """How ``reduced.merged`` differs from psi as an objective: 1 each for
+    its total weight, pair matrix and unary vector, and for its satisfied
+    weight and fraction at each x in ``xs``, compared exactly."""
+    psi, merged = reduced.psi, reduced.merged
+    failures = int(merged.total_weight != psi.total_weight)
+    failures += not np.array_equal(merged.pair_matrix, psi.pair_matrix)
+    failures += not np.array_equal(merged.unary_vector, psi.unary_vector)
+    return failures + sum(evaluate(merged, x) != evaluate(psi, x) for x in xs)
+
+
 def reduction_audit_failures(plant, advice, delta: float, seed) -> tuple[int, int, int]:
     """(violations, excess, heavy_rows) of one Max 3-Lin solve: the heavy
     implication audit's count, how far unsat_phi exceeds the representative
@@ -528,7 +541,7 @@ def suite_instance_invariants(seeds: int) -> list[CheckResult]:
     trials = max(2, seeds // 25)
     failures = derived_instance_failures(np.random.default_rng(20_010), trials)
     out.append(CheckResult("instance-invariants", "derived instances pass the public constructor",
-                           failures == 0, f"{failures} failures in {6 * trials} instances"))
+                           failures == 0, f"{failures} failures in {8 * trials} instances"))
     return out
 
 
@@ -758,13 +771,22 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
                            wrong == 0, f"{wrong} unflagged votes violated"))
 
     # The fixture has heavy pairs and light constraints, so the audit and
-    # the bound's heavy and light terms all see rows.
-    violations = excess = heavy_rows = 0
+    # the bound's heavy and light terms all see rows.  The merged psi is
+    # compared with psi here and on the light fixture below, at the plant,
+    # the advice and random points.
+    rng = np.random.default_rng(20_007)
+
+    def merge_diffs(plant, advice, reduced) -> int:
+        xs = [plant.x_star, advice.values, *rng.choice([-1, 1], size=(8, plant.instance.n))]
+        return merged_failures(reduced, xs)
+
+    violations = excess = heavy_rows = merge_fails = 0
     for s in range(max(3, seeds // 30)):
         plant = plant_klin(20, 3, 1500, 0.1, seed=800 + s)
         advice = gen_label_advice(plant.x_star, 0.8, seed=(81, s))
         v, e, h = reduction_audit_failures(plant, advice, delta=0.1, seed=(82, s))
         violations, excess, heavy_rows = violations + v, excess + e, heavy_rows + h
+        merge_fails += merge_diffs(plant, advice, build_psi(plant.instance, advice, 0.1, 0.8))
     out.append(CheckResult("threelin-lemmas", "heavy implication audit clean",
                            violations == 0 and heavy_rows > 0,
                            f"{violations} violations over {heavy_rows} heavy rows"))
@@ -795,6 +817,9 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     out.append(CheckResult("threelin-lemmas", "light vote error rate within bound",
                            total >= 100 and errs / total <= bound + margin,
                            f"errs={errs}/{total} bound={bound:.4f}"))
+    merge_fails += merge_diffs(plant, advice, reduced)
+    out.append(CheckResult("threelin-lemmas", "merged ψ has ψ's objective",
+                           merge_fails == 0, f"{merge_fails} differences"))
     return out
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -453,6 +454,25 @@ def test_header_count_past_the_file_size_allocates_nothing(tmp_path):
     path.write_text("p klin 2 3 1000000000000\n0 1 +1 1.0\n")
     with pytest.raises(ParseError, match=":2: header promises 1000000000000 constraints, found 1$"):
         fileio.read_instance(path)
+
+
+def test_a_wide_header_writes_only_the_filled_columns(tmp_path):
+    # one unary row under a header promising k = 10**6: the (1, k) idx is the
+    # data model's, but the writer tokenizes only its first column (an
+    # (m, k + 1) token array took 24 MB here)
+    k = 10**6
+    idx = np.full((1, k), -1, dtype=np.int64)
+    idx[0, 0] = 0
+    wide = KLinInstance(k, 5, idx, [1], [1.0])
+    path = tmp_path / "wide.klin"
+    tracemalloc.start()
+    try:
+        fileio.write_instance(path, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == b"p klin 1000000 5 1\n0 +1 1.0\n"
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ from advice_csp.max3lin import (
     representative_accounting,
     solve_max3lin_with_advice,
 )
+from advice_csp.twolin_sdp import TwoLinConfig, solve_2lin
 from advice_csp.verify import (
     binomial_band,
     heavy_vote_errors,
     light_vote_errors,
+    merged_failures,
+    rebuild_failures,
     reduction_counting_failures,
     same_columns,
 )
@@ -271,6 +274,73 @@ class TestBuildPsi:
         b = build_psi(plant.instance, advice, delta=0.1, epsilon=0.7)
         assert same_columns(a.psi, b.psi)
         assert np.array_equal(a.source, b.source)
+
+
+def merge_fixture(name):
+    """(phi, advice, delta, epsilon) of a merged-psi check: heavy pairs and
+    light constraints, no heavy pair (test_golden's max3lin-light), both
+    kinds of zero vote (test_golden's max3lin-flagged), or no constraint."""
+    if name == "empty":
+        phi = KLinInstance.from_constraints(k=3, n=5, constraints=())
+        return phi, all_ones_advice(5), 0.1, 0.5
+    n, m, noise, adv_eps, delta, eps, seed = {
+        "heavy": (20, 1500, 0.1, 0.8, 0.1, 0.8, 12),
+        "light": (300, 3000, 0.05, 0.9, 0.05, 0.9, 11),
+        "flagged": (24, 300, 0.1, 0.2, 0.5, 1.0, 16),
+    }[name]
+    plant = plant_klin(n, 3, m, noise, seed=seed)
+    return plant.instance, gen_label_advice(plant.x_star, adv_eps, seed=(seed, 1)), delta, eps
+
+
+class TestMerged:
+    @pytest.mark.parametrize("name", ["heavy", "light", "flagged", "empty"])
+    def test_same_objective_in_fewer_rows(self, name):
+        phi, advice, delta, eps = merge_fixture(name)
+        reduced = build_psi(phi, advice, delta, eps)
+        merged = reduced.merged
+        xs = np.random.default_rng(3).choice([-1, 1], size=(16, phi.n))
+        assert merged_failures(reduced, [advice.values, *xs]) == 0
+        assert rebuild_failures(merged) == 0
+        assert merged.m <= len(reduced.heavy_pairs) + 3 * phi.n
+        assert (merged.m == 0) == (name == "empty")
+        assert np.array_equal(merged.arity == 2, np.arange(merged.m) < len(reduced.heavy_pairs))
+
+    def test_hand_layout(self):
+        # pair (0, 1) is covered t = 6 times; (2, 3, 4) is light
+        cons = [((0, 1, v), 1, 1.0) for v in range(2, 8)] + [((2, 3, 4), -1, 1.0)]
+        phi = KLinInstance.from_constraints(k=3, n=8, constraints=cons)
+        reduced = build_psi(phi, all_ones_advice(8), delta=0.5, epsilon=1.0)
+        merged = reduced.merged
+        assert reduced.m == 15 and merged.m == 10
+        assert merged.idx[:, 0].tolist() == [0, 2, 3, 4, 5, 6, 7, 2, 3, 4]
+        assert merged.idx[:, 1].tolist() == [1] + [-1] * 9
+        assert merged.rhs.tolist() == [1] * 7 + [-1] * 3
+        assert merged.w.tolist() == [6.0] + [1.0] * 9
+
+    def test_zero_votes_keep_rhs_plus_one(self):
+        reduced = build_psi(*merge_fixture("flagged"))
+        psi, merged, h = reduced.psi, reduced.merged, reduced.heavy_rows
+        pairs = len(reduced.heavy_pairs)
+        zero_pair = reduced.sigma_pair == 0
+        assert zero_pair.any() and np.all(merged.rhs[:pairs][zero_pair] == 1)
+        assert np.all(psi.rhs[:h:2][reduced.flagged[:h:2]] == 1)
+        # the light rows close merged, one per light variable, ascending
+        light = np.unique(psi.idx[h:, 0])
+        tail = slice(merged.m - light.size, merged.m)
+        assert np.array_equal(merged.idx[tail, 0], light)
+        zero_var = np.isin(light, psi.idx[h:, 0][reduced.flagged[h:]])
+        assert zero_var.any() and np.all(merged.rhs[tail][zero_var] == 1)
+        assert np.all(psi.rhs[h:][reduced.flagged[h:]] == 1)
+
+    @pytest.mark.parametrize("name", ["heavy", "flagged"])
+    def test_solver_takes_the_same_steps(self, name):
+        phi, advice, delta, eps = merge_fixture(name)
+        reduced = build_psi(phi, advice, delta, eps)
+        config = TwoLinConfig(hint=advice.values)
+        for s in range(6):
+            x, w = solve_2lin(reduced.psi, config, (s, 2))
+            x_merged, w_merged = solve_2lin(reduced.merged, config, (s, 2))
+            assert np.array_equal(x_merged, x) and w_merged == w
 
 
 class TestSolve:

@@ -113,6 +113,12 @@ def drop_last_row(r):
     return replace(r, psi=psi, source=r.source[:-1], flagged=r.flagged[:-1])
 
 
+def one_unit_less_first_row(r):
+    w = r.merged.w.copy()
+    w[0] -= 1.0
+    return replace(r, merged=with_columns(r.merged, w=w))
+
+
 def repeat_first_index(hom, ref):
     idx = hom.idx.copy()
     idx[0, 1] = idx[0, 0]
@@ -205,6 +211,9 @@ CASES = {
     "counting bound, every source marked heavy": (
         lambda: audit(1), "build_psi",
         lambda f: lambda *args: replace(f(*args), heavy_mask=np.ones_like(f(*args).heavy_mask))),
+    "merged psi, first row one unit light": (
+        suite_check("threelin-lemmas", "merged ψ has ψ's objective"), "build_psi",
+        lambda f: lambda *args, **kw: one_unit_less_first_row(f(*args, **kw))),
     "lift map, last new variable -1": (
         lift_map, "lift_assignment", lambda f: lambda sigma, t: np.append(f(sigma, t)[:-1], -1)),
     "containment, scores negated": (
