@@ -16,30 +16,32 @@ Blank lines and ``#`` comments are ignored everywhere; LF, CRLF and lone
 CR endings are all accepted.  Writing then reading any value is the
 identity.
 
-Every reader first tries the block grammar.  The header is the file's
-first line; the body is read in blocks of ``_BLOCK`` bytes, each cut after
-its last line break, and each block is tokenized on a numpy view of its
-bytes:
+Every reader first tries the block grammar.  The header is the first
+line that is neither blank nor a comment; the body is read in blocks of
+``_BLOCK`` bytes, each cut after its last line break, and each block is
+tokenized on a numpy view of its bytes:
 
 - tokens are separated by runs of spaces and tabs, and a line ends at LF,
   CRLF or a lone CR, which may fall on a block edge;
 - blank lines and leading or trailing whitespace are skipped, and the last
   line needs no line break;
+- a line whose first token starts with ``#`` is a comment and is dropped
+  with all its tokens; only a block that holds a ``#`` pays for the test;
 - an index is 1 to 18 ASCII digits, an rhs, label or assignment value is
   exactly ``+1`` or ``-1``, and a weight is ``float()`` of its token of at
   most 32 bytes, called once per distinct token in a block;
 - each constraint line has its own token count, so arities 1..k may mix.
 
-Anything else sends the whole file to the line checker: a comment (no
-``#`` fits the grammar), any other control byte, a non-ASCII byte, a
-header below line 1, a token count, index or sign outside the grammar, a
-line count that is not the header's, or a value the instance or advice
-constructor rejects.  The line checker (``_parse_constraint`` and the
-header and sign checks) re-reads the file with ``str.split``, is the
-reference for every value and every error message, and names the first
-bad line.  Its grammar is wider (``int()`` takes ``+5`` and ``1_0``, and
-comments are skipped); on the block grammar the two give the same columns,
-bit for bit.
+Anything else sends the whole file to the line checker: a ``#`` that
+does not start a line's first token (no token may hold one), any other
+control byte or a non-ASCII byte (in a comment too), a token count,
+index or sign outside the grammar, a line count that is not the header's,
+or a value the instance or advice constructor rejects.  The line checker
+(``_parse_constraint`` and the header and sign checks) re-reads the file
+with ``str.split``, is the reference for every value and every error
+message, and names the first bad line.  Its grammar is wider (``int()``
+takes ``+5`` and ``1_0``); on the block grammar the two give the same
+columns, bit for bit.
 
 Memory: the block reader holds one block and its token arrays besides the
 output columns.  It allocates the columns from the header's m and fills
@@ -109,27 +111,43 @@ def _tokenize(chunk: bytes) -> _Tokens | None:
     # the block starts and ends with whitespace, so token edges come in pairs
     tok = u > ord(" ")
     edge = np.flatnonzero(tok[1:] != tok[:-1])
-    start = edge[0::2] + 1
+    start, size = edge[0::2] + 1, edge[1::2] - edge[0::2]
     before = np.searchsorted(start, breaks)  # tokens before each line break
     count = np.diff(before, prepend=0)
     line = count > 0
-    return _Tokens(u, start, edge[1::2] - edge[0::2], (before - count)[line], count[line])
+    if b"#" in block:  # a line whose first token starts with "#" is a comment: drop its tokens
+        line[line] = u[start[(before - count)[line]]] != ord("#")
+        keep = np.repeat(line, count)
+        start, size, count = start[keep], size[keep], count * line
+        before = np.cumsum(count)
+    return _Tokens(u, start, size, (before - count)[line], count[line])
 
 
 def _by_blocks(path, header, body):
     """``body(blocks, *header(tokens, path, 1))``, where ``tokens`` are the
-    first line's and ``blocks`` yields the ``_Tokens`` of each block of the
+    header line's and ``blocks`` yields the ``_Tokens`` of each block of the
     rest, or None for one that needs the line checker; None when only the line
     checker can read ``path``."""
     with open(path, "rb") as fh:
         chunks = _chunks(fh)
-        first = next(chunks)
-        end = min((p for p in (first.find(b"\n"), first.find(b"\r")) if p >= 0), default=len(first))
-        head = _tokenize(first[:end])
+        first, start = next(chunks), 0  # the header: the first line neither blank nor a comment
+        while True:
+            end = min((p for p in (first.find(b"\n", start), first.find(b"\r", start)) if p >= 0),
+                      default=len(first))
+            line = first[start:end].strip()
+            if line and not line.startswith(b"#"):
+                break
+            if end < len(first):
+                start = end + 1
+            elif (more := next(chunks, None)) is not None:  # each piece but the last ends a line
+                first += more
+            else:
+                return None
+        head = _tokenize(first[:end])  # the lines before the header pass the body's byte checks
         if head is None or head.first.size != 1:
             return None
         try:
-            fields = header(first[:end].decode().split(), path, 1)
+            fields = header(line.decode().split(), path, 1)
         except ParseError:
             return None
         return body(map(_tokenize, chain([first[end:]], chunks)), *fields)

@@ -10,17 +10,20 @@ sums to zero keeps rhs +1 but is flagged and counted as always violated.
 Solving the reduced instance and returning its assignment unchanged is
 the whole algorithm.
 
-The reduced instance psi is mostly parallel copies of a few rows, so the
-2-Lin solver receives ``merged``: psi with each group of parallel rows
-collapsed into one row weighted by the group's size, which has psi's
-objective at every assignment.  psi itself is kept, row for row, for the
-diagnostics and the representative accounting.
+The reduced instance psi is mostly parallel copies of a few rows.  The
+votes, their sizes and the heavy unary counts come from bincounts, with no
+sort of the members, and build ``merged``: psi with each group of parallel
+rows collapsed into one row weighted by its copies, which has psi's
+objective at every assignment.  The 2-Lin solver and the diagnostics read
+only ``merged``; psi itself is built row for row on first read, for the
+audits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +39,8 @@ class Groups:
 
     Group g has key ``keys[g]`` (ascending, distinct) and holds the
     positions ``members[offsets[g]:offsets[g + 1]]``, in the order they
-    were given.  The reduction builds one for the heavy pairs (empty when
-    no pair reaches the threshold) and one for the light constraints'
-    variables.
+    were given.  psi's expansion groups the heavy pairs' constraints and
+    the light constraints' variables this way.
     """
 
     keys: np.ndarray
@@ -76,72 +78,118 @@ class Groups:
 
 @dataclass(frozen=True, eq=False)
 class PairIncidence:
-    """The heavy pairs with their constraint positions, and the heavy
-    constraints.
+    """The heavy pairs, the constraints that cover them, and the heavy
+    constraints of ``phi``.
 
-    ``by_pair`` groups the constraints of each heavy pair, positions
-    ascending; it is empty when no pair reaches the threshold, and pairs
-    below it are never grouped.  Pair (i, j), i < j, has key i * n + j, so
-    key order is pair order.
+    Entry 3 * c + f is pair f of constraint c (``_pair_keys``); ``entries``
+    lists the heavy ones ascending, and ``pair_of`` each one's index in
+    ``keys``.  Pair (i, j), i < j, has key i * n + j, so key order is pair
+    order.  ``by_pair`` groups the heavy pairs' constraints and ``by_var``
+    the light constraints by variable, positions ascending; only psi and
+    the audits read them, so they are sorted on first read.
     """
 
-    n: int
-    by_pair: Groups
+    phi: KLinInstance
+    keys: np.ndarray  # the heavy pairs' keys, ascending
+    entries: np.ndarray
+    pair_of: np.ndarray
     heavy_mask: np.ndarray  # per constraint: some pair of it is heavy
 
     @property
     def heavy_pairs(self) -> np.ndarray:
         """(h, 2) array of the heavy pairs, ascending."""
-        keys = self.by_pair.keys
-        return np.stack([keys // self.n, keys % self.n], axis=1)
+        return np.stack([self.keys // self.phi.n, self.keys % self.phi.n], axis=1)
+
+    @cached_property
+    def by_pair(self) -> Groups:
+        groups = Groups.of(self.pair_of, self.entries // 3)
+        return Groups(self.keys, groups.offsets, groups.members)
+
+    @cached_property
+    def by_var(self) -> Groups:
+        light = np.flatnonzero(~self.heavy_mask)
+        return Groups.of(self.phi.idx[light, :3].ravel(), np.repeat(light, 3))
 
 
 @dataclass(frozen=True, eq=False)
-class Representatives:
-    """Reduced constraints of one vote family, in emission order.
+class Votes:
+    """One vote family: ``sigma`` per heavy pair or per variable, 0 where the
+    vote summed to zero or nothing voted, and ``sizes``, its voters.  Heavy
+    votes also carry ``unary``, each heavy entry's pinning x_k = sigma * rhs
+    as the key 2k + (sigma * rhs > 0), with sigma +1 on a zero vote."""
 
-    Rows carry ``idx`` (-1 padded, two columns), ``rhs``, the original
-    constraint ``source`` and ``flagged`` (their vote summed to zero);
-    ``sigma`` holds one vote per group, 0 where it summed to zero.
-    """
-
-    idx: np.ndarray
-    rhs: np.ndarray
-    source: np.ndarray
-    flagged: np.ndarray
     sigma: np.ndarray
+    sizes: np.ndarray
+    unary: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
     """The reduced 2-Lin instance with its bookkeeping.
 
-    The first ``heavy_rows`` rows of psi are the heavy representatives, in
-    adjacent (pair, unary) couples that share a source; the rest are the
-    light representatives.  ``source[r]`` is the index of the original
-    constraint represented by reduced constraint r; ``flagged[r]`` marks
-    zero-vote constraints that count as violated no matter the assignment.
-    ``merged``, psi with its parallel rows merged (``_merged_psi``), is
-    what the 2-Lin solver receives.  ``sigma_pair`` holds the vote of each
-    heavy pair (aligned with ``heavy_pairs``) and ``sigma_var`` the light
-    vote of each variable; a vote that summed to zero, or a variable
-    without light constraints, reads 0.
+    ``merged`` (``_merged_psi``) is what the 2-Lin solver receives, and
+    ``unflagged`` holds the copies of each of its rows whose vote did not
+    sum to zero.  ``sigma_pair`` holds the vote of each heavy pair (aligned
+    with ``heavy_pairs``) and ``sigma_var`` the light vote of each
+    variable; a vote that summed to zero, or a variable without light
+    constraints, reads 0.  ``unary`` is ``Votes.unary`` of the heavy pairs.
+
+    psi, ``source`` and ``flagged`` are built on first read.  The first
+    ``heavy_rows`` rows of psi are the heavy representatives, pairs
+    ascending and each pair's constraints ascending, in adjacent (pair,
+    unary) couples that share a source; the rest are the light
+    representatives, variables ascending.  ``source[r]`` is the index of
+    the original constraint represented by reduced constraint r;
+    ``flagged[r]`` marks zero-vote constraints that count as violated no
+    matter the assignment.
     """
 
-    psi: KLinInstance
     merged: KLinInstance
-    source: np.ndarray
-    flagged: np.ndarray
+    unflagged: np.ndarray
     threshold: int
     heavy_rows: int
     heavy_pairs: np.ndarray
     heavy_mask: np.ndarray
     sigma_pair: np.ndarray
     sigma_var: np.ndarray
+    incidence: PairIncidence
+    unary: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.psi.m
+        """psi's row count, the copies that ``merged`` merges."""
+        return int(self.merged.w.sum())
+
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The heavy pair of each heavy couple and the variable of each light row."""
+        by_var = self.incidence.by_var
+        return self.incidence.by_pair.group_of(), by_var.keys[by_var.group_of()]
+
+    @cached_property
+    def psi(self) -> KLinInstance:
+        pair, var = self._groups()
+        unary = Groups.of(self.incidence.pair_of, self.unary).members  # in by_pair's order
+        h = 2 * pair.size
+        idx = np.full((h + var.size, 2), -1, dtype=np.int64)
+        idx[0:h:2] = self.heavy_pairs[pair]
+        idx[1:h:2, 0] = unary >> 1
+        idx[h:, 0] = var
+        couples = np.stack([_rhs(self.sigma_pair)[pair], 2 * (unary & 1) - 1], axis=1)
+        arity = np.ones(len(idx), dtype=np.int64)
+        arity[0:h:2] = 2
+        return KLinInstance._derived(2, self.incidence.phi.n, idx,
+                                     np.append(couples, _rhs(self.sigma_var)[var]),
+                                     np.ones(len(idx)), arity=arity)
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        incidence = self.incidence
+        return np.append(np.repeat(incidence.by_pair.members, 2), incidence.by_var.members)
+
+    @cached_property
+    def flagged(self) -> np.ndarray:
+        pair, var = self._groups()
+        return np.append(np.repeat(self.sigma_pair[pair] == 0, 2), self.sigma_var[var] == 0)
 
 
 def compute_threshold(delta: float, epsilon: float) -> int:
@@ -168,187 +216,134 @@ def _pair_keys(phi: KLinInstance) -> np.ndarray:
     return keys.ravel()
 
 
-def classify_constraints(phi: KLinInstance, t: int) -> tuple[PairIncidence, Groups]:
+def _rhs(sigma: np.ndarray) -> np.ndarray:
+    """The rhs that a vote's rows carry: its sign, +1 on a zero vote."""
+    return np.where(sigma < 0, -1, 1).astype(np.int8)
+
+
+def classify_constraints(phi: KLinInstance, t: int) -> PairIncidence:
     """Split constraints into heavy and light by pair coverage.
 
     A pair is heavy when it appears in at least t constraints; a
-    constraint is heavy when any of its three pairs is heavy.  Returns the
-    pair incidence and the light constraints grouped by variable.  One sort
-    of the pair keys shows whether any run of t equal keys exists; only
-    then are the heavy pairs' constraints grouped.
+    constraint is heavy when any of its three pairs is heavy.  When there
+    are at most as many pairs as pair keys (n^2 <= 3m), a bincount counts
+    every pair and a table maps each key to its heavy pair.  Otherwise one
+    sort of the keys shows whether any run of t equal keys exists; only
+    then are the heavy pairs' entries looked up.
     """
     _require_arity3(phi)
     if t < 1:
         raise InputError("threshold must be >= 1")
     keys = _pair_keys(phi)
-    size = keys.size
-    heavy_mask = np.zeros(phi.m, dtype=bool)
-    none = np.zeros(0, dtype=np.int64)
-    by_pair = Groups.of(none, none)
-    if t <= size:
+    size, pair_count = keys.size, phi.n * phi.n  # every key is below n * n
+    heavy = entries = pair_of = np.zeros(0, dtype=np.int64)
+    if pair_count <= size:
+        heavy = np.flatnonzero(np.bincount(keys, minlength=pair_count) >= t)
+        table = np.full(pair_count, -1, dtype=np.int64)
+        table[heavy] = np.arange(heavy.size)
+        pair_of = table[keys]
+        entries = np.flatnonzero(pair_of >= 0)
+        pair_of = pair_of[entries]
+    elif t <= size:
         sk = np.sort(keys)
-        run = sk[t - 1:] == sk[:size - t + 1]  # t equal keys from sk[s] on
-        if run.any():
-            reached = sk[:size - t + 1][run]  # ascending, with repeats
-            heavy_keys = reached[np.append(True, reached[1:] != reached[:-1])]
-            pair_count = phi.n * phi.n  # every key is below n * n
-            if pair_count <= size:  # a table of every pair is at most a byte per key
-                heavy = np.zeros(pair_count, dtype=bool)
-                heavy[heavy_keys] = True
-                entries = np.flatnonzero(heavy[keys])
-            else:
-                entries = np.flatnonzero(np.isin(keys, heavy_keys))
-            by_pair = Groups.of(keys[entries], entries // 3)
-            heavy_mask[by_pair.members] = True
-    idx = phi.idx[:, :3]
-    if by_pair.keys.size:
-        light = np.flatnonzero(~heavy_mask)
-        idx = idx[light]
-    else:
-        light = np.arange(phi.m)
-    by_var = Groups.of(idx.ravel(), np.repeat(light, 3))
-    return PairIncidence(n=phi.n, by_pair=by_pair, heavy_mask=heavy_mask), by_var
+        reached = sk[:size - t + 1][sk[t - 1:] == sk[:size - t + 1]]  # t equal keys from there on
+        if reached.size:
+            heavy = reached[np.append(True, reached[1:] != reached[:-1])]
+            entries = np.flatnonzero(np.isin(keys, heavy))
+            pair_of = np.searchsorted(heavy, keys[entries])
+    heavy_mask = np.zeros(phi.m, dtype=bool)
+    heavy_mask[entries // 3] = True
+    return PairIncidence(phi, heavy, entries, pair_of, heavy_mask)
 
 
-def _signs(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, zero): sgn of each vote with 0 counted as +1, and vote == 0."""
-    return np.where(votes >= 0, 1, -1).astype(np.int8), votes == 0
+def create_h_constraints(incidence: PairIncidence, advice: LabelAdvice,
+                         phi: KLinInstance) -> Votes:
+    """The votes of every heavy pair, pairs ascending.
 
-
-def create_h_constraints(
-    incidence: PairIncidence, advice: LabelAdvice, phi: KLinInstance
-) -> Representatives:
-    """Representatives of every heavy pair, pairs ascending.
-
-    Pair (i, j) votes sigma = sgn(sum over members of rhs * label of the
-    third variable); each member, ascending, contributes the pair
-    constraint x_i x_j = sigma followed by the unary pinning
-    x_k = sigma * rhs.
+    Pair (i, j) votes sigma = sgn(sum over its constraints of rhs * label
+    of the third variable x_k); each of them emits the pair constraint
+    x_i x_j = sigma and the unary pinning x_k = sigma * rhs.
     """
-    groups = incidence.by_pair
-    labels = advice.values.astype(np.int64)
-    pos, group = groups.members, groups.group_of()
-    pairs = incidence.heavy_pairs
-    i, j = pairs[group, 0], pairs[group, 1]
-    idx = phi.idx
-    third = idx[pos, 0] + idx[pos, 1] + idx[pos, 2] - i - j
-    rhs = phi.rhs[pos].astype(np.int64)
-    votes = np.bincount(group, weights=rhs * labels[third], minlength=len(pairs))
-    sigma, zero = _signs(votes)
-    rows = np.empty((2 * pos.size, 2), dtype=np.int64)
-    rows[0::2, 0], rows[0::2, 1] = i, j
-    rows[1::2, 0], rows[1::2, 1] = third, -1
-    rep_rhs = np.repeat(sigma[group], 2)
-    rep_rhs[1::2] *= rhs.astype(np.int8)
-    return Representatives(
-        idx=rows,
-        rhs=rep_rhs,
-        source=np.repeat(pos, 2),
-        flagged=np.repeat(zero[group], 2),
-        sigma=np.where(zero, 0, sigma).astype(np.int8),
-    )
+    entries, pair = incidence.entries, incidence.pair_of
+    members = entries // 3
+    # entry 3c + f leaves index 2 - f of constraint c: entry 6c + 2 - (3c + f) of the flat idx
+    third = phi.idx[:, :3].ravel()[6 * members + 2 - entries]
+    rhs = phi.rhs[members]
+    votes = np.bincount(pair, weights=rhs * advice.values[third], minlength=incidence.keys.size)
+    sigma = np.sign(votes).astype(np.int8)
+    return Votes(sigma, np.bincount(pair, minlength=sigma.size),
+                 unary=2 * third + (_rhs(sigma)[pair] * rhs > 0))
 
 
-def create_l_constraints(
-    by_var: Groups, advice: LabelAdvice, phi: KLinInstance
-) -> Representatives:
-    """Representatives of every variable's light constraints, variables ascending.
+def create_l_constraints(incidence: PairIncidence, advice: LabelAdvice,
+                         phi: KLinInstance) -> Votes:
+    """The light votes, indexed by variable.
 
-    Variable v votes sigma = sgn(sum over members of rhs * product of the
-    other two labels); each member, ascending, contributes one copy of
-    x_v = sigma.  ``sigma`` is indexed by variable.
+    Variable v votes sigma = sgn(sum over its light constraints of rhs *
+    product of the other two labels); each of them emits one copy of
+    x_v = sigma.
     """
-    labels = advice.values.astype(np.int64)
-    idx = phi.idx
+    labels, idx, rhs = advice.values, phi.idx[:, :3], phi.rhs
+    if incidence.keys.size:
+        light = ~incidence.heavy_mask
+        idx, rhs = idx[light], rhs[light]
     # rhs times the product of the three labels, once per constraint.  The
-    # other two labels' product is that times label[v], one factor per group.
-    prod = phi.rhs.astype(np.int64) * labels[idx[:, 0]] * labels[idx[:, 1]] * labels[idx[:, 2]]
-    pos = by_var.members
-    group = by_var.group_of()
-    votes = np.bincount(group, weights=prod[pos], minlength=by_var.keys.size)
-    votes *= labels[by_var.keys]
-    sigma, zero = _signs(votes)
-    sigma_var = np.zeros(phi.n, dtype=np.int8)
-    sigma_var[by_var.keys] = np.where(zero, 0, sigma)
-    return Representatives(
-        idx=np.stack([by_var.keys[group], np.full(pos.size, -1, dtype=np.int64)], axis=1),
-        rhs=sigma[group],
-        source=pos,
-        flagged=zero[group],
-        sigma=sigma_var,
-    )
+    # other two labels' product is that times label[v], one factor per variable.
+    prod = rhs * labels[idx[:, 0]] * labels[idx[:, 1]] * labels[idx[:, 2]]
+    flat = idx.ravel()
+    votes = np.bincount(flat, weights=np.repeat(prod, 3), minlength=phi.n) * labels
+    return Votes(np.sign(votes).astype(np.int8), np.bincount(flat, minlength=phi.n))
 
 
-def _merged_psi(
-    n: int, by_pair: Groups, by_var: Groups, heavy: Representatives, light: Representatives
-) -> KLinInstance:
+def _merged_psi(incidence: PairIncidence, heavy: Votes,
+                light: Votes) -> tuple[KLinInstance, np.ndarray]:
     """psi with each group of parallel representatives as one row, weighted
-    by the group's size: one pair row per heavy pair, pairs ascending; one
-    heavy unary row per (variable, sign), variables ascending and -1 first;
-    one unary row per light variable, variables ascending.  Each row keeps
-    the rhs its copies carry, +1 on a zero vote.  Every psi weight is 1, so
-    each merged weight, pair-matrix cell, unary entry and satisfied weight
-    is a sum of small integers, exact in float64 in any order."""
-    first = 2 * by_pair.offsets[:-1]  # each heavy pair's first pair row
-    unary = np.bincount(heavy.idx[1::2, 0] * 2 + (heavy.rhs[1::2] > 0), minlength=2 * n)
-    key = np.flatnonzero(unary)
-    h, u = first.size, key.size
-    idx = np.full((h + u + by_var.keys.size, 2), -1, dtype=np.int64)
-    idx[:h] = heavy.idx[first]
+    by the group's size, and each row's unflagged copies: one pair row per
+    heavy pair, pairs ascending; one heavy unary row per (variable, sign),
+    variables ascending and -1 first; one unary row per light variable,
+    variables ascending.  Each row keeps the rhs its copies carry, +1 on a
+    zero vote.  Every psi weight is 1, so each merged weight, pair-matrix
+    cell, unary entry and satisfied weight is a sum of small integers,
+    exact in float64 in any order."""
+    n = incidence.phi.n
+    unary = np.bincount(heavy.unary, minlength=2 * n)
+    key, var = np.flatnonzero(unary), np.flatnonzero(light.sizes)
+    h, u = heavy.sigma.size, key.size
+    idx = np.full((h + u + var.size, 2), -1, dtype=np.int64)
+    idx[:h] = incidence.heavy_pairs
     idx[h:h + u, 0] = key // 2
-    idx[h + u:, 0] = by_var.keys
-    rhs = np.concatenate([heavy.rhs[first], np.where(key % 2, 1, -1),
-                          light.rhs[by_var.offsets[:-1]]])
+    idx[h + u:, 0] = var
+    sigma = np.concatenate([heavy.sigma, 2 * (key % 2) - 1, light.sigma[var]])
+    w = np.concatenate([heavy.sizes, unary[key], light.sizes[var]])
+    unflagged = np.where(sigma == 0, 0.0, w)
+    # a heavy unary row holds the copies of every pair whose constraints pin it
+    live = heavy.sigma[incidence.pair_of] != 0
+    unflagged[h:h + u] = np.bincount(heavy.unary, weights=live, minlength=2 * n)[key]
     arity = np.ones(len(idx), dtype=np.int64)
     arity[:h] = 2
-    return KLinInstance._derived(2, n, idx, rhs,
-                                 np.concatenate([by_pair.sizes, unary[key], by_var.sizes]),
-                                 arity=arity)
+    return KLinInstance._derived(2, n, idx, _rhs(sigma), w, arity=arity), unflagged
 
 
 def build_psi(
     phi: KLinInstance, advice: LabelAdvice, delta: float, epsilon: float
 ) -> ReducedInstance:
-    """Assemble the reduced weighted 2-Lin instance with unit multiplicities.
+    """Reduce phi to weighted 2-Lin: the votes, and the merged instance.
 
-    Heavy pairs emit in sorted pair order, then variables in ascending
-    order emit their light representatives, so the construction is a
-    deterministic function of (instance, advice).
+    Heavy pairs come in sorted pair order, then the variables' light votes
+    in ascending order, so the construction is a deterministic function of
+    (instance, advice).
     """
     _require_arity3(phi)
     if advice.n != phi.n:
         raise InputError(f"advice length {advice.n} does not match n={phi.n}")
     t = compute_threshold(delta, epsilon)
-    incidence, by_var = classify_constraints(phi, t)
+    incidence = classify_constraints(phi, t)
     heavy = create_h_constraints(incidence, advice, phi)
-    light = create_l_constraints(by_var, advice, phi)
-    h = heavy.source.size
-    m = h + light.source.size
-    arity = np.ones(m, dtype=np.int64)
-    arity[0:h:2] = 2  # heavy (pair, unary) couples, then light unaries
-    psi = KLinInstance._derived(2, phi.n, np.concatenate([heavy.idx, light.idx]),
-                                np.concatenate([heavy.rhs, light.rhs]), np.ones(m),
-                                arity=arity)
-    return ReducedInstance(
-        psi=psi,
-        merged=_merged_psi(phi.n, incidence.by_pair, by_var, heavy, light),
-        source=np.concatenate([heavy.source, light.source]),
-        flagged=np.concatenate([heavy.flagged, light.flagged]),
-        threshold=t,
-        heavy_rows=h,
-        heavy_pairs=incidence.heavy_pairs,
-        heavy_mask=incidence.heavy_mask,
-        sigma_pair=heavy.sigma,
-        sigma_var=light.sigma,
-    )
-
-
-def conservative_psi_value(reduced: ReducedInstance, x) -> float:
-    """Satisfied weight of the reduced instance, counting flagged as violated."""
-    if reduced.m == 0:
-        return 0.0
-    sat = satisfied_mask(reduced.psi, x) & ~reduced.flagged
-    return float(reduced.psi.w[sat].sum())
+    light = create_l_constraints(incidence, advice, phi)
+    merged, unflagged = _merged_psi(incidence, heavy, light)
+    return ReducedInstance(merged, unflagged, t, 2 * incidence.entries.size,
+                           incidence.heavy_pairs, incidence.heavy_mask, heavy.sigma, light.sigma,
+                           incidence, heavy.unary)
 
 
 @dataclass(eq=False)
@@ -374,17 +369,20 @@ class Max3LinResult:
 
 
 def _heavy_implication_violations(
-    reduced: ReducedInstance, sat_phi: np.ndarray, sat_psi: np.ndarray
+    reduced: ReducedInstance, x: np.ndarray, sat_phi: np.ndarray, sat_merged: np.ndarray
 ) -> int:
-    """Count heavy sources where a satisfied representative couple fails to
-    imply the source; algebraically this must always be zero.
+    """Count heavy entries whose satisfied, unflagged representative couple
+    fails to imply the source; algebraically this must always be zero.
 
-    ``sat_phi`` and ``sat_psi`` are one assignment's satisfied masks over
-    phi and over psi, the latter with flagged rows counted as violated.
+    ``sat_phi`` and ``sat_merged`` are x's satisfied masks over phi and over
+    ``reduced.merged``, whose first rows are the heavy pairs'; the unary of
+    each couple is read from ``reduced.unary``, as the solver received it.
     """
-    start = np.arange(0, reduced.heavy_rows, 2)
-    return int(np.count_nonzero(
-        sat_psi[start] & sat_psi[start + 1] & ~sat_phi[reduced.source[start]]))
+    pairs = len(reduced.heavy_pairs)
+    pair, unary = reduced.incidence.pair_of, reduced.unary
+    couple = (sat_merged[:pairs] & (reduced.sigma_pair != 0))[pair]
+    couple &= (x[unary >> 1] > 0) == ((unary & 1) == 1)
+    return int(np.count_nonzero(couple & ~sat_phi[reduced.incidence.entries // 3]))
 
 
 def solve_max3lin_with_advice(
@@ -399,8 +397,8 @@ def solve_max3lin_with_advice(
     ``epsilon`` defaults to the advice's own parameter.  The reduced
     instance feeds the 2-Lin solver with the advice labels as its hint;
     the 2-Lin solution is returned unchanged as the 3-Lin answer.  The
-    solver receives psi with its parallel rows merged; the diagnostics read
-    psi itself.
+    solver and the diagnostics read psi with its parallel rows merged, so
+    psi itself is never built here.
     """
     _require_arity3(phi)
     eps = advice.epsilon if epsilon is None else epsilon
@@ -408,19 +406,20 @@ def solve_max3lin_with_advice(
     x_hat, _ = solve_2lin(reduced.merged, TwoLinConfig(hint=advice.values), seed)
     sat_phi = satisfied_mask(phi, x_hat)
     weight, fraction = evaluate(phi, x_hat, mask=sat_phi)
-    sat_psi = satisfied_mask(reduced.psi, x_hat) & ~reduced.flagged
+    sat_merged = satisfied_mask(reduced.merged, x_hat)
+    m, unflagged = reduced.m, reduced.unflagged
     floor = math.log(1.0 / delta) / delta / eps**6 * phi.n
     diag = Max3LinDiagnostics(
         threshold=reduced.threshold,
         heavy_pair_count=len(reduced.heavy_pairs),
         heavy_constraint_count=int(reduced.heavy_mask.sum()),
         light_constraint_count=int((~reduced.heavy_mask).sum()),
-        psi_size=reduced.m,
-        sigma_zero_count=int(reduced.flagged.sum()),
-        psi_fraction=(float(reduced.psi.w[sat_psi].sum()) / reduced.psi.total_weight
-                      if reduced.m else 1.0),
+        psi_size=m,
+        sigma_zero_count=m - int(unflagged.sum()),
+        psi_fraction=float(unflagged[sat_merged].sum()) / m if m else 1.0,
         unsat_total=int(np.count_nonzero(~sat_phi)),
-        heavy_implication_violations=_heavy_implication_violations(reduced, sat_phi, sat_psi),
+        heavy_implication_violations=_heavy_implication_violations(
+            reduced, x_hat, sat_phi, sat_merged),
         in_guarantee=phi.m >= floor,
     )
     return Max3LinResult(assignment=x_hat, satisfied_weight=weight, satisfied_fraction=fraction,

@@ -301,8 +301,7 @@ def sides_inside_plant(split, x_star) -> bool:
 def heavy_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int, int, float]:
     """(errors, total, exp(-eps^2 t / 8)) over the heavy pairs with under a
     quarter of their constraints violated by x*: votes that differ from x*_i x*_j."""
-    incidence, _ = classify_constraints(phi, reduced.threshold)
-    by_pair = incidence.by_pair
+    by_pair = classify_constraints(phi, reduced.threshold).by_pair
     violated = ~satisfied_mask(phi, x_star)[by_pair.members]
     viol = np.bincount(by_pair.group_of(), weights=violated, minlength=by_pair.keys.size)
     counted = viol < by_pair.sizes / 4
@@ -316,7 +315,7 @@ def heavy_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int,
 def light_vote_errors(phi: KLinInstance, x_star, reduced, epsilon) -> tuple[int, int, float]:
     """(errors, total, bound) over the light variables: votes that differ from
     x*_i, and the mean of exp(-eps^4 |L_i| / 16t) (0 with no light variable)."""
-    _, by_var = classify_constraints(phi, reduced.threshold)
+    by_var = classify_constraints(phi, reduced.threshold).by_var
     errs = total = 0
     bound_sum = 0.0
     for var, size in zip(by_var.keys.tolist(), by_var.sizes.tolist()):
@@ -481,6 +480,36 @@ def merged_failures(reduced, xs) -> int:
     failures += not np.array_equal(merged.pair_matrix, psi.pair_matrix)
     failures += not np.array_equal(merged.unary_vector, psi.unary_vector)
     return failures + sum(evaluate(merged, x) != evaluate(psi, x) for x in xs)
+
+
+def conservative_psi_value(reduced, x) -> float:
+    """Satisfied weight of the reduced instance, counting flagged as violated."""
+    if reduced.m == 0:
+        return 0.0
+    sat = satisfied_mask(reduced.psi, x) & ~reduced.flagged
+    return float(reduced.psi.w[sat].sum())
+
+
+def psi_diagnostics(phi: KLinInstance, reduced, x) -> tuple[float, int, int]:
+    """(psi_fraction, sigma_zero_count, heavy_implication_violations) of x,
+    counted row by row over the expanded psi: the flagged rows, and the heavy
+    couples both satisfied and unflagged whose source x violates."""
+    psi, sat_phi = reduced.psi, satisfied_mask(phi, x)
+    sat_psi = satisfied_mask(psi, x) & ~reduced.flagged
+    start = np.arange(0, reduced.heavy_rows, 2)
+    violations = sat_psi[start] & sat_psi[start + 1] & ~sat_phi[reduced.source[start]]
+    fraction = float(psi.w[sat_psi].sum()) / psi.total_weight if psi.m else 1.0
+    return fraction, int(reduced.flagged.sum()), int(np.count_nonzero(violations))
+
+
+def diagnostics_failures(phi: KLinInstance, advice, delta: float, epsilon: float, seed) -> int:
+    """Fields of one Max 3-Lin solve's diagnostics, counted on the merged
+    rows, that differ from ``psi_diagnostics`` of its answer, compared exactly."""
+    res = solve_max3lin_with_advice(phi, advice, delta, epsilon, seed=seed)
+    diag = res.diagnostics
+    want = psi_diagnostics(phi, build_psi(phi, advice, delta, epsilon), res.assignment)
+    got = diag.psi_fraction, diag.sigma_zero_count, diag.heavy_implication_violations
+    return sum(g != w for g, w in zip(got, want))
 
 
 def reduction_audit_failures(plant, advice, delta: float, seed) -> tuple[int, int, int]:
@@ -780,13 +809,14 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
         xs = [plant.x_star, advice.values, *rng.choice([-1, 1], size=(8, plant.instance.n))]
         return merged_failures(reduced, xs)
 
-    violations = excess = heavy_rows = merge_fails = 0
+    violations = excess = heavy_rows = merge_fails = diag_fails = 0
     for s in range(max(3, seeds // 30)):
         plant = plant_klin(20, 3, 1500, 0.1, seed=800 + s)
         advice = gen_label_advice(plant.x_star, 0.8, seed=(81, s))
         v, e, h = reduction_audit_failures(plant, advice, delta=0.1, seed=(82, s))
         violations, excess, heavy_rows = violations + v, excess + e, heavy_rows + h
         merge_fails += merge_diffs(plant, advice, build_psi(plant.instance, advice, 0.1, 0.8))
+        diag_fails += diagnostics_failures(plant.instance, advice, 0.1, 0.8, (82, s))
     out.append(CheckResult("threelin-lemmas", "heavy implication audit clean",
                            violations == 0 and heavy_rows > 0,
                            f"{violations} violations over {heavy_rows} heavy rows"))
@@ -820,6 +850,14 @@ def suite_threelin_lemmas(seeds: int) -> list[CheckResult]:
     merge_fails += merge_diffs(plant, advice, reduced)
     out.append(CheckResult("threelin-lemmas", "merged ψ has ψ's objective",
                            merge_fails == 0, f"{merge_fails} differences"))
+    diag_fails += diagnostics_failures(plant.instance, advice, delta, eps, 97)
+
+    # weak advice and t = 6: heavy and light votes that sum to zero
+    plant = plant_klin(24, 3, 300, 0.1, seed=16)
+    advice = gen_label_advice(plant.x_star, 0.2, seed=(16, 1))
+    diag_fails += diagnostics_failures(plant.instance, advice, 0.5, 1.0, (16, 2))
+    out.append(CheckResult("threelin-lemmas", "diagnostics on merged rows equal diagnostics on ψ",
+                           diag_fails == 0, f"{diag_fails} fields differ"))
     return out
 
 

@@ -299,13 +299,13 @@ def line_checker_reads(monkeypatch):
     return reads
 
 
-def test_blank_lines_before_the_header_go_to_the_line_checker(tmp_path, instance,
-                                                              line_checker_reads):
+def test_blank_and_comment_lines_before_the_header_stay_on_the_block_path(
+        tmp_path, instance, line_checker_reads):
     path = tmp_path / "inst.klin"
     fileio.write_instance(path, instance)
-    path.write_bytes(b"\n \t\r\n" + path.read_bytes())
+    path.write_bytes(b"\n \t\r\n# generated\r\n  # p klin 1 1 1\n" + path.read_bytes())
     assert same_columns(fileio.read_instance(path), instance)
-    assert line_checker_reads == [path]
+    assert line_checker_reads == []
 
 
 def test_weight_token_past_32_bytes_goes_to_the_line_checker(tmp_path, line_checker_reads):
@@ -446,6 +446,41 @@ def test_block_reader_agrees_with_line_checker(tmp_path, monkeypatch, make, read
             assert same_bits(block, expected), (case, path.read_bytes())
     # most files stay inside the block grammar; the rest test the fallback
     assert 0.3 * 400 < taken < 400
+
+
+COMMENTS = [b"#", b"# 0 1 +1 1.0", b"  # indented", b"\t#tab", b"#p klin 3 5 1", b"## twice"]
+
+
+def commented_file_misses(tmp_path, monkeypatch) -> int:
+    """Seeded files of a mixed-arity instance with comment lines before the
+    header and between rows, read in blocks of 1 to 64 bytes so that
+    comments fall on block edges: the files that the block reader refuses
+    or reads otherwise than the line checker."""
+    rng = np.random.default_rng(16)
+    path = tmp_path / "commented.klin"
+    misses = 0
+    for case in range(12):
+        fileio.write_instance(path, random_2lin(rng, 9, 30))
+        lines = []
+        for line in path.read_bytes().splitlines():
+            lines += [COMMENTS[i] for i in rng.integers(len(COMMENTS), size=rng.poisson(0.5))]
+            lines.append(line)
+        path.write_bytes(b"".join(line + rng.choice([b"\n", b"\r\n", b"\r"]) for line in lines))
+        monkeypatch.setattr(fileio, "_BLOCK", int(rng.choice([1, 2, 3, 5, 16, 64])))
+        block = instance_blocks(path)
+        misses += block is None or not same_bits(block, fileio._read_instance_lines(path))
+    return misses
+
+
+def test_comment_lines_stay_on_the_block_path(tmp_path, monkeypatch):
+    assert commented_file_misses(tmp_path, monkeypatch) == 0
+
+
+def test_a_reader_that_keeps_comment_tokens_leaves_the_block_path(tmp_path, monkeypatch):
+    # the planted fault: the tokenizer sees no "#", so a comment line's tokens stay
+    tokenize = fileio._tokenize
+    monkeypatch.setattr(fileio, "_tokenize", lambda chunk: tokenize(chunk.replace(b"#", b"0")))
+    assert commented_file_misses(tmp_path, monkeypatch) > 0
 
 
 def test_header_count_past_the_file_size_allocates_nothing(tmp_path):

@@ -12,7 +12,6 @@ from advice_csp.max3lin import (
     build_psi,
     classify_constraints,
     compute_threshold,
-    conservative_psi_value,
     create_h_constraints,
     create_l_constraints,
     representative_accounting,
@@ -21,6 +20,7 @@ from advice_csp.max3lin import (
 from advice_csp.twolin_sdp import TwoLinConfig, solve_2lin
 from advice_csp.verify import (
     binomial_band,
+    conservative_psi_value,
     heavy_vote_errors,
     light_vote_errors,
     merged_failures,
@@ -53,16 +53,16 @@ class TestClassify:
         cons = (((0, 1, 2), 1, 1.0), ((0, 1, 3), 1, 1.0), ((0, 1, 4), 1, 1.0),
                 ((2, 3, 4), 1, 1.0))
         phi = KLinInstance.from_constraints(k=3, n=5, constraints=cons)
-        incidence, by_var = classify_constraints(phi, t=3)
+        incidence = classify_constraints(phi, t=3)
         assert incidence.heavy_pairs.tolist() == [[0, 1]]
         # the lone (2,3,4) constraint stays light
         assert incidence.heavy_mask.tolist() == [True, True, True, False]
-        assert by_var.keys.tolist() == [2, 3, 4]
+        assert incidence.by_var.keys.tolist() == [2, 3, 4]
 
     def test_threshold_one_makes_everything_heavy(self):
         plant = plant_klin(10, 3, 15, 0.0, seed=0)
-        incidence, by_var = classify_constraints(plant.instance, t=1)
-        assert by_var.keys.size == 0
+        incidence = classify_constraints(plant.instance, t=1)
+        assert incidence.by_var.keys.size == 0
         assert np.all(incidence.by_pair.sizes >= 1) and incidence.heavy_mask.all()
 
     def test_counting_identity(self):
@@ -74,8 +74,8 @@ class TestClassify:
 
     def test_light_membership_three_sets(self):
         plant = plant_klin(25, 3, 100, 0.2, seed=2)
-        incidence, by_var = classify_constraints(plant.instance, t=50)
-        counts = np.bincount(by_var.members, minlength=100)
+        incidence = classify_constraints(plant.instance, t=50)
+        counts = np.bincount(incidence.by_var.members, minlength=100)
         assert np.all(counts == 3)
         assert counts.size == 100
 
@@ -93,17 +93,17 @@ class TestClassify:
         cover = {(0, 1): t, (2, 3): t - 1, (4, 5): t + 2 if other_heavy else 0}
         cons = [((i, j, next(fresh)), 1, 1.0) for (i, j), c in cover.items() for _ in range(c)]
         phi = KLinInstance.from_constraints(3, next(fresh), cons)
-        incidence, by_var = classify_constraints(phi, t)
+        incidence = classify_constraints(phi, t)
         heavy = [[0, 1], [4, 5]] if other_heavy else [[0, 1]]
         assert incidence.heavy_pairs.tolist() == heavy
         assert incidence.by_pair.sizes.tolist() == [cover[tuple(p)] for p in heavy]
         mask = [True] * t + [False] * (t - 1) + [True] * cover[4, 5]
         assert incidence.heavy_mask.tolist() == mask
         # with the most covered pair one below the threshold, none is heavy
-        incidence, by_var = classify_constraints(phi, max(cover.values()) + 1)
+        incidence = classify_constraints(phi, max(cover.values()) + 1)
         assert incidence.heavy_pairs.shape == (0, 2) and not incidence.heavy_mask.any()
         assert incidence.by_pair.offsets.tolist() == [0]
-        assert by_var.offsets[-1] == 3 * phi.m
+        assert incidence.by_var.offsets[-1] == 3 * phi.m
 
 
 def reference_classify(phi, t):
@@ -140,7 +140,8 @@ def test_classify_matches_dict_reference(n, m, t):
                        dtype=np.int64).reshape(m, 3)
         phi = KLinInstance(3, n, idx, rng.choice([-1, 1], size=m), np.ones(m))
         heavy, members, mask, by_var = reference_classify(phi, t)
-        incidence, groups = classify_constraints(phi, t)
+        incidence = classify_constraints(phi, t)
+        groups = incidence.by_var
         assert incidence.heavy_pairs.tolist() == [list(p) for p in heavy]
         assert csr_lists(incidence.by_pair) == members
         assert incidence.heavy_mask.tolist() == mask
@@ -174,33 +175,34 @@ class TestCreateH:
         phi = KLinInstance.from_constraints(k=3, n=6, constraints=cons)
         labels = np.array([1, 1, 1, 1, -1, 1], dtype=np.int8)
         advice = LabelAdvice(values=labels, epsilon=0.5)
-        incidence, _ = classify_constraints(phi, t=3)
+        incidence = classify_constraints(phi, t=3)
         assert incidence.heavy_pairs.tolist() == [[1, 2]]
-        reps = create_h_constraints(incidence, advice, phi)
-        assert reps.sigma.tolist() == [1] and not reps.flagged.any()
-        assert reps.idx.tolist() == [[1, 2], [3, -1], [1, 2], [4, -1], [1, 2], [5, -1]]
-        assert reps.rhs.tolist() == [1, 1, 1, -1, 1, 1]
-        assert reps.source.tolist() == [0, 0, 1, 1, 2, 2]
+        votes = create_h_constraints(incidence, advice, phi)
+        assert votes.sigma.tolist() == [1] and votes.sizes.tolist() == [3]
+        # each member pins its third variable to sigma * rhs: x3 = 1, x4 = -1, x5 = 1
+        assert (votes.unary // 2).tolist() == [3, 4, 5]
+        assert (2 * (votes.unary % 2) - 1).tolist() == [1, -1, 1]
+        assert incidence.by_pair.members.tolist() == [0, 1, 2]
 
     def test_noiseless_vote_recovers_pair_product(self):
         plant = plant_klin(12, 3, 240, 0.0, seed=3)
         advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
-        incidence, _ = classify_constraints(plant.instance, t=2)
-        reps = create_h_constraints(incidence, advice, plant.instance)
+        incidence = classify_constraints(plant.instance, t=2)
+        votes = create_h_constraints(incidence, advice, plant.instance)
         pairs = incidence.heavy_pairs
-        assert len(pairs) >= 10 and not reps.flagged.any()
+        assert len(pairs) >= 10 and np.all(votes.sigma != 0)
         truth = plant.x_star[pairs[:, 0]] * plant.x_star[pairs[:, 1]]
-        assert np.array_equal(reps.sigma, truth)
+        assert np.array_equal(votes.sigma, truth)
 
     def test_zero_vote_flagged(self):
         cons = (((0, 1, 2), 1, 1.0), ((0, 1, 3), -1, 1.0))
         phi = KLinInstance.from_constraints(k=3, n=4, constraints=cons)
         advice = all_ones_advice(4)
-        incidence, _ = classify_constraints(phi, t=2)
-        reps = create_h_constraints(incidence, advice, phi)
-        # a zero vote keeps sign +1 for the emitted rows but records 0
-        assert reps.flagged.all() and reps.sigma.tolist() == [0]
-        assert len(reps.idx) == 4 and reps.rhs[0::2].tolist() == [1, 1]
+        incidence = classify_constraints(phi, t=2)
+        votes = create_h_constraints(incidence, advice, phi)
+        # a zero vote records 0 but pins with sign +1: x2 = +1, x3 = -1
+        assert votes.sigma.tolist() == [0] and votes.sizes.tolist() == [2]
+        assert votes.unary.tolist() == [2 * 2 + 1, 2 * 3]
 
 
 class TestCreateL:
@@ -208,28 +210,27 @@ class TestCreateL:
         phi = KLinInstance.from_constraints(k=3, n=4, constraints=(((1, 2, 3), 1, 1.0),))
         labels = np.array([1, 1, 1, -1], dtype=np.int8)
         advice = LabelAdvice(values=labels, epsilon=0.5)
-        _, by_var = classify_constraints(phi, t=2)
-        reps = create_l_constraints(by_var, advice, phi)
-        assert reps.sigma[1] == -1 and not reps.flagged.any()
-        # variables 1, 2, 3 each emit their one light representative
-        assert reps.idx.tolist() == [[1, -1], [2, -1], [3, -1]]
-        assert reps.rhs.tolist() == [-1, -1, 1] and reps.source.tolist() == [0, 0, 0]
+        incidence = classify_constraints(phi, t=2)
+        votes = create_l_constraints(incidence, advice, phi)
+        # variables 1, 2, 3 each vote once, from their one light constraint
+        assert votes.sigma.tolist() == [0, -1, -1, 1] and votes.sizes.tolist() == [0, 1, 1, 1]
+        assert incidence.by_var.keys.tolist() == [1, 2, 3]
+        assert incidence.by_var.members.tolist() == [0, 0, 0]
 
     def test_noiseless_vote_recovers_value(self):
         plant = plant_klin(15, 3, 60, 0.0, seed=4)
         advice = LabelAdvice(values=plant.x_star, epsilon=1.0)
-        _, by_var = classify_constraints(plant.instance, t=1000)
-        reps = create_l_constraints(by_var, advice, plant.instance)
-        voters = by_var.keys
-        assert not reps.flagged.any()
-        assert np.array_equal(reps.sigma[voters], plant.x_star[voters])
+        incidence = classify_constraints(plant.instance, t=1000)
+        votes = create_l_constraints(incidence, advice, plant.instance)
+        voters = np.flatnonzero(votes.sizes)
+        assert np.array_equal(voters, incidence.by_var.keys)
+        assert np.array_equal(votes.sigma[voters], plant.x_star[voters])
 
     def test_empty_members(self):
         phi = KLinInstance.from_constraints(k=3, n=4, constraints=(((0, 1, 2), 1, 1.0),))
-        _, by_var = classify_constraints(phi, t=2)
-        reps = create_l_constraints(by_var, all_ones_advice(4), phi)
-        # variable 3 has no light members: it emits nothing and records no vote
-        assert 3 not in reps.idx[:, 0].tolist() and reps.sigma[3] == 0
+        votes = create_l_constraints(classify_constraints(phi, t=2), all_ones_advice(4), phi)
+        # variable 3 has no light members: it records no vote
+        assert votes.sizes[3] == 0 and votes.sigma[3] == 0
 
 
 class TestBuildPsi:
@@ -344,6 +345,25 @@ class TestMerged:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("name", ["heavy", "light", "flagged", "empty"])
+    def test_solve_never_expands_psi(self, monkeypatch, name):
+        # psi, its sources and its flags are grouped by Groups.of when first
+        # read; the solver and the diagnostics read only the merged rows
+        def refuse(*args):
+            raise AssertionError("the solve expanded psi")
+
+        built = []
+
+        def recording(*args, build=max3lin.build_psi):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(max3lin.Groups, "of", refuse)
+        monkeypatch.setattr(max3lin, "build_psi", recording)
+        phi, advice, delta, eps = merge_fixture(name)
+        solve_max3lin_with_advice(phi, advice, delta, eps, seed=1)
+        assert not {"psi", "source", "flagged"} & set(vars(built[0]))
+
     def test_noiseless_small_instance_solved_exactly(self):
         hits = 0
         for s in range(10):

@@ -59,11 +59,12 @@ def rounding():
     return verify.rounding_dominance_failures(hom, emb, trials=16, seed=8)
 
 
-def counting():
+def counting(part):
+    """Failures of part ``part`` (counts, sources) of the counting check."""
     plant = plant_klin(20, 3, 1500, 0.1, seed=12)
     advice = gen_label_advice(plant.x_star, 0.8, seed=13)
-    return sum(verify.reduction_counting_failures(
-        plant.instance, verify.build_psi(plant.instance, advice, 0.1, 0.8)))
+    return verify.reduction_counting_failures(
+        plant.instance, verify.build_psi(plant.instance, advice, 0.1, 0.8))[part]
 
 
 def boundary_counting(other_heavy):
@@ -89,14 +90,40 @@ def audit(part):
     return verify.reduction_audit_failures(AUDIT, advice, delta=0.1, seed=(82, 0))[part]
 
 
-def unary_without_rhs(reps):
+def unary_without_rhs(votes, incidence):
     # every heavy unary pinned to sigma rather than sigma * rhs
-    return replace(reps, rhs=np.repeat(reps.rhs[0::2], 2))
+    sign = (votes.sigma >= 0)[incidence.pair_of]
+    return replace(votes, unary=votes.unary - votes.unary % 2 + sign)
 
 
-def lift_map():
+def last_light_copy_dropped(votes):
+    # the last light variable votes with one constraint fewer: psi's last row
+    sizes = votes.sizes.copy()
+    sizes[np.flatnonzero(sizes)[-1]] -= 1
+    return replace(votes, sizes=sizes)
+
+
+def last_heavy_entry_dropped(incidence):
+    # the last (heavy pair, constraint) entry lost: its constraint has a couple fewer
+    return replace(incidence, entries=incidence.entries[:-1], pair_of=incidence.pair_of[:-1])
+
+
+def flags_ignored(merged_and_unflagged):
+    # every copy of every merged row counted as unflagged
+    merged, _ = merged_and_unflagged
+    return merged, merged.w.copy()
+
+
+def lift_map(part):
+    """Failures of part ``part`` (counts, completeness, soundness) of the lift map."""
     phi = plant_klin(9, 3, 25, 0.4, seed=4).instance
-    return sum(sum(verify.lift_map_failures(phi, 3, x, np.append(x, [1, -1, 1]))) for x in PM1)
+    return sum(verify.lift_map_failures(phi, 3, x, np.append(x, [1, -1, 1]))[part] for x in PM1)
+
+
+def last_lifted_constraint_dropped(lift):
+    phi4 = lift.phi4
+    return replace(lift, phi4=with_columns(phi4, idx=phi4.idx[:-1], rhs=phi4.rhs[:-1],
+                                           w=phi4.w[:-1]))
 
 
 def value_nudged(out):
@@ -106,11 +133,6 @@ def value_nudged(out):
 def with_columns(inst, **columns):
     columns = {"idx": inst.idx, "rhs": inst.rhs, "w": inst.w, **columns}
     return KLinInstance(inst.k, inst.n, **columns)
-
-
-def drop_last_row(r):
-    psi = with_columns(r.psi, idx=r.psi.idx[:-1], rhs=r.psi.rhs[:-1], w=r.psi.w[:-1])
-    return replace(r, psi=psi, source=r.source[:-1], flagged=r.flagged[:-1])
 
 
 def one_unit_less_first_row(r):
@@ -143,6 +165,7 @@ def suite_check(suite, name):
     def check():
         (passed,) = [r.passed for r in verify.run_suite(suite, 1) if r.name == name]
         return int(not passed)
+    check.trips = (suite, name)
     return check
 
 
@@ -165,6 +188,9 @@ CASES = {
     "negation, rhs ignored": (
         lambda: verify.negation_failures(plant_klin(9, 3, 20, 0.3, seed=5).instance, PM1),
         "satisfied_mask", lambda f: lambda inst, x: f(with_columns(inst, rhs=np.ones(inst.m)), x)),
+    "even-arity negation, first variable read as +1": (
+        lambda: verify.negation_failures(plant_klin(9, 2, 20, 0.3, seed=5).instance, PM1),
+        "satisfied_mask", lambda f: lambda inst, x: f(inst, np.append(1, np.asarray(x)[1:]))),
     "identity, weights nudged by 1e-6": (
         lambda: verify.identity_failures(verify.random_2lin(rng(1), 9, 20), PM1),
         "to_quadratic_matrix", lambda f: lambda inst: f(with_columns(inst, w=inst.w + 1e-6))),
@@ -194,7 +220,11 @@ CASES = {
         rounding, "hyperplane_round",
         lambda f: lambda hom, emb, trials, seed: f(hom, emb, trials=1, seed=seed)),
     "counting, last representative dropped": (
-        counting, "build_psi", lambda f: lambda *args: drop_last_row(f(*args))),
+        lambda: counting(0), "max3lin.create_l_constraints",
+        lambda f: lambda *args: last_light_copy_dropped(f(*args))),
+    "sources, last heavy couple dropped": (
+        lambda: counting(1), "max3lin.classify_constraints",
+        lambda f: lambda phi, t: last_heavy_entry_dropped(f(phi, t))),
     "counting, runs of exactly t light, another pair heavy": (
         lambda: boundary_counting(True), "max3lin.classify_constraints",
         lambda f: lambda phi, t: f(phi, t + 1)),
@@ -204,18 +234,27 @@ CASES = {
     "exact advice, light votes negated": (
         lambda: verify.exact_advice_failures(plant_klin(40, 3, 900, 0.0, seed=7007), 0.05),
         "max3lin.create_l_constraints",
-        lambda f: lambda *args: replace(f(*args), rhs=-f(*args).rhs)),
+        lambda f: lambda *args: replace(f(*args), sigma=-f(*args).sigma)),
     "implication audit, heavy unary without the rhs": (
         lambda: audit(0), "max3lin.create_h_constraints",
-        lambda f: lambda *args: unary_without_rhs(f(*args))),
+        lambda f: lambda incidence, *args: unary_without_rhs(f(incidence, *args), incidence)),
     "counting bound, every source marked heavy": (
         lambda: audit(1), "build_psi",
         lambda f: lambda *args: replace(f(*args), heavy_mask=np.ones_like(f(*args).heavy_mask))),
     "merged psi, first row one unit light": (
         suite_check("threelin-lemmas", "merged ψ has ψ's objective"), "build_psi",
         lambda f: lambda *args, **kw: one_unit_less_first_row(f(*args, **kw))),
+    "diagnostics, flagged copies counted as unflagged": (
+        suite_check("threelin-lemmas", "diagnostics on merged rows equal diagnostics on ψ"),
+        "max3lin._merged_psi", lambda f: lambda *args: flags_ignored(f(*args))),
     "lift map, last new variable -1": (
-        lift_map, "lift_assignment", lambda f: lambda sigma, t: np.append(f(sigma, t)[:-1], -1)),
+        lambda: lift_map(1), "lift_assignment",
+        lambda f: lambda sigma, t: np.append(f(sigma, t)[:-1], -1)),
+    "lift counts, last 4-Lin constraint dropped": (
+        lambda: lift_map(0), "three_to_four_lin",
+        lambda f: lambda phi, t: last_lifted_constraint_dropped(f(phi, t))),
+    "lift soundness, projection negated": (
+        lambda: lift_map(2), "project_assignment", lambda f: lambda sigma, phi: -f(sigma, phi)),
     "containment, scores negated": (
         containment, "compute_deltas", lambda f: lambda graph, advice: -f(graph, advice)),
     "witness value, F recount one edge high": (
@@ -285,6 +324,82 @@ CASES = {
         suite_check("twolin-invariants", "satisfiable plant reaches full relaxation value"),
         "solve_relaxation", lambda f: lambda *args, **kw: f(*args, **{**kw, "sweeps": 1})),
 }
+
+
+# The suite check that each case's check stands for, where it is not a
+# suite_check: the shared function the case calls is the one the suite
+# check calls, on the suite's own fixture.
+TRIPS = {
+    "negation, rhs ignored": ("instance-invariants", "odd-arity negation flips rhs"),
+    "even-arity negation, first variable read as +1":
+        ("instance-invariants", "even-arity negation invariance"),
+    "identity, weights nudged by 1e-6":
+        ("instance-invariants", "quadratic identity matches evaluate"),
+    "derived instances, repeated index in a homogenized row":
+        ("instance-invariants", "derived instances pass the public constructor"),
+    "concavity, convex term added": ("qp-lemmas", "surrogate objective concave along chords"),
+    "form dominance, l1 penalty dropped": ("qp-lemmas", "form dominates surrogate over epsilon"),
+    "grid sandwich, origin returned": ("qp-lemmas", "surrogate optimum sandwiched by grid search"),
+    "qp ceiling, value 1 high": ("qp-lemmas", "output never beats the exhaustive max"),
+    "greedy rounding, all +1 returned": ("qp-lemmas", "greedy rounding never decreases the form"),
+    "witness rows, each band cut to its lower end":
+        ("maxcut-lemmas", "planted witness feasible for the balance LP"),
+    "witness value, LP value 1 low": ("maxcut-lemmas", "LP value dominates the witness value"),
+    "witness value, F recount one edge high":
+        ("maxcut-lemmas", "LP value dominates the witness value"),
+    "containment, scores negated": ("maxcut-lemmas", "committed sides inside planted sides"),
+    "ascent, last vector negated": ("twolin-invariants", "relaxation ascent monotone per sweep"),
+    "dehomogenization, reference sign ignored":
+        ("twolin-invariants", "dehomogenization preserves weight"),
+    "rounding, first trial kept": ("twolin-invariants", "best-of rounding dominates each trial"),
+    "counting, last representative dropped":
+        ("threelin-lemmas", "pair lists cover each constraint thrice"),
+    "sources, last heavy couple dropped":
+        ("threelin-lemmas", "each source has 2..6 representatives"),
+    "counting, runs of exactly t light, another pair heavy":
+        ("threelin-lemmas", "pair lists cover each constraint thrice"),
+    "counting, runs of exactly t light, no other pair heavy":
+        ("threelin-lemmas", "pair lists cover each constraint thrice"),
+    "exact advice, light votes negated":
+        ("threelin-lemmas", "noiseless exact advice satisfies every vote"),
+    "implication audit, heavy unary without the rhs":
+        ("threelin-lemmas", "heavy implication audit clean"),
+    "counting bound, every source marked heavy":
+        ("threelin-lemmas", "representative counting bound holds"),
+    "heavy votes, sigma_pair negated": ("threelin-lemmas", "heavy vote error rate within bound"),
+    "light votes, sigma_var negated": ("threelin-lemmas", "light vote error rate within bound"),
+    "lift map, last new variable -1": ("reduction", "completeness fraction preserved"),
+    "lift counts, last 4-Lin constraint dropped":
+        ("reduction", "variable and constraint counts exact"),
+    "lift soundness, projection negated": ("reduction", "soundness projection never loses value"),
+    "lp oracle, optimal value 1e-3 high": ("lp-oracle", "simplex matches vertex enumeration"),
+}
+
+# Suite checks that no planted fault trips yet.  This list may only shrink.
+OPEN = {
+    ("advice-stats", "epsilon=1 copies the truth"),
+    ("advice-stats", "label advice deterministic"),
+    ("advice-stats", "agreement rate in 3-sigma band"),
+    ("advice-stats", "subset size in 3-sigma band"),
+    ("advice-stats", "revealed values match truth"),
+    ("advice-stats", "conversion mixture statistics"),
+    ("maxcut-lemmas", "uniform score tail within bound"),
+    ("maxcut-lemmas", "undecided pool has small planted imbalance"),
+    ("maxcut-lemmas", "rounded neighborhoods nearly balanced"),
+    ("maxcut-lemmas", "cut decomposition identity exact"),
+    ("maxcut-lemmas", "rounded objective concentrates at LP value"),
+    ("maxcut-lemmas", "no fallbacks needed on the planted fixture"),
+}
+
+
+def test_every_suite_check_has_a_planted_fault():
+    checks = {(r.suite, r.name) for suite in verify.SUITES for r in verify.run_suite(suite, 1)}
+    named = {case for case, (check, _, _) in CASES.items() if not hasattr(check, "trips")}
+    assert set(TRIPS) == named
+    tripped = {getattr(check, "trips", None) or TRIPS[case]
+               for case, (check, _, _) in CASES.items()}
+    assert tripped <= checks and OPEN <= checks
+    assert checks - tripped == OPEN
 
 
 @pytest.mark.parametrize("check, name, fault", CASES.values(), ids=CASES)
